@@ -77,6 +77,7 @@ from .noise import (
     error_model_distribution,
     error_probability,
     pcorrect_pincorrect,
+    pure_noise,
     reconstructed_error_probability,
     transmission,
 )
@@ -87,6 +88,7 @@ from .security import (
     binary_entropy,
     binning_deficit,
     conditional_entropy,
+    distribution_key_rate,
     entropic_bound,
     entropy_report,
     mutual_information,

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import sys
@@ -30,7 +31,7 @@ from .detection import (
     resolution_product,
     time_resolution,
 )
-from .errors import ChronokeyError, ParameterError, PureNoiseWarning
+from .errors import ChronokeyError, ParameterError
 from .feasibility import check_feasibility
 from .montecarlo import (
     RoundLedger,
@@ -39,14 +40,8 @@ from .montecarlo import (
     estimate_key_rate,
     simulate_rounds,
 )
-from .noise import ChannelModel, error_model_distribution, error_probability, transmission
-from .security import (
-    binning_deficit,
-    entropic_bound,
-    entropy_report,
-    secret_key_bound,
-    simplified_key_rate,
-)
+from .noise import error_model_distribution, error_probability, pure_noise, transmission
+from .security import distribution_key_rate, simplified_key_rate
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -68,43 +63,27 @@ def _cell(value) -> str:
     return str(value)
 
 
-def _closed_form_error(model: ChannelModel) -> tuple[float, bool]:
-    """Closed-form error probability plus a flag for the pure-noise limit."""
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        p = error_probability(model)
-    pure = any(issubclass(w.category, PureNoiseWarning) for w in caught)
-    return p, pure
-
-
 def _closed_form_key_rates(config: RunConfig) -> dict:
     """Error-model entropy route and the simplified closed form, as one
     JSON-ready block."""
     scheme = config.binning()
-    lens_rate = scheme.beta_plus * scheme.beta_minus * scheme.m * scheme.delta_omega**2
-    delta_t = scheme.delta_omega / lens_rate
     model = config.channel_model()
-    p, pure = _closed_form_error(model)
+    p = error_probability(model)
     joint = error_model_distribution(scheme.m, p)
-    freq = entropy_report(OutcomeDistribution(FREQUENCY_BASIS, joint))
-    tim = entropy_report(OutcomeDistribution(TIME_BASIS, joint))
-    bound = entropic_bound(scheme.delta_omega, delta_t)
-    rate = secret_key_bound(
-        freq, tim, bound, deficit=binning_deficit(scheme.beta_plus, scheme.beta_minus)
+    rate = distribution_key_rate(
+        OutcomeDistribution(FREQUENCY_BASIS, joint),
+        OutcomeDistribution(TIME_BASIS, joint),
+        scheme,
+        design_time_lens(scheme),
     )
-    simplified = simplified_key_rate(scheme.m, p, scheme.beta_plus, scheme.beta_minus)
     return {
         "error_probability": p,
-        "pure_noise": pure,
+        "pure_noise": pure_noise(model),
         "transmission": transmission(model),
-        "entropy_route": {
-            "uncertainty_bound": rate.uncertainty_bound,
-            "mutual_information": rate.mutual_information,
-            "secret_key": rate.secret_key,
-            "clamped": rate.clamped,
-            "deficit": rate.deficit,
-        },
-        "closed_form_secret_key": simplified,
+        "entropy_route": dataclasses.asdict(rate),
+        "closed_form_secret_key": simplified_key_rate(
+            scheme.m, p, scheme.beta_plus, scheme.beta_minus
+        ),
     }
 
 
@@ -140,10 +119,8 @@ def cmd_analyze(args) -> int:
         },
         "security": {
             "alphabet_bits": math.log2(scheme.m),
-            "uncertainty_bound": entropic_bound(
-                scheme.delta_omega, time_resolution(scheme, lens)
-            ),
-            "binning_deficit": binning_deficit(scheme.beta_plus, scheme.beta_minus),
+            "uncertainty_bound": rates["entropy_route"]["uncertainty_bound"],
+            "binning_deficit": rates["entropy_route"]["deficit"],
         },
         "channel": {
             "error_probability": rates["error_probability"],
@@ -242,16 +219,9 @@ def cmd_montecarlo(args) -> int:
             freq_dist = joint_outcome_distribution(source, scheme, lens, FREQUENCY_BASIS)
             time_dist = joint_outcome_distribution(source, scheme, lens, TIME_BASIS)
     ledger = simulate_rounds(sim, model, freq_dist, time_dist, threads=threads)
-    closed_p, pure = _closed_form_error(model)
+    closed_p = error_probability(model)
     payload = {
-        "simulation": {
-            "rounds": sim.rounds,
-            "seed": sim.seed,
-            "basis_probability": sim.basis_probability,
-            "multi_click_policy": sim.multi_click_policy,
-            "correlation_model": sim.correlation_model,
-            "shard_size": sim.shard_size,
-        },
+        "simulation": dataclasses.asdict(sim),
         "counts": {
             "rounds": ledger.rounds,
             "no_click": ledger.no_click,
@@ -265,7 +235,7 @@ def cmd_montecarlo(args) -> int:
         "frequency": _basis_block(ledger, FREQUENCY_BASIS),
         "time": _basis_block(ledger, TIME_BASIS),
     }
-    error_block = {"closed_form": closed_p, "pure_noise": pure}
+    error_block = {"closed_form": closed_p, "pure_noise": pure_noise(model)}
     if ledger.sifted > 0:
         p_hat = empirical_error_probability(ledger)
         error_block["empirical"] = p_hat
@@ -275,14 +245,7 @@ def cmd_montecarlo(args) -> int:
         error_block["stderr"] = None
     payload["error_probability"] = error_block
     try:
-        rate = estimate_key_rate(ledger, scheme, lens)
-        payload["key_rate"] = {
-            "uncertainty_bound": rate.uncertainty_bound,
-            "mutual_information": rate.mutual_information,
-            "secret_key": rate.secret_key,
-            "clamped": rate.clamped,
-            "deficit": rate.deficit,
-        }
+        payload["key_rate"] = dataclasses.asdict(estimate_key_rate(ledger, scheme, lens))
     except ParameterError:
         payload["key_rate"] = None
     _write_json(out / "montecarlo.json", payload)
@@ -327,22 +290,14 @@ def cmd_feasibility(args) -> int:
 def cmd_alphabet_scan(args) -> int:
     config = load_config(args.config)
     out = _resolve_out(args, config)
-    channel = config.channel
+    base_model = config.channel_model()
     protocol = config.protocol
     rows = []
     records = []
     header = ["alphabet_bits", "m", "error_probability", "secret_key"]
     for bits in range(1, args.max_bits + 1):
         m = 2**bits
-        model = ChannelModel(
-            m=m,
-            pair_probability=channel.pair_probability,
-            detector_efficiency=channel.detector_efficiency,
-            dark_probability=channel.dark_probability,
-            length=channel.length,
-            attenuation_length=channel.attenuation_length,
-        )
-        p, _ = _closed_form_error(model)
+        p = error_probability(dataclasses.replace(base_model, m=m))
         secret = simplified_key_rate(m, p, protocol.beta_plus, protocol.beta_minus)
         record = {
             "alphabet_bits": bits,

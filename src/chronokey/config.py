@@ -17,8 +17,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .detection import BinningScheme, TimeLens, design_binning, design_time_lens
-from .errors import ConfigError, ParameterError
+from .detection import BinningScheme, design_binning, design_time_lens
+from .errors import ConfigError
 from .feasibility import HardwareSpec
 from .montecarlo import SimulationConfig
 from .noise import ChannelModel
@@ -154,52 +154,23 @@ class RunConfig:
     # Domain-object constructors; these run the full parameter validation.
 
     def binning(self) -> BinningScheme:
-        p = self.protocol
-        return BinningScheme(
-            m=p.m, delta_omega=p.delta_omega, beta_plus=p.beta_plus, beta_minus=p.beta_minus
-        )
+        return BinningScheme(**dataclasses.asdict(self.protocol))
 
     def matched_design(self):
         """Binning scheme, matched source, and designed lens as a triple."""
-        p = self.protocol
-        scheme, source = design_binning(
-            p.m, beta_plus=p.beta_plus, beta_minus=p.beta_minus, delta_omega=p.delta_omega
-        )
+        scheme, source = design_binning(**dataclasses.asdict(self.protocol))
         return scheme, source, design_time_lens(scheme)
 
     def channel_model(self) -> ChannelModel:
-        c = self.channel
-        return ChannelModel(
-            m=self.protocol.m,
-            pair_probability=c.pair_probability,
-            detector_efficiency=c.detector_efficiency,
-            dark_probability=c.dark_probability,
-            length=c.length,
-            attenuation_length=c.attenuation_length,
-        )
+        return ChannelModel(m=self.protocol.m, **dataclasses.asdict(self.channel))
 
     def simulation_config(self) -> SimulationConfig:
-        s = self.simulation
-        return SimulationConfig(
-            rounds=s.rounds,
-            seed=s.seed,
-            basis_probability=s.basis_probability,
-            multi_click_policy=s.multi_click_policy,
-            correlation_model=s.correlation_model,
-            shard_size=s.shard_size,
-        )
+        settings = dataclasses.asdict(self.simulation)
+        del settings["threads"]  # how to run, not what to compute
+        return SimulationConfig(**settings)
 
     def hardware_spec(self) -> HardwareSpec:
-        h = self.hardware
-        return HardwareSpec(
-            center_wavelength=h.center_wavelength,
-            spectrometer_resolution=h.spectrometer_resolution,
-            resolution_kind=h.resolution_kind,
-            modulator_max_frequency=h.modulator_max_frequency,
-            modulator_max_depth=h.modulator_max_depth,
-            fiber_gvd=h.fiber_gvd,
-            angular_convention=h.angular_convention,
-        )
+        return HardwareSpec(**dataclasses.asdict(self.hardware))
 
 
 def load_config(path: str | Path | None = None) -> RunConfig:

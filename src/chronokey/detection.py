@@ -59,8 +59,10 @@ class BinningScheme:
     def __post_init__(self) -> None:
         if not isinstance(self.m, int) or self.m < 2:
             raise ParameterError(f"bin count must be an integer >= 2, got {self.m!r}")
-        if not self.delta_omega > 0.0:
-            raise ParameterError("bin width must be positive")
+        if not (math.isfinite(self.delta_omega) and self.delta_omega > 0.0):
+            raise ParameterError("bin width must be finite and positive")
+        if not math.isfinite(self.center):
+            raise ParameterError("window center must be finite")
         if not 0.0 < self.beta_minus < self.beta_plus <= 1.0:
             raise ParameterError(
                 "design ratios must satisfy 0 < beta_minus < beta_plus <= 1, "
@@ -210,10 +212,12 @@ class OutcomeDistribution:
         p = np.asarray(self.probabilities, dtype=float)
         if p.ndim != 2 or p.shape[0] != p.shape[1]:
             raise ParameterError("probabilities must be a square matrix")
-        if float(p.min()) < -1e-12:
+        if not np.isfinite(p).all():
+            raise ParameterError("probabilities must be finite")
+        if not float(p.min()) >= -1e-12:
             raise ParameterError("probabilities must be non-negative")
         total = float(p.sum())
-        if abs(total - 1.0) > 1e-9:
+        if not abs(total - 1.0) <= 1e-9:
             raise ParameterError(f"probabilities sum to {total!r}, expected 1")
         if not 0.0 <= self.out_of_window <= 1.0:
             raise ParameterError("out_of_window must lie in [0, 1]")
@@ -225,7 +229,15 @@ class OutcomeDistribution:
         return self.probabilities.shape[0]
 
 
-def _warn_coverage(out_mass: float, basis: str) -> None:
+def _renormalize(raw: np.ndarray, basis: str) -> tuple[np.ndarray, float]:
+    """In-window probabilities of binned masses and the discarded fraction.
+
+    Warns when the discarded fraction exceeds ``COVERAGE_WARN_THRESHOLD``;
+    called directly from the public binning functions, so the warning points
+    at their caller.
+    """
+    in_mass = float(raw.sum())
+    out_mass = max(0.0, 1.0 - in_mass)
     if out_mass > COVERAGE_WARN_THRESHOLD:
         warnings.warn(
             f"{out_mass:.1%} of the intensity lies outside the {basis}-basis window "
@@ -233,13 +245,7 @@ def _warn_coverage(out_mass: float, basis: str) -> None:
             CoverageWarning,
             stacklevel=3,
         )
-
-
-def _finalize(raw: np.ndarray, basis: str) -> OutcomeDistribution:
-    in_mass = float(raw.sum())
-    out_mass = max(0.0, 1.0 - in_mass)
-    _warn_coverage(out_mass, basis)
-    return OutcomeDistribution(basis=basis, probabilities=raw / in_mass, out_of_window=out_mass)
+    return raw / in_mass, out_mass
 
 
 def _zoom_time_points(span: float, binning: BinningScheme, lens: TimeLens):
@@ -296,16 +302,17 @@ def joint_outcome_distribution(
         raw = weights @ intensity @ weights.T
         if relabel_receiver:
             raw = raw[::-1, :]
-        return _finalize(raw, basis)
-    if basis == TIME_BASIS:
+    elif basis == TIME_BASIS:
         t, step, per_bin = _zoom_time_points(jsa.grid.span, binning, lens)
         kernel = _zoom_kernel(t, jsa.grid)
         amps_t = kernel @ jsa.amplitudes @ kernel.T
         intensity = np.abs(amps_t) ** 2 * step**2
         m = binning.m
         raw = intensity.reshape(m, per_bin, m, per_bin).sum(axis=(1, 3))
-        return _finalize(raw, basis)
-    raise ParameterError(f"unknown basis {basis!r}")
+    else:
+        raise ParameterError(f"unknown basis {basis!r}")
+    probabilities, out_mass = _renormalize(raw, basis)
+    return OutcomeDistribution(basis=basis, probabilities=probabilities, out_of_window=out_mass)
 
 
 def binned_spectrum(
@@ -319,11 +326,7 @@ def binned_spectrum(
     psi = np.asarray(state, dtype=np.complex128)
     intensity = np.abs(psi) ** 2 * grid.spacing
     weights = bin_overlap_weights(grid.points, grid.spacing, binning.bin_edges)
-    raw = weights @ intensity
-    in_mass = float(raw.sum())
-    out_mass = max(0.0, 1.0 - in_mass)
-    _warn_coverage(out_mass, FREQUENCY_BASIS)
-    return raw / in_mass, out_mass
+    return _renormalize(weights @ intensity, FREQUENCY_BASIS)
 
 
 def binned_arrival_times(
@@ -343,11 +346,7 @@ def binned_arrival_times(
     kernel = _zoom_kernel(t, grid)
     psi_t = kernel @ psi
     intensity = np.abs(psi_t) ** 2 * step
-    raw = intensity.reshape(binning.m, per_bin).sum(axis=1)
-    in_mass = float(raw.sum())
-    out_mass = max(0.0, 1.0 - in_mass)
-    _warn_coverage(out_mass, TIME_BASIS)
-    return raw / in_mass, out_mass
+    return _renormalize(intensity.reshape(binning.m, per_bin).sum(axis=1), TIME_BASIS)
 
 
 def simulate_time_lens(

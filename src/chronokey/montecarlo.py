@@ -17,31 +17,24 @@ are merged in index order, so the ledger depends only on ``seed``,
 
 from __future__ import annotations
 
+import functools
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .detection import (
-    FREQUENCY_BASIS,
-    TIME_BASIS,
-    BinningScheme,
-    OutcomeDistribution,
-    TimeLens,
-    time_resolution,
-)
+from .detection import FREQUENCY_BASIS, TIME_BASIS, BinningScheme, OutcomeDistribution, TimeLens
 from .errors import ParameterError
 from .noise import ChannelModel, transmission
-from .security import (
-    KeyRateBound,
-    binning_deficit,
-    entropic_bound,
-    entropy_report,
-    secret_key_bound,
-)
+from .security import KeyRateBound, distribution_key_rate
 
 _POLICIES = ("discard", "random-assign")
 _MODELS = ("ideal-delta", "sampled-jsa")
+
+
+def _is_int(value) -> bool:
+    """True for a Python integer; ``bool`` subclasses ``int`` but is refused."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -64,9 +57,9 @@ class SimulationConfig:
     shard_size: int = 1_000_000
 
     def __post_init__(self) -> None:
-        if not isinstance(self.rounds, int) or self.rounds < 1:
+        if not _is_int(self.rounds) or self.rounds < 1:
             raise ParameterError("rounds must be a positive integer")
-        if not isinstance(self.seed, int) or self.seed < 0:
+        if not _is_int(self.seed) or self.seed < 0:
             raise ParameterError("seed must be a non-negative integer")
         if not 0.0 <= self.basis_probability <= 1.0:
             raise ParameterError("basis probability must lie in [0, 1]")
@@ -74,7 +67,7 @@ class SimulationConfig:
             raise ParameterError(f"unknown multi-click policy {self.multi_click_policy!r}")
         if self.correlation_model not in _MODELS:
             raise ParameterError(f"unknown correlation model {self.correlation_model!r}")
-        if not isinstance(self.shard_size, int) or self.shard_size < 1:
+        if not _is_int(self.shard_size) or self.shard_size < 1:
             raise ParameterError("shard size must be a positive integer")
 
 
@@ -204,7 +197,7 @@ def _simulate_shard(
     channel: ChannelModel,
     cdf_frequency: np.ndarray | None,
     cdf_time: np.ndarray | None,
-) -> dict:
+) -> RoundLedger:
     rng = _shard_rng(config.seed, shard_index)
     m = channel.m
     eta = transmission(channel)
@@ -265,17 +258,18 @@ def _simulate_shard(
     time_rounds = sifted & ~basis_a
     flat_freq = registered_b[freq_rounds] * m + registered_a[freq_rounds]
     flat_time = registered_b[time_rounds] * m + registered_a[time_rounds]
-    return {
-        "rounds": n,
-        "no_click": int(no_click.sum()),
-        "multi_click_discarded": int(multi.sum()),
-        "basis_mismatch": int((coincident & ~matched).sum()),
-        "sifted": int(sifted.sum()),
-        "correct": int((sifted & agree).sum()),
-        "incorrect": int((sifted & ~agree).sum()),
-        "frequency": np.bincount(flat_freq, minlength=m * m).reshape(m, m),
-        "time": np.bincount(flat_time, minlength=m * m).reshape(m, m),
-    }
+    return RoundLedger(
+        m=m,
+        rounds=n,
+        no_click=int(no_click.sum()),
+        multi_click_discarded=int(multi.sum()),
+        basis_mismatch=int((coincident & ~matched).sum()),
+        sifted=int(sifted.sum()),
+        correct=int((sifted & agree).sum()),
+        incorrect=int((sifted & ~agree).sum()),
+        joint_counts_frequency=np.bincount(flat_freq, minlength=m * m).reshape(m, m),
+        joint_counts_time=np.bincount(flat_time, minlength=m * m).reshape(m, m),
+    )
 
 
 def simulate_rounds(
@@ -315,7 +309,7 @@ def simulate_rounds(
         remaining -= size
         index += 1
 
-    def run(shard: tuple[int, int]) -> dict:
+    def run(shard: tuple[int, int]) -> RoundLedger:
         return _simulate_shard(shard[0], shard[1], config, channel, cdf_f, cdf_t)
 
     if threads == 1 or len(shards) == 1:
@@ -323,25 +317,7 @@ def simulate_rounds(
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(run, shards))
-
-    m = channel.m
-    totals = {k: 0 for k in (
-        "rounds", "no_click", "multi_click_discarded", "basis_mismatch",
-        "sifted", "correct", "incorrect",
-    )}
-    freq = np.zeros((m, m), dtype=np.int64)
-    time_counts = np.zeros((m, m), dtype=np.int64)
-    for result in results:
-        for key in totals:
-            totals[key] += result[key]
-        freq += result["frequency"]
-        time_counts += result["time"]
-    return RoundLedger(
-        m=m,
-        joint_counts_frequency=freq,
-        joint_counts_time=time_counts,
-        **totals,
-    )
+    return functools.reduce(RoundLedger.merged, results, RoundLedger.empty(channel.m))
 
 
 def empirical_distribution(
@@ -382,11 +358,6 @@ def estimate_key_rate(
     """Key-rate bound computed from the simulated joint counts."""
     freq_dist, _ = empirical_distribution(ledger, FREQUENCY_BASIS)
     time_dist, _ = empirical_distribution(ledger, TIME_BASIS)
-    bound = entropic_bound(binning.delta_omega, time_resolution(binning, lens))
-    return secret_key_bound(
-        entropy_report(freq_dist),
-        entropy_report(time_dist),
-        bound,
-        deficit=binning_deficit(binning.beta_plus, binning.beta_minus),
-        reconciliation_efficiency=reconciliation_efficiency,
+    return distribution_key_rate(
+        freq_dist, time_dist, binning, lens, reconciliation_efficiency=reconciliation_efficiency
     )

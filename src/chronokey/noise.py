@@ -40,7 +40,7 @@ class ChannelModel:
             raise ParameterError("detector efficiency must lie in [0, 1]")
         if not 0.0 <= self.dark_probability < 1.0:
             raise ParameterError("dark probability must lie in [0, 1)")
-        if self.length < 0.0:
+        if not self.length >= 0.0:
             raise ParameterError("channel length cannot be negative")
         if not self.attenuation_length > 0.0:
             raise ParameterError("attenuation length must be positive")
@@ -51,6 +51,14 @@ def transmission(model: ChannelModel) -> float:
     return model.detector_efficiency * math.exp(-model.length / model.attenuation_length)
 
 
+def pure_noise(model: ChannelModel) -> bool:
+    """True when dark counts fire but no signal reaches the detectors, either
+    because no pair is emitted or because no photon survives the channel."""
+    return model.dark_probability > 0.0 and (
+        model.pair_probability == 0.0 or transmission(model) == 0.0
+    )
+
+
 def error_probability(model: ChannelModel) -> float:
     """Closed-form symbol error probability ``kappa*(m-1) / (kappa*m + 1)``.
 
@@ -59,20 +67,21 @@ def error_probability(model: ChannelModel) -> float:
     end-to-end transmission.  Without dark counts the model makes no symbol
     errors; without signal (no pairs, or no transmission) every click is a
     dark count and the result saturates at the uniform-guessing value
-    ``(m-1)/m``, flagged with a :class:`PureNoiseWarning`.
+    ``(m-1)/m``, flagged with a :class:`PureNoiseWarning` (see
+    :func:`pure_noise`).
     """
     d = model.dark_probability
     if d == 0.0:
         return 0.0
-    eta = transmission(model)
-    eps = model.pair_probability
-    if eps == 0.0 or eta == 0.0:
+    if pure_noise(model):
         warnings.warn(
             "no signal reaches the detectors; error probability saturates at uniform guessing",
             PureNoiseWarning,
             stacklevel=2,
         )
         return (model.m - 1) / model.m
+    eta = transmission(model)
+    eps = model.pair_probability
     kappa = 2.0 * d * (1.0 - eta) / eta + model.m * d * d * (
         1.0 + (1.0 - eps) / (eps * eta * eta)
     )

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .detection import BinningScheme, OutcomeDistribution, TimeLens
+from .detection import BinningScheme, OutcomeDistribution, TimeLens, time_resolution
 from .errors import ParameterError, ResolutionWarning
 
 # Validity threshold for the analytic peak-overlap approximation: the ratio
@@ -225,6 +225,28 @@ def secret_key_bound(
         secret_key=secret,
         clamped=clamped,
         deficit=deficit,
+    )
+
+
+def distribution_key_rate(
+    frequency: OutcomeDistribution,
+    time: OutcomeDistribution,
+    binning: BinningScheme,
+    lens: TimeLens,
+    reconciliation_efficiency: float = 1.0,
+) -> KeyRateBound:
+    """Key-rate bound of a design from its two bases' joint distributions.
+
+    Runs the whole chain: both bases' entropy reports, the uncertainty
+    bound at the frequency bin width and the lens's time resolution, the
+    binning deficit of the design ratios, and :func:`secret_key_bound`.
+    """
+    return secret_key_bound(
+        entropy_report(frequency),
+        entropy_report(time),
+        entropic_bound(binning.delta_omega, time_resolution(binning, lens)),
+        deficit=binning_deficit(binning.beta_plus, binning.beta_minus),
+        reconciliation_efficiency=reconciliation_efficiency,
     )
 
 

@@ -36,6 +36,36 @@ class TestAnalyze:
             2.9635571374747156e-4, rel=1e-9
         )
 
+    def test_both_uncertainty_bounds_are_one_value(self, tmp_path):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"protocol": {"m": 8, "delta_omega": 1.7}}))
+        assert _run("analyze", "--config", str(config), "--out", str(tmp_path)) == 0
+        report = json.loads((tmp_path / "analyze.json").read_text())
+        assert (
+            report["key_rate"]["entropy_route"]["uncertainty_bound"]
+            == report["security"]["uncertainty_bound"]
+        )
+
+
+@pytest.mark.filterwarnings("ignore::chronokey.PureNoiseWarning")
+@pytest.mark.parametrize(
+    "document,expected",
+    [({"channel": {"pair_probability": 0.0}}, True), ({}, False)],
+    ids=["no-pairs", "defaults"],
+)
+def test_pure_noise_flag_in_reports(tmp_path, document, expected):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(document))
+    assert _run("analyze", "--config", str(config), "--out", str(tmp_path)) == 0
+    assert (
+        _run("montecarlo", "--config", str(config), "--rounds", "2000", "--out", str(tmp_path))
+        == 0
+    )
+    report = json.loads((tmp_path / "analyze.json").read_text())
+    assert report["channel"]["pure_noise"] is expected
+    simulated = json.loads((tmp_path / "montecarlo.json").read_text())
+    assert simulated["error_probability"]["pure_noise"] is expected
+
 
 class TestSweep:
     def test_deterministic_csv_and_json(self, tmp_path):

@@ -56,6 +56,8 @@ class TestBinningScheme:
             dict(m=16, delta_omega=1.0, beta_plus=0.0),
             dict(m=16, delta_omega=1.0, beta_minus=-0.1),
             dict(m=16, delta_omega=1.0, beta_plus=0.2, beta_minus=0.75),
+            dict(m=16, delta_omega=float("inf")),
+            dict(m=16, delta_omega=1.0, center=float("nan")),
         ],
     )
     def test_rejects_invalid_parameters(self, kwargs):
@@ -114,6 +116,11 @@ class TestOutcomeDistribution:
         q[0, 0] = -1e-6
         with pytest.raises(ck.ParameterError):
             ck.OutcomeDistribution("frequency", q, 0.0)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_rejects_non_finite_probabilities(self, bad):
+        with pytest.raises(ck.ParameterError, match="finite"):
+            ck.OutcomeDistribution("frequency", np.full((4, 4), bad), 0.0)
 
 
 class TestFrequencyBinning:

@@ -53,6 +53,9 @@ class TestConfigValidation:
             dict(rounds=10, seed=1, multi_click_policy="keep"),
             dict(rounds=10, seed=1, correlation_model="magic"),
             dict(rounds=10, seed=1, shard_size=0),
+            dict(rounds=True, seed=1),
+            dict(rounds=10, seed=False),
+            dict(rounds=10, seed=1, shard_size=True),
         ],
     )
     def test_rejects_invalid_settings(self, kwargs):

@@ -48,6 +48,7 @@ class TestChannelModel:
             dict(dark_probability=-1e-9),
             dict(length=-1.0),
             dict(attenuation_length=0.0),
+            dict(length=float("nan")),
         ],
     )
     def test_rejects_invalid_parameters(self, overrides):
@@ -80,6 +81,19 @@ class TestErrorProbability:
         with pytest.warns(ck.PureNoiseWarning):
             p = ck.error_probability(model)
         assert p == pytest.approx(7.0 / 8.0, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "overrides,expected",
+        [
+            (dict(pair_probability=0.0, dark_probability=1e-3), True),
+            (dict(detector_efficiency=0.0, dark_probability=1e-3), True),
+            (dict(pair_probability=0.0, dark_probability=0.0), False),
+            (dict(), False),
+        ],
+        ids=["no-pairs", "no-transmission", "dark-free", "defaults"],
+    )
+    def test_pure_noise_needs_dark_counts_without_signal(self, overrides, expected):
+        assert ck.pure_noise(_channel(8, **overrides)) is expected
 
     def test_error_stays_below_uniform_limit(self):
         for m in (4, 64, 2048):
