@@ -100,7 +100,7 @@ class TimeGrid(_UniformGrid):
 
 def _check_normalized(amplitudes: np.ndarray, spacing: float, label: str) -> None:
     mass = float(np.sum(np.abs(amplitudes) ** 2)) * spacing * spacing
-    if abs(mass - 1.0) > NORMALIZATION_ATOL:
+    if not (math.isfinite(mass) and abs(mass - 1.0) <= NORMALIZATION_ATOL):
         raise ParameterError(f"{label} is not L2-normalized: discrete mass {mass!r}")
 
 
@@ -178,13 +178,15 @@ class SchmidtDecomposition:
         lam = self.singular_values
         if lam.ndim != 1 or lam.size == 0:
             raise ParameterError("singular_values must be a non-empty 1-d array")
-        if np.any(lam < -1e-15) or np.any(np.diff(lam) > 1e-12):
+        if not np.all(np.isfinite(lam)):
+            raise ParameterError("singular_values must be finite")
+        if not (np.all(lam >= -1e-15) and np.all(np.diff(lam) <= 1e-12)):
             raise ParameterError("singular_values must be non-negative and sorted descending")
         total = float(np.sum(lam**2))
-        if abs(total - 1.0) > SINGULAR_SUMSQ_ATOL:
+        if not abs(total - 1.0) <= SINGULAR_SUMSQ_ATOL:
             raise ParameterError(f"squared singular values sum to {total!r}, expected 1")
-        if self.schmidt_number < 1.0 - 1e-12:
-            raise ParameterError("schmidt_number cannot be below 1")
+        if not (math.isfinite(self.schmidt_number) and self.schmidt_number >= 1.0 - 1e-12):
+            raise ParameterError("schmidt_number must be finite and at least 1")
         lam.setflags(write=False)
 
 

@@ -17,7 +17,6 @@ import dataclasses
 import json
 import math
 import sys
-import warnings
 from pathlib import Path
 
 from .chronocyclic import analytic_schmidt_number
@@ -179,11 +178,18 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def _basis_block(ledger: RoundLedger, basis: str) -> dict:
+def _basis_block(
+    ledger: RoundLedger, basis: str, sampled: OutcomeDistribution | None
+) -> dict:
+    """Counts and estimates of one basis, plus the window mass the sampled
+    distribution discarded (``None`` when none was sampled)."""
     counts = (
         ledger.joint_counts_frequency if basis == FREQUENCY_BASIS else ledger.joint_counts_time
     )
-    block = {"counts": [[int(c) for c in row] for row in counts]}
+    block = {
+        "counts": [[int(c) for c in row] for row in counts],
+        "out_of_window": None if sampled is None else sampled.out_of_window,
+    }
     if int(counts.sum()) > 0:
         dist, stderr = empirical_distribution(ledger, basis)
         block["probabilities"] = [[float(p) for p in row] for row in dist.probabilities]
@@ -214,10 +220,8 @@ def cmd_montecarlo(args) -> int:
     freq_dist = time_dist = None
     if sim.correlation_model == "sampled-jsa":
         _, source, _ = config.matched_design()
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            freq_dist = joint_outcome_distribution(source, scheme, lens, FREQUENCY_BASIS)
-            time_dist = joint_outcome_distribution(source, scheme, lens, TIME_BASIS)
+        freq_dist = joint_outcome_distribution(source, scheme, lens, FREQUENCY_BASIS)
+        time_dist = joint_outcome_distribution(source, scheme, lens, TIME_BASIS)
     ledger = simulate_rounds(sim, model, freq_dist, time_dist, threads=threads)
     closed_p = error_probability(model)
     payload = {
@@ -232,8 +236,8 @@ def cmd_montecarlo(args) -> int:
             "correct": ledger.correct,
             "incorrect": ledger.incorrect,
         },
-        "frequency": _basis_block(ledger, FREQUENCY_BASIS),
-        "time": _basis_block(ledger, TIME_BASIS),
+        "frequency": _basis_block(ledger, FREQUENCY_BASIS, freq_dist),
+        "time": _basis_block(ledger, TIME_BASIS, time_dist),
     }
     error_block = {"closed_form": closed_p, "pure_noise": pure_noise(model)}
     if ledger.sifted > 0:

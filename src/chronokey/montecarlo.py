@@ -8,16 +8,26 @@ detector the photon already fired is absorbed into that click.  Rounds where
 both sides register a symbol are coincidences; matching bases make them
 sifted, and sifted rounds are scored correct when the symbols agree.
 
+Sampling is event-driven and exact in distribution.  A round is live when
+both sides click at least once.  Rounds are i.i.d., so each shard first
+draws one multinomial count of live rounds per photon pattern (both photons,
+either one alone, none) and of dead rounds.  Only live rounds get per-round
+draws: bases, symbols, dark counts (conditioned on at least one where the
+side has no photon), collisions, and click positions.  Dead rounds are booked
+as ``no_click`` by count.  At a lossy channel with rare dark counts the cost
+thus scales with the coincidences, not with the rounds.
+
 Determinism: rounds are processed in fixed-size shards, each driven by its
-own counter-based generator keyed on ``(seed, shard_index)``.  Every shard
-draws the same sequence of arrays whatever the outcomes, and shard results
-are merged in index order, so the ledger depends only on ``seed``,
-``rounds``, and ``shard_size``, never on the thread count.
+own counter-based generator keyed on ``(seed, shard_index)``.  A shard's
+draws depend only on that generator, and shard results are merged in index
+order, so the ledger depends only on ``seed``, ``rounds``, and
+``shard_size``, never on the thread count.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -30,6 +40,9 @@ from .security import KeyRateBound, distribution_key_rate
 
 _POLICIES = ("discard", "random-assign")
 _MODELS = ("ideal-delta", "sampled-jsa")
+# Largest alphabet simulated: a ledger's two dense m x m int64 joint count
+# matrices take 1 GiB at this size.
+_MAX_ALPHABET = 8192
 
 
 def _is_int(value) -> bool:
@@ -156,14 +169,65 @@ def _joint_cdf(distribution: OutcomeDistribution) -> np.ndarray:
     return cdf / cdf[-1]
 
 
+def _dark_click_probability(m: int, d: float) -> float:
+    """Chance ``1 - (1-d)**m`` that at least one of ``m`` detectors fires
+    darkly, accurate down to ``m*d`` far below machine epsilon."""
+    return -math.expm1(m * math.log1p(-d))
+
+
+def _pattern_probabilities(channel: ChannelModel) -> list[float]:
+    """Per-round chances of the four live photon patterns (both photons,
+    sender's only, receiver's only, none) and of a dead round.
+
+    A round is live when both sides register at least one click: a side
+    with a photon always does, a side without one needs a dark count.
+    """
+    eps = channel.pair_probability
+    eta = transmission(channel)
+    r = _dark_click_probability(channel.m, channel.dark_probability)
+    one_photon = eps * eta * (1.0 - eta) * r
+    no_photon = (1.0 - eps + eps * (1.0 - eta) ** 2) * r * r
+    live = [eps * eta * eta, one_photon, one_photon, no_photon]
+    return live + [max(0.0, 1.0 - sum(live))]
+
+
+def _zero_truncated_dark_counts(
+    rng: np.random.Generator, m: int, d: float, size: int
+) -> np.ndarray:
+    """Draws of ``Binomial(m, d)`` conditioned on at least one dark count.
+
+    The first firing detector ``J`` follows the geometric law truncated to
+    ``0..m-1``, drawn by inverting its CDF ``(1 - (1-d)**(J+1)) / r``; the
+    ``m - 1 - J`` detectors after it fire independently.
+    """
+    r = _dark_click_probability(m, d)
+    first = np.ceil(np.log1p(-rng.random(size) * r) / math.log1p(-d)) - 1.0
+    first = np.clip(first, 0, m - 1).astype(np.int64)
+    return 1 + rng.binomial(m - 1 - first, d)
+
+
+def _dark_counts(
+    rng: np.random.Generator, photon_clicked: np.ndarray, m: int, d: float
+) -> np.ndarray:
+    """Dark counts of one side over the live rounds: unconditioned where the
+    photon clicked, at least one where it did not."""
+    counts = np.empty(photon_clicked.size, dtype=np.int64)
+    with_photon = int(photon_clicked.sum())
+    counts[photon_clicked] = rng.binomial(m, d, with_photon)
+    counts[~photon_clicked] = _zero_truncated_dark_counts(
+        rng, m, d, photon_clicked.size - with_photon
+    )
+    return counts
+
+
 def _resolve_side(
     photon_clicked: np.ndarray,
     symbol: np.ndarray,
     dark_count: np.ndarray,
     collide_u: np.ndarray,
     dark_index: np.ndarray,
-    assign_u: np.ndarray,
-    alt_index: np.ndarray,
+    assign_u: np.ndarray | None,
+    alt_index: np.ndarray | None,
     m: int,
     policy: str,
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -200,26 +264,31 @@ def _simulate_shard(
 ) -> RoundLedger:
     rng = _shard_rng(config.seed, shard_index)
     m = channel.m
-    eta = transmission(channel)
     d = channel.dark_probability
 
-    # Fixed draw order; every array is drawn whatever the outcomes are.
-    basis_a = rng.random(n) < config.basis_probability
-    basis_b = rng.random(n) < config.basis_probability
-    emitted = rng.random(n) < channel.pair_probability
-    arrives_a = rng.random(n) < eta
-    arrives_b = rng.random(n) < eta
-    dark_count_a = rng.binomial(m, d, n)
-    dark_count_b = rng.binomial(m, d, n)
-    collide_a = rng.random(n)
-    collide_b = rng.random(n)
-    pair_u = rng.random(n)
-    dark_index_a = rng.integers(0, m, n)
-    dark_index_b = rng.integers(0, m, n)
-    assign_a = rng.random(n)
-    assign_b = rng.random(n)
-    alt_index_a = rng.integers(0, m - 1, n)
-    alt_index_b = rng.integers(0, m - 1, n)
+    # Live rounds per photon pattern, in blocks: both, sender's only,
+    # receiver's only, none.  Dead rounds need no further draws.
+    pattern = rng.multinomial(n, _pattern_probabilities(channel))[:4]
+    live = int(pattern.sum())
+    photon_a = np.repeat([True, True, False, False], pattern)
+    photon_b = np.repeat([True, False, True, False], pattern)
+
+    # Fixed draw order over the live rounds.
+    basis_a = rng.random(live) < config.basis_probability
+    basis_b = rng.random(live) < config.basis_probability
+    dark_count_a = _dark_counts(rng, photon_a, m, d)
+    dark_count_b = _dark_counts(rng, photon_b, m, d)
+    collide_a = rng.random(live)
+    collide_b = rng.random(live)
+    pair_u = rng.random(live)
+    dark_index_a = rng.integers(0, m, live)
+    dark_index_b = rng.integers(0, m, live)
+    assign_a = assign_b = alt_index_a = alt_index_b = None
+    if config.multi_click_policy == "random-assign":
+        assign_a = rng.random(live)
+        assign_b = rng.random(live)
+        alt_index_a = rng.integers(0, m - 1, live)
+        alt_index_b = rng.integers(0, m - 1, live)
 
     if config.correlation_model == "ideal-delta":
         shared = np.minimum((pair_u * m).astype(np.int64), m - 1)
@@ -233,8 +302,6 @@ def _simulate_shard(
         symbol_b = flat // m
         symbol_a = flat % m
 
-    photon_a = emitted & arrives_a
-    photon_b = emitted & arrives_b
     clicks_a, registered_a = _resolve_side(
         photon_a, symbol_a, dark_count_a, collide_a, dark_index_a,
         assign_a, alt_index_a, m, config.multi_click_policy,
@@ -244,12 +311,11 @@ def _simulate_shard(
         assign_b, alt_index_b, m, config.multi_click_policy,
     )
 
-    no_click = (clicks_a == 0) | (clicks_b == 0)
     if config.multi_click_policy == "discard":
-        multi = ~no_click & ((clicks_a > 1) | (clicks_b > 1))
+        multi = (clicks_a > 1) | (clicks_b > 1)
     else:
-        multi = np.zeros(n, dtype=bool)
-    coincident = ~no_click & ~multi
+        multi = np.zeros(live, dtype=bool)
+    coincident = ~multi
     matched = basis_a == basis_b
     sifted = coincident & matched
     agree = registered_a == registered_b
@@ -261,7 +327,7 @@ def _simulate_shard(
     return RoundLedger(
         m=m,
         rounds=n,
-        no_click=int(no_click.sum()),
+        no_click=n - live,
         multi_click_discarded=int(multi.sum()),
         basis_mismatch=int((coincident & ~matched).sum()),
         sifted=int(sifted.sum()),
@@ -287,6 +353,13 @@ def simulate_rounds(
     """
     if threads < 1:
         raise ParameterError("threads must be a positive integer")
+    m = channel.m
+    if m > _MAX_ALPHABET:
+        raise ParameterError(
+            f"alphabet size {m} exceeds {_MAX_ALPHABET}: the ledger's two dense {m}x{m} "
+            f"int64 joint count matrices would take {16 * m * m / 2**30:.0f} GiB, "
+            f"above the 1 GiB limit"
+        )
     cdf_f = cdf_t = None
     if config.correlation_model == "sampled-jsa":
         if frequency_distribution is None or time_distribution is None:
@@ -317,7 +390,7 @@ def simulate_rounds(
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(run, shards))
-    return functools.reduce(RoundLedger.merged, results, RoundLedger.empty(channel.m))
+    return functools.reduce(RoundLedger.merged, results, RoundLedger.empty(m))
 
 
 def empirical_distribution(

@@ -75,9 +75,11 @@ class EntropyReport:
     conditional_bits: float
 
     def __post_init__(self) -> None:
-        if self.conditional_bits < -_ENTROPY_SLACK:
+        if not (math.isfinite(self.marginal_bits) and math.isfinite(self.conditional_bits)):
+            raise ParameterError("entropies must be finite")
+        if not self.conditional_bits >= -_ENTROPY_SLACK:
             raise ParameterError("conditional entropy cannot be negative")
-        if self.conditional_bits > self.marginal_bits + _ENTROPY_SLACK:
+        if not self.conditional_bits <= self.marginal_bits + _ENTROPY_SLACK:
             raise ParameterError("conditioning cannot increase entropy")
 
     @property

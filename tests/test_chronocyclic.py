@@ -115,6 +115,12 @@ class TestSource:
         with pytest.raises(ValueError):
             jsa.amplitudes[0, 0] = 1.0
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_rejects_non_finite_amplitudes(self, bad):
+        grid = ck.FrequencyGrid(64, span=8.0)
+        with pytest.raises(ck.ParameterError):
+            ck.JointSpectralAmplitude("sampled", grid, np.full((64, 64), bad, dtype=complex))
+
 
 class TestSchmidt:
     # closed form (r + 1/r)/2 for a Gaussian amplitude with width ratio r
@@ -144,6 +150,20 @@ class TestSchmidt:
         dec = ck.schmidt_decompose(jsa)
         assert dec.schmidt_number == pytest.approx(1.0, abs=1e-10)
         assert dec.singular_values[0] == pytest.approx(1.0, abs=1e-8)
+
+    @pytest.mark.parametrize(
+        "singular_values,schmidt_number",
+        [
+            ([float("nan")], 1.0),
+            ([1.0, float("nan")], 1.0),
+            ([1.0], float("nan")),
+            ([1.0], float("inf")),
+        ],
+        ids=["nan-value", "nan-tail", "nan-number", "inf-number"],
+    )
+    def test_rejects_non_finite_decompositions(self, singular_values, schmidt_number):
+        with pytest.raises(ck.ParameterError):
+            ck.SchmidtDecomposition(np.array(singular_values), schmidt_number)
 
     def test_mode_count_is_symmetric_under_width_exchange(self):
         a = ck.schmidt_decompose(ck.make_gaussian_jsa(delta_plus=5.2, delta_minus=1.0))

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import chronokey as ck
 from chronokey import cli
 
 
@@ -141,6 +142,29 @@ class TestMonteCarlo:
         assert payload["error_probability"]["closed_form"] == pytest.approx(
             2.9635571374747156e-4, rel=1e-9
         )
+
+    def test_ideal_delta_reports_no_discarded_mass(self, tmp_path):
+        assert _run("montecarlo", "--rounds", "1000", "--out", str(tmp_path)) == 0
+        payload = json.loads((tmp_path / "montecarlo.json").read_text())
+        assert payload["frequency"]["out_of_window"] is None
+        assert payload["time"]["out_of_window"] is None
+
+    def test_sampled_jsa_reports_discarded_mass(self, tmp_path):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({
+            "protocol": {"m": 8},
+            "simulation": {"rounds": 20000, "seed": 3, "correlation_model": "sampled-jsa"},
+        }))
+        with pytest.warns(ck.CoverageWarning) as caught:
+            assert _run("montecarlo", "--config", str(config), "--out", str(tmp_path)) == 0
+        assert len(caught) == 2
+        payload = json.loads((tmp_path / "montecarlo.json").read_text())
+        scheme, source, lens = ck.load_config(config).matched_design()
+        for basis in ("frequency", "time"):
+            with pytest.warns(ck.CoverageWarning):
+                expected = ck.joint_outcome_distribution(source, scheme, lens, basis)
+            assert payload[basis]["out_of_window"] == expected.out_of_window
+            assert 0.15 < payload[basis]["out_of_window"] < 0.25
 
 
 class TestFeasibilitySubcommand:

@@ -1,12 +1,16 @@
 """Round-by-round channel simulation against the closed-form expectations."""
 
 import math
+import time
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import chronokey as ck
+from chronokey.montecarlo import _shard_rng, _zero_truncated_dark_counts
 
 
 def _channel(m, **overrides):
@@ -243,3 +247,129 @@ class TestEstimators:
         bound = ck.entropic_bound(scheme.delta_omega, ck.time_resolution(scheme, lens))
         assert result.secret_key == pytest.approx(bound, abs=1e-9)
         assert not result.clamped
+
+
+class TestEventDrivenSampler:
+    @pytest.mark.parametrize("m,d", [(4, 0.3), (16, 1e-6), (1024, 1e-2), (2**16, 1e-9)])
+    def test_zero_truncated_dark_counts_follow_the_conditioned_binomial(self, m, d):
+        draws = 200_000
+        counts = _zero_truncated_dark_counts(_shard_rng(53, 0), m, d, draws)
+        assert counts.min() >= 1 and counts.max() <= m
+        observed = np.bincount(counts)
+        at_least_one = 1.0 - (1.0 - d) ** m
+        for k in range(1, observed.size):
+            log_pmf = (
+                math.lgamma(m + 1) - math.lgamma(k + 1) - math.lgamma(m - k + 1)
+                + k * math.log(d) + (m - k) * math.log1p(-d)
+            )
+            p = math.exp(log_pmf) / at_least_one
+            sigma = math.sqrt(draws * p * (1.0 - p))
+            assert abs(observed[k] - draws * p) <= 5.0 * sigma, (k, observed[k], draws * p)
+
+    @staticmethod
+    def _class_probabilities(m, d, eps, eta, q, policy):
+        """No-click, discarded, mismatched and sifted chances, enumerated over
+        the photon pattern, both sides' dark counts and the collision."""
+
+        def clicks(photon):
+            # Distribution of one side's click count over 0..m+1.
+            out = np.zeros(m + 2)
+            for k in range(m + 1):
+                pk = math.comb(m, k) * d**k * (1.0 - d) ** (m - k)
+                if photon:
+                    out[k] += pk * k / m  # a dark count lands on the photon's detector
+                    out[k + 1] += pk * (1.0 - k / m)
+                else:
+                    out[k] += pk
+            return out
+
+        patterns = {
+            (True, True): eps * eta * eta,
+            (True, False): eps * eta * (1.0 - eta),
+            (False, True): eps * (1.0 - eta) * eta,
+            (False, False): 1.0 - eps + eps * (1.0 - eta) ** 2,
+        }
+        no_click = discarded = coincident = 0.0
+        for (photon_a, photon_b), weight in patterns.items():
+            a, b = clicks(photon_a), clicks(photon_b)
+            both_click = (1.0 - a[0]) * (1.0 - b[0])
+            no_click += weight * (1.0 - both_click)
+            if policy == "discard":
+                coincident += weight * a[1] * b[1]
+                discarded += weight * (both_click - a[1] * b[1])
+            else:
+                coincident += weight * both_click
+        matched = q * q + (1.0 - q) ** 2
+        return {
+            "no_click": no_click,
+            "multi_click_discarded": discarded,
+            "basis_mismatch": coincident * (1.0 - matched),
+            "sifted": coincident * matched,
+        }
+
+    @pytest.mark.parametrize("policy", ["discard", "random-assign"])
+    def test_round_classes_match_an_enumeration(self, policy):
+        model = ck.ChannelModel(
+            m=4, pair_probability=0.5, detector_efficiency=0.6, dark_probability=0.2
+        )
+        config = ck.SimulationConfig(
+            rounds=200_000, seed=59, shard_size=50_000, multi_click_policy=policy
+        )
+        ledger = ck.simulate_rounds(config, model)
+        expected = self._class_probabilities(4, 0.2, 0.5, 0.6, 0.5, policy)
+        assert sum(expected.values()) == pytest.approx(1.0, abs=1e-12)
+        n = config.rounds
+        for name, p in expected.items():
+            observed = getattr(ledger, name)
+            assert abs(observed - n * p) <= 5.0 * math.sqrt(n * p * (1.0 - p)), name
+
+    def test_large_alphabet_is_refused_before_allocating(self):
+        model = _channel(2**16)
+        start = time.perf_counter()
+        with pytest.raises(ck.ParameterError, match="exceeds 8192"):
+            ck.simulate_rounds(ck.SimulationConfig(rounds=10, seed=1), model)
+        assert time.perf_counter() - start < 1.0
+
+
+@st.composite
+def _ledgers(draw, m=3):
+    cells = st.lists(st.integers(0, 20), min_size=m * m, max_size=m * m)
+    frequency = np.array(draw(cells), dtype=np.int64).reshape(m, m)
+    time_ = np.array(draw(cells), dtype=np.int64).reshape(m, m)
+    sifted = int(frequency.sum() + time_.sum())
+    correct = int(np.trace(frequency) + np.trace(time_))
+    no_click, multi, mismatch = (draw(st.integers(0, 1_000)) for _ in range(3))
+    return ck.RoundLedger(
+        m=m,
+        rounds=no_click + multi + mismatch + sifted,
+        no_click=no_click,
+        multi_click_discarded=multi,
+        basis_mismatch=mismatch,
+        sifted=sifted,
+        correct=correct,
+        incorrect=sifted - correct,
+        joint_counts_frequency=frequency,
+        joint_counts_time=time_,
+    )
+
+
+class TestProperties:
+    @given(_ledgers(), _ledgers(), _ledgers())
+    def test_merge_is_associative_with_the_empty_ledger_as_identity(self, a, b, c):
+        assert _ledgers_equal(a.merged(b).merged(c), a.merged(b.merged(c)))
+        empty = ck.RoundLedger.empty(a.m)
+        assert _ledgers_equal(empty.merged(a), a)
+        assert _ledgers_equal(a.merged(empty), a)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        rounds=st.integers(1, 60_000),
+        shard_size=st.integers(500, 20_000),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_thread_count_never_changes_the_ledger(self, rounds, shard_size, seed):
+        config = ck.SimulationConfig(rounds=rounds, seed=seed, shard_size=shard_size)
+        model = _channel(8, dark_probability=5e-3)
+        serial = ck.simulate_rounds(config, model, threads=1)
+        for threads in (2, 3):
+            assert _ledgers_equal(serial, ck.simulate_rounds(config, model, threads=threads))

@@ -149,6 +149,15 @@ class TestSecretKeyBound:
         time = ck.entropy_report(ck.OutcomeDistribution("time", dist, 0.0))
         return freq, time
 
+    @pytest.mark.parametrize(
+        "marginal,conditional",
+        [(float("nan"), float("nan")), (1.0, float("nan")), (float("inf"), 1.0)],
+        ids=["both-nan", "nan-conditional", "inf-marginal"],
+    )
+    def test_non_finite_entropies_rejected(self, marginal, conditional):
+        with pytest.raises(ck.ParameterError):
+            ck.EntropyReport("frequency", marginal, conditional)
+
     def test_basis_mismatch_rejected(self):
         freq, _ = self._reports(16, 0.01)
         with pytest.raises(ck.ParameterError):
