@@ -37,6 +37,7 @@ def _is_power_of_two(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
 
 
+@dataclass(frozen=True)
 class _UniformGrid:
     """Shared behaviour of the frequency and time axes.
 
@@ -47,13 +48,15 @@ class _UniformGrid:
 
     n_points: int
     span: float
-    center: float
+    center: float = 0.0
 
-    def _validate(self) -> None:
+    def __post_init__(self) -> None:
         if not isinstance(self.n_points, int) or not _is_power_of_two(self.n_points) or self.n_points < 2:
             raise ParameterError(f"n_points must be a power of two >= 2, got {self.n_points!r}")
-        if not self.span > 0.0:
-            raise ParameterError(f"span must be positive, got {self.span!r}")
+        if not (math.isfinite(self.spacing) and self.span > 0.0):
+            raise ParameterError(
+                f"span must be positive with a finite spacing 2 * span / n_points, got {self.span!r}"
+            )
         if not math.isfinite(self.center):
             raise ParameterError(f"center must be finite, got {self.center!r}")
 
@@ -71,13 +74,6 @@ class _UniformGrid:
 class FrequencyGrid(_UniformGrid):
     """Uniform grid of angular-frequency detunings around ``center``."""
 
-    n_points: int
-    span: float
-    center: float = 0.0
-
-    def __post_init__(self) -> None:
-        self._validate()
-
     def dual(self) -> "TimeGrid":
         """Time grid on which the FFT of samples from this grid lives."""
         return TimeGrid(self.n_points, span=math.pi / self.spacing)
@@ -87,19 +83,17 @@ class FrequencyGrid(_UniformGrid):
 class TimeGrid(_UniformGrid):
     """Uniform grid of arrival times around ``center``."""
 
-    n_points: int
-    span: float
-    center: float = 0.0
-
-    def __post_init__(self) -> None:
-        self._validate()
-
     def dual(self) -> FrequencyGrid:
         return FrequencyGrid(self.n_points, span=math.pi / self.spacing)
 
 
-def _check_normalized(amplitudes: np.ndarray, spacing: float, label: str) -> None:
-    mass = float(np.sum(np.abs(amplitudes) ** 2)) * spacing * spacing
+def _check_record(amplitudes: np.ndarray, grid: _UniformGrid, label: str) -> None:
+    n = grid.n_points
+    if amplitudes.shape != (n, n):
+        raise ParameterError(
+            f"amplitude matrix shape {amplitudes.shape} does not match grid size {n}"
+        )
+    mass = float(np.sum(np.abs(amplitudes) ** 2)) * grid.spacing * grid.spacing
     if not (math.isfinite(mass) and abs(mass - 1.0) <= NORMALIZATION_ATOL):
         raise ParameterError(f"{label} is not L2-normalized: discrete mass {mass!r}")
 
@@ -128,12 +122,7 @@ class JointSpectralAmplitude:
         if self.kind == "parametric-gaussian":
             if self.delta_plus is None or self.delta_minus is None:
                 raise ParameterError("parametric-gaussian amplitudes need both widths")
-        n = self.grid.n_points
-        if self.amplitudes.shape != (n, n):
-            raise ParameterError(
-                f"amplitude matrix shape {self.amplitudes.shape} does not match grid size {n}"
-            )
-        _check_normalized(self.amplitudes, self.grid.spacing, "joint spectral amplitude")
+        _check_record(self.amplitudes, self.grid, "joint spectral amplitude")
         self.amplitudes.setflags(write=False)
 
 
@@ -152,12 +141,7 @@ class JointTemporalAmplitude:
     t_minus: float | None = None
 
     def __post_init__(self) -> None:
-        n = self.grid.n_points
-        if self.amplitudes.shape != (n, n):
-            raise ParameterError(
-                f"amplitude matrix shape {self.amplitudes.shape} does not match grid size {n}"
-            )
-        _check_normalized(self.amplitudes, self.grid.spacing, "joint temporal amplitude")
+        _check_record(self.amplitudes, self.grid, "joint temporal amplitude")
         self.amplitudes.setflags(write=False)
 
 
@@ -292,42 +276,40 @@ def schmidt_decompose(jsa: JointSpectralAmplitude) -> SchmidtDecomposition:
     return SchmidtDecomposition(singular_values=lam, schmidt_number=schmidt_number)
 
 
-def _axis_transform(
-    values: np.ndarray,
-    points_in: np.ndarray,
-    spacing_in: float,
-    points_out: np.ndarray,
-    sign: int,
-    axis: int,
-) -> np.ndarray:
-    """Exact uniform-grid Fourier sum along one axis via a phase-decorated FFT.
+def _dual_transform(
+    values: np.ndarray, grid_in: FrequencyGrid | TimeGrid, sign: int, axes: tuple[int, ...]
+) -> tuple[TimeGrid | FrequencyGrid, np.ndarray]:
+    """Exact uniform-grid Fourier sum along ``axes`` via a phase-decorated FFT.
 
-    Computes ``sum_j f_j exp(sign*i*x_j*y_k) * h / sqrt(2*pi)`` for midpoint
-    grids whose spacings satisfy the dual relation ``g*h = 2*pi/n``.
+    Computes ``sum_j f_j exp(sign*i*x_j*y_k) * h / sqrt(2*pi)`` on each axis,
+    from the midpoint grid ``grid_in`` to its dual, whose spacings satisfy
+    the dual relation ``g*h = 2*pi/n``.
     """
-    n = values.shape[axis]
-    if points_in.size != n or points_out.size != n:
+    n = grid_in.n_points
+    if any(values.shape[axis] != n for axis in axes):
         raise ParameterError("transform grids must match the axis length")
+    if sign not in (-1, +1):
+        raise ParameterError("sign must be +1 or -1")
+    grid_out = grid_in.dual()
+    points_out = grid_out.points
     spacing_out = float(points_out[1] - points_out[0])
-    if abs(spacing_in * spacing_out * n - 2.0 * math.pi) > 1e-9 * 2.0 * math.pi:
-        raise ParameterError("grids are not Fourier duals: spacing product must be 2*pi/n")
-    x0 = float(points_in[0])
+    x0 = float(grid_in.points[0])
     y0 = float(points_out[0])
     j = np.arange(n)
-    pre = np.exp(sign * 1j * y0 * spacing_in * j)
+    pre = np.exp(sign * 1j * y0 * grid_in.spacing * j)
     post = np.exp(sign * 1j * (x0 * y0 + x0 * spacing_out * j)) * (
-        spacing_in / math.sqrt(2.0 * math.pi)
+        grid_in.spacing / math.sqrt(2.0 * math.pi)
     )
-    shape = [1] * values.ndim
-    shape[axis] = n
-    work = values * pre.reshape(shape)
-    if sign == -1:
-        core = np.fft.fft(work, axis=axis)
-    elif sign == +1:
-        core = np.fft.ifft(work, axis=axis) * n
-    else:
-        raise ParameterError("sign must be +1 or -1")
-    return core * post.reshape(shape)
+    for axis in axes:
+        shape = [1] * values.ndim
+        shape[axis] = n
+        work = values * pre.reshape(shape)
+        if sign == -1:
+            core = np.fft.fft(work, axis=axis)
+        else:
+            core = np.fft.ifft(work, axis=axis) * n
+        values = core * post.reshape(shape)
+    return grid_out, values
 
 
 def transform_1d(
@@ -341,16 +323,7 @@ def transform_1d(
     convention and ``sign=+1`` the time-to-frequency direction; either sign
     is accepted on either grid kind so round trips are expressible.
     """
-    grid_out = grid_in.dual()
-    out = _axis_transform(
-        np.asarray(values, dtype=np.complex128),
-        grid_in.points,
-        grid_in.spacing,
-        grid_out.points,
-        sign,
-        axis=-1,
-    )
-    return grid_out, out
+    return _dual_transform(np.asarray(values, dtype=np.complex128), grid_in, sign, axes=(-1,))
 
 
 def to_temporal(jsa: JointSpectralAmplitude) -> JointTemporalAmplitude:
@@ -361,26 +334,18 @@ def to_temporal(jsa: JointSpectralAmplitude) -> JointTemporalAmplitude:
     intensity widths ``1/delta_minus`` (along the correlated diagonal) and
     ``1/delta_plus`` (across it) are attached to the result.
     """
-    tg = jsa.grid.dual()
-    work = _axis_transform(
-        jsa.amplitudes, jsa.grid.points, jsa.grid.spacing, tg.points, sign=-1, axis=0
-    )
-    work = _axis_transform(work, jsa.grid.points, jsa.grid.spacing, tg.points, sign=-1, axis=1)
+    tg, amplitudes = _dual_transform(jsa.amplitudes, jsa.grid, sign=-1, axes=(0, 1))
     t_plus = t_minus = None
     if jsa.kind == "parametric-gaussian":
         t_plus = 1.0 / jsa.delta_minus
         t_minus = 1.0 / jsa.delta_plus
-    return JointTemporalAmplitude(grid=tg, amplitudes=work, t_plus=t_plus, t_minus=t_minus)
+    return JointTemporalAmplitude(grid=tg, amplitudes=amplitudes, t_plus=t_plus, t_minus=t_minus)
 
 
 def from_temporal(jta: JointTemporalAmplitude) -> JointSpectralAmplitude:
     """Inverse of :func:`to_temporal`; returns a sampled spectral record."""
-    fg = jta.grid.dual()
-    work = _axis_transform(
-        jta.amplitudes, jta.grid.points, jta.grid.spacing, fg.points, sign=+1, axis=0
-    )
-    work = _axis_transform(work, jta.grid.points, jta.grid.spacing, fg.points, sign=+1, axis=1)
-    return JointSpectralAmplitude(kind="sampled", grid=fg, amplitudes=work)
+    fg, amplitudes = _dual_transform(jta.amplitudes, jta.grid, sign=+1, axes=(0, 1))
+    return JointSpectralAmplitude(kind="sampled", grid=fg, amplitudes=amplitudes)
 
 
 def _diagonal_widths(amplitudes: np.ndarray, points: np.ndarray, spacing: float) -> tuple[float, float]:

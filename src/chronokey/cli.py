@@ -30,13 +30,12 @@ from .detection import (
     resolution_product,
     time_resolution,
 )
-from .errors import ChronokeyError, ParameterError
+from .errors import ChronokeyError
 from .feasibility import check_feasibility
 from .montecarlo import (
     RoundLedger,
     empirical_distribution,
     empirical_error_probability,
-    estimate_key_rate,
     simulate_rounds,
 )
 from .noise import error_model_distribution, error_probability, pure_noise, transmission
@@ -180,24 +179,25 @@ def cmd_sweep(args) -> int:
 
 def _basis_block(
     ledger: RoundLedger, basis: str, sampled: OutcomeDistribution | None
-) -> dict:
+) -> tuple[dict, OutcomeDistribution | None]:
     """Counts and estimates of one basis, plus the window mass the sampled
-    distribution discarded (``None`` when none was sampled)."""
+    distribution discarded (``None`` when none was sampled), and the
+    empirical distribution (``None`` when the basis has no sifted rounds)."""
     counts = (
         ledger.joint_counts_frequency if basis == FREQUENCY_BASIS else ledger.joint_counts_time
     )
     block = {
         "counts": [[int(c) for c in row] for row in counts],
         "out_of_window": None if sampled is None else sampled.out_of_window,
+        "probabilities": None,
+        "stderr": None,
     }
-    if int(counts.sum()) > 0:
-        dist, stderr = empirical_distribution(ledger, basis)
-        block["probabilities"] = [[float(p) for p in row] for row in dist.probabilities]
-        block["stderr"] = [[float(s) for s in row] for row in stderr]
-    else:
-        block["probabilities"] = None
-        block["stderr"] = None
-    return block
+    if int(counts.sum()) == 0:
+        return block, None
+    dist, stderr = empirical_distribution(ledger, basis)
+    block["probabilities"] = [[float(p) for p in row] for row in dist.probabilities]
+    block["stderr"] = [[float(s) for s in row] for row in stderr]
+    return block, dist
 
 
 def cmd_montecarlo(args) -> int:
@@ -236,9 +236,9 @@ def cmd_montecarlo(args) -> int:
             "correct": ledger.correct,
             "incorrect": ledger.incorrect,
         },
-        "frequency": _basis_block(ledger, FREQUENCY_BASIS, freq_dist),
-        "time": _basis_block(ledger, TIME_BASIS, time_dist),
     }
+    payload["frequency"], freq_emp = _basis_block(ledger, FREQUENCY_BASIS, freq_dist)
+    payload["time"], time_emp = _basis_block(ledger, TIME_BASIS, time_dist)
     error_block = {"closed_form": closed_p, "pure_noise": pure_noise(model)}
     if ledger.sifted > 0:
         p_hat = empirical_error_probability(ledger)
@@ -248,10 +248,10 @@ def cmd_montecarlo(args) -> int:
         error_block["empirical"] = None
         error_block["stderr"] = None
     payload["error_probability"] = error_block
-    try:
-        payload["key_rate"] = dataclasses.asdict(estimate_key_rate(ledger, scheme, lens))
-    except ParameterError:
-        payload["key_rate"] = None
+    payload["key_rate"] = None
+    if freq_emp is not None and time_emp is not None:
+        rate = distribution_key_rate(freq_emp, time_emp, scheme, lens)
+        payload["key_rate"] = dataclasses.asdict(rate)
     _write_json(out / "montecarlo.json", payload)
     print(f"{ledger.sifted} sifted rounds out of {ledger.rounds}")
     if error_block["empirical"] is not None:

@@ -116,6 +116,12 @@ def _build_section(name: str, cls, data) -> object:
     unknown = sorted(set(data) - known)
     if unknown:
         raise ConfigError(f"unknown key {unknown[0]!r} in section {name!r}")
+    for key, value in data.items():
+        for item in value if isinstance(value, (list, tuple)) else (value,):
+            if isinstance(item, bool):
+                raise ConfigError(f"key {key!r} in section {name!r} must not be a boolean")
+            if isinstance(item, float) and not math.isfinite(item):
+                raise ConfigError(f"key {key!r} in section {name!r} must be finite, got {item!r}")
     if name == "sweep" and isinstance(data.get("values"), list):
         data = dict(data, values=tuple(data["values"]))
     try:

@@ -107,10 +107,11 @@ class TimeLens:
 
     def __post_init__(self) -> None:
         for name in ("focusing_rate", "mod_frequency", "mod_depth", "gvd"):
-            if not getattr(self, name) > 0.0:
-                raise ParameterError(f"{name} must be positive")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise ParameterError(f"{name} must be finite and positive")
         implied = self.mod_depth * self.mod_frequency**2
-        if abs(implied - self.focusing_rate) > _LENS_CONSISTENCY_RTOL * self.focusing_rate:
+        if not abs(implied - self.focusing_rate) <= _LENS_CONSISTENCY_RTOL * self.focusing_rate:
             raise ParameterError(
                 f"focusing_rate {self.focusing_rate!r} does not equal "
                 f"mod_depth * mod_frequency**2 = {implied!r}"
@@ -248,27 +249,49 @@ def _renormalize(raw: np.ndarray, basis: str) -> tuple[np.ndarray, float]:
     return raw / in_mass, out_mass
 
 
-def _zoom_time_points(span: float, binning: BinningScheme, lens: TimeLens):
-    """Aligned fine time grid covering the binned window.
+def _on_every_axis(matrix: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Apply ``matrix`` to axis 0 of ``values`` and, for a 2-D record, to axis 1."""
+    out = matrix @ values
+    return out @ matrix.T if values.ndim == 2 else out
 
-    The step divides the time bin width exactly and stays below a quarter of
-    the band-limit step ``pi / span`` of the spectral grid, so cell sums are
-    spectrally accurate and bins are whole groups of cells.
+
+def _bin_masses(
+    amplitudes: np.ndarray,
+    grid: FrequencyGrid,
+    binning: BinningScheme,
+    lens: TimeLens | None,
+    basis: str,
+) -> np.ndarray:
+    """Raw bin masses of a single-photon (1-D) or joint (2-D, receiver on
+    axis 0) spectral amplitude, binned on every axis as described in
+    :func:`joint_outcome_distribution`.
+
+    The time-basis fine step divides the time bin width exactly and stays
+    below the band-limit step ``pi / span`` of the spectral grid over
+    ``_ZOOM_OVERSAMPLE``, so cell sums are spectrally accurate and each bin
+    is a whole group of ``per_bin`` cells.
     """
-    dt_bin = time_resolution(binning, lens)
-    band_step = math.pi / span
-    per_bin = max(1, math.ceil(dt_bin * _ZOOM_OVERSAMPLE / band_step))
-    step = dt_bin / per_bin
-    n_fine = binning.m * per_bin
-    k = np.arange(n_fine)
-    t = (k - (n_fine - 1) / 2.0) * step
-    return t, step, per_bin
-
-
-def _zoom_kernel(times: np.ndarray, grid: FrequencyGrid) -> np.ndarray:
-    return np.exp(-1j * np.outer(times, grid.points)) * (
-        grid.spacing / math.sqrt(2.0 * math.pi)
-    )
+    amplitudes = np.asarray(amplitudes, dtype=np.complex128)
+    ndim = amplitudes.ndim
+    if basis == FREQUENCY_BASIS:
+        weights = bin_overlap_weights(grid.points, grid.spacing, binning.bin_edges)
+        raw = _on_every_axis(weights, np.abs(amplitudes) ** 2 * grid.spacing**ndim)
+        return raw[::-1, :] if ndim == 2 else raw
+    elif basis == TIME_BASIS:
+        dt_bin = time_resolution(binning, lens)
+        band_step = math.pi / grid.span
+        per_bin = max(1, math.ceil(dt_bin * _ZOOM_OVERSAMPLE / band_step))
+        step = dt_bin / per_bin
+        n_fine = binning.m * per_bin
+        t = (np.arange(n_fine) - (n_fine - 1) / 2.0) * step
+        kernel = np.exp(-1j * np.outer(t, grid.points)) * (
+            grid.spacing / math.sqrt(2.0 * math.pi)
+        )
+        fine = np.abs(_on_every_axis(kernel, amplitudes)) ** 2 * step**ndim
+        cells = tuple(range(1, 2 * ndim, 2))
+        return fine.reshape((binning.m, per_bin) * ndim).sum(axis=cells)
+    else:
+        raise ParameterError(f"unknown basis {basis!r}")
 
 
 def joint_outcome_distribution(
@@ -276,7 +299,6 @@ def joint_outcome_distribution(
     binning: BinningScheme,
     lens: TimeLens,
     basis: str = FREQUENCY_BASIS,
-    relabel_receiver: bool = True,
 ) -> OutcomeDistribution:
     """Bin the two-photon intensity in the chosen basis.
 
@@ -287,30 +309,14 @@ def joint_outcome_distribution(
     integrated over time-bin rectangles of width ``delta_omega /
     focusing_rate``.
 
-    With ``relabel_receiver`` (frequency basis only) the receiver's bin
-    labels are reversed, which turns the anti-correlation of the source into
-    agreement on identical labels, matching the time basis where correlation
-    is direct.  A :class:`CoverageWarning` is emitted when more than 1% of
-    the intensity falls outside the window; the returned distribution is
-    renormalized over the window either way.
+    In the frequency basis the receiver's bin labels are reversed, which
+    turns the anti-correlation of the source into agreement on identical
+    labels, matching the time basis where correlation is direct.  A
+    :class:`CoverageWarning` is emitted when more than 1% of the intensity
+    falls outside the window; the returned distribution is renormalized over
+    the window either way.
     """
-    if basis == FREQUENCY_BASIS:
-        intensity = np.abs(jsa.amplitudes) ** 2 * jsa.grid.spacing**2
-        weights = bin_overlap_weights(
-            jsa.grid.points, jsa.grid.spacing, binning.bin_edges
-        )
-        raw = weights @ intensity @ weights.T
-        if relabel_receiver:
-            raw = raw[::-1, :]
-    elif basis == TIME_BASIS:
-        t, step, per_bin = _zoom_time_points(jsa.grid.span, binning, lens)
-        kernel = _zoom_kernel(t, jsa.grid)
-        amps_t = kernel @ jsa.amplitudes @ kernel.T
-        intensity = np.abs(amps_t) ** 2 * step**2
-        m = binning.m
-        raw = intensity.reshape(m, per_bin, m, per_bin).sum(axis=(1, 3))
-    else:
-        raise ParameterError(f"unknown basis {basis!r}")
+    raw = _bin_masses(jsa.amplitudes, jsa.grid, binning, lens, basis)
     probabilities, out_mass = _renormalize(raw, basis)
     return OutcomeDistribution(basis=basis, probabilities=probabilities, out_of_window=out_mass)
 
@@ -323,10 +329,8 @@ def binned_spectrum(
     Returns the renormalized in-window probabilities and the discarded
     fraction, warning as in :func:`joint_outcome_distribution`.
     """
-    psi = np.asarray(state, dtype=np.complex128)
-    intensity = np.abs(psi) ** 2 * grid.spacing
-    weights = bin_overlap_weights(grid.points, grid.spacing, binning.bin_edges)
-    return _renormalize(weights @ intensity, FREQUENCY_BASIS)
+    raw = _bin_masses(state, grid, binning, None, FREQUENCY_BASIS)
+    return _renormalize(raw, FREQUENCY_BASIS)
 
 
 def binned_arrival_times(
@@ -341,12 +345,8 @@ def binned_arrival_times(
     joint routine and integrated over time bins of width ``delta_omega /
     focusing_rate``.
     """
-    psi = np.asarray(state, dtype=np.complex128)
-    t, step, per_bin = _zoom_time_points(grid.span, binning, lens)
-    kernel = _zoom_kernel(t, grid)
-    psi_t = kernel @ psi
-    intensity = np.abs(psi_t) ** 2 * step
-    return _renormalize(intensity.reshape(binning.m, per_bin).sum(axis=1), TIME_BASIS)
+    raw = _bin_masses(state, grid, binning, lens, TIME_BASIS)
+    return _renormalize(raw, TIME_BASIS)
 
 
 def simulate_time_lens(

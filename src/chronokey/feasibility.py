@@ -66,8 +66,9 @@ class HardwareSpec:
             "modulator_max_depth",
             "fiber_gvd",
         ):
-            if not getattr(self, name) > 0.0:
-                raise ParameterError(f"{name} must be positive")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise ParameterError(f"{name} must be finite and positive")
         if self.resolution_kind not in _RESOLUTION_KINDS:
             raise ParameterError(f"unknown resolution kind {self.resolution_kind!r}")
         if self.angular_convention not in _CONVENTIONS:
@@ -88,6 +89,12 @@ class ConventionFigures:
     total_gvd: float
     fiber_length: float
     aperture: float
+
+    def __post_init__(self) -> None:
+        for name in ("focusing_rate", "total_gvd", "fiber_length", "aperture"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise ParameterError(f"{self.convention} {name} {value!r} is not finite and positive")
 
 
 @dataclass(frozen=True)
@@ -140,11 +147,18 @@ def check_feasibility(binning: BinningScheme, hardware: HardwareSpec) -> Feasibi
     and the fiber must supply the reciprocal of the focusing rate as total
     quadratic spectral phase.
     """
-    delta_nu = hardware.resolution_hz()
+    # Squares of extreme (finite) inputs leave the float range: ``**``
+    # raises on overflow and an underflow to zero divides by zero.
+    try:
+        delta_nu = hardware.resolution_hz()
+        if not (math.isfinite(delta_nu) and delta_nu > 0.0):
+            raise ParameterError(f"bin frequency {delta_nu!r} Hz is not finite and positive")
+        ordinary = _figures("ordinary", binning, delta_nu, hardware.fiber_gvd)
+        angular = _figures("angular", binning, 2.0 * math.pi * delta_nu, hardware.fiber_gvd)
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise ParameterError(f"hardware figures leave the floating-point range: {exc}") from exc
     required_frequency = binning.beta_minus * delta_nu
     required_depth = (binning.beta_plus / binning.beta_minus) * binning.m
-    ordinary = _figures("ordinary", binning, delta_nu, hardware.fiber_gvd)
-    angular = _figures("angular", binning, 2.0 * math.pi * delta_nu, hardware.fiber_gvd)
     return FeasibilityReport(
         bin_frequency_hz=delta_nu,
         required_frequency_hz=required_frequency,

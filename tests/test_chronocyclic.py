@@ -28,7 +28,7 @@ class TestGrids:
         with pytest.raises(ck.ParameterError):
             ck.FrequencyGrid(n, span=4.0)
 
-    @pytest.mark.parametrize("span", [0.0, -1.0])
+    @pytest.mark.parametrize("span", [0.0, -1.0, math.inf, math.nan, 1e308])
     def test_rejects_non_positive_span(self, span):
         with pytest.raises(ck.ParameterError):
             ck.TimeGrid(64, span=span)

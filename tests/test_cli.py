@@ -166,6 +166,15 @@ class TestMonteCarlo:
             assert payload[basis]["out_of_window"] == expected.out_of_window
             assert 0.15 < payload[basis]["out_of_window"] < 0.25
 
+    def test_key_rate_is_null_without_sifted_time_rounds(self, tmp_path):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"simulation": {"rounds": 20000, "basis_probability": 1.0}}))
+        assert _run("montecarlo", "--config", str(config), "--out", str(tmp_path)) == 0
+        payload = json.loads((tmp_path / "montecarlo.json").read_text())
+        assert payload["key_rate"] is None
+        assert payload["time"]["probabilities"] is None
+        assert payload["frequency"]["probabilities"] is not None
+
 
 class TestFeasibilitySubcommand:
     def test_defaults_are_feasible(self, tmp_path):
@@ -182,6 +191,22 @@ class TestErrorHandling:
         config.write_text(json.dumps({"channel": {"dark_counts": 1}}))
         assert _run("analyze", "--config", str(config)) == 2
         assert "dark_counts" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "hardware",
+        [
+            '{"spectrometer_resolution": 1e-320, "resolution_kind": "frequency"}',
+            '{"center_wavelength": Infinity}',
+            '{"center_wavelength": 1e200}',
+            '{"spectrometer_resolution": 1e-150, "resolution_kind": "frequency"}',
+        ],
+    )
+    def test_unrepresentable_hardware_exits_with_error_code(self, tmp_path, capsys, hardware):
+        config = tmp_path / "cfg.json"
+        config.write_text('{"hardware": %s}' % hardware)
+        assert _run("feasibility", "--config", str(config), "--out", str(tmp_path)) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not (tmp_path / "feasibility.json").exists()
 
     def test_missing_config_exits_with_error_code(self, tmp_path, capsys):
         missing = tmp_path / "nope.json"

@@ -45,6 +45,35 @@ class TestStrictParsing:
         with pytest.raises(ck.ConfigError):
             ck.load_config(path)
 
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_literals_are_named_in_the_error(self, tmp_path, literal):
+        path = tmp_path / "run.json"
+        path.write_text('{"channel": {"dark_probability": %s}}' % literal)
+        with pytest.raises(ck.ConfigError, match="dark_probability.*channel"):
+            ck.load_config(path)
+
+    def test_non_finite_sweep_values_are_refused(self, tmp_path):
+        path = tmp_path / "run.json"
+        path.write_text('{"sweep": {"values": [0.1, NaN]}}')
+        with pytest.raises(ck.ConfigError, match="values.*sweep"):
+            ck.load_config(path)
+
+    @pytest.mark.parametrize(
+        "document",
+        [
+            {"channel": {"pair_probability": True}},
+            {"simulation": {"threads": True}},
+            {"sweep": {"values": [0.1, False]}},
+        ],
+    )
+    def test_booleans_are_not_numbers(self, tmp_path, document):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(document))
+        (section, fields), = document.items()
+        (key, _), = fields.items()
+        with pytest.raises(ck.ConfigError, match=f"{key}.*{section}"):
+            ck.load_config(path)
+
 
 class TestSweepValues:
     def test_explicit_values_win(self):

@@ -85,6 +85,17 @@ class TestTimeLens:
         with pytest.raises(ck.ParameterError):
             ck.TimeLens(focusing_rate=2.0, mod_frequency=0.2, mod_depth=60.0, gvd=0.5)
 
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            dict(focusing_rate=math.inf, mod_frequency=math.inf, mod_depth=1.0, gvd=1.0),
+            dict(focusing_rate=2.4, mod_frequency=0.2, mod_depth=60.0, gvd=math.inf),
+        ],
+    )
+    def test_rejects_non_finite_parameters(self, fields):
+        with pytest.raises(ck.ParameterError, match="finite"):
+            ck.TimeLens(**fields)
+
     def test_time_resolution_is_set_by_focusing_rate(self, designed16):
         scheme, _, lens = designed16
         assert ck.time_resolution(scheme, lens) == pytest.approx(1.0 / 2.4, rel=1e-12)
@@ -145,15 +156,18 @@ class TestFrequencyBinning:
         with pytest.warns(ck.CoverageWarning):
             ck.joint_outcome_distribution(source, scheme, lens, basis="frequency")
 
-    def test_raw_outcomes_sit_on_the_anti_diagonal(self, designed16):
-        scheme, source, lens = designed16
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", ck.CoverageWarning)
-            raw = ck.joint_outcome_distribution(
-                source, scheme, lens, basis="frequency", relabel_receiver=False
-            )
+    def test_raw_outcomes_sit_on_the_anti_diagonal(self, designed16, outcomes16):
+        # the source is anti-correlated in frequency; the distribution mirrors
+        # the receiver's labels so agreement lands on identical labels
+        scheme, source, _ = designed16
+        freq, _ = outcomes16
+        grid = source.grid
+        weights = ck.bin_overlap_weights(grid.points, grid.spacing, scheme.bin_edges)
+        raw = weights @ (np.abs(source.amplitudes) ** 2 * grid.spacing**2) @ weights.T
         for sender in range(scheme.m):
-            assert int(np.argmax(raw.probabilities[:, sender])) == scheme.m - 1 - sender
+            assert int(np.argmax(raw[:, sender])) == scheme.m - 1 - sender
+        mirrored = raw[::-1, :] / raw.sum()
+        np.testing.assert_allclose(freq.probabilities, mirrored, rtol=1e-12, atol=1e-15)
 
     def test_relabeled_outcomes_sit_on_the_diagonal(self, outcomes16):
         freq, _ = outcomes16
@@ -227,6 +241,36 @@ class TestTimeBinning:
             routed, out_routed = ck.binned_spectrum(lensed, out_grid, scheme)
         assert np.abs(direct - routed).max() < 1e-3
         assert out_direct == pytest.approx(out_routed, abs=1e-3)
+
+
+class TestCoverageWarningAttribution:
+    """Each binning entry point reports its caller, not the package, as the
+    source of the coverage warning."""
+
+    @staticmethod
+    def _assert_warns_here(call):
+        with pytest.warns(ck.CoverageWarning) as record:
+            call()
+        assert [w.filename for w in record] == [__file__]
+
+    @pytest.mark.parametrize("basis", ["frequency", "time"])
+    def test_joint_outcome_distribution(self, designed16, basis):
+        scheme, source, lens = designed16
+        self._assert_warns_here(
+            lambda: ck.joint_outcome_distribution(source, scheme, lens, basis=basis)
+        )
+
+    def test_binned_spectrum(self, designed16):
+        scheme, source, _ = designed16
+        grid = source.grid
+        state = _normalize(np.exp(-grid.points**2 / (2 * 8.0**2)) + 0j, grid.spacing)
+        self._assert_warns_here(lambda: ck.binned_spectrum(state, grid, scheme))
+
+    def test_binned_arrival_times(self, designed16):
+        scheme, source, lens = designed16
+        grid = source.grid
+        state = _normalize(np.exp(-grid.points**2 / (2 * 0.05**2)) + 0j, grid.spacing)
+        self._assert_warns_here(lambda: ck.binned_arrival_times(state, grid, scheme, lens))
 
 
 @pytest.fixture(scope="module")

@@ -61,6 +61,9 @@ class TestHardwareSpec:
             dict(center_wavelength=0.0),
             dict(modulator_max_depth=-1.0),
             dict(fiber_gvd=0.0),
+            dict(center_wavelength=float("inf")),
+            dict(modulator_max_frequency=float("nan")),
+            dict(fiber_gvd=float("inf")),
         ],
     )
     def test_rejects_invalid_fields(self, overrides):
