@@ -16,6 +16,7 @@ discrete L2 mass exactly conserved (Parseval) on dual grids.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -93,7 +94,7 @@ def _check_record(amplitudes: np.ndarray, grid: _UniformGrid, label: str) -> Non
         raise ParameterError(
             f"amplitude matrix shape {amplitudes.shape} does not match grid size {n}"
         )
-    mass = float(np.sum(np.abs(amplitudes) ** 2)) * grid.spacing * grid.spacing
+    mass = float(np.vdot(amplitudes, amplitudes).real) * grid.spacing * grid.spacing
     if not (math.isfinite(mass) and abs(mass - 1.0) <= NORMALIZATION_ATOL):
         raise ParameterError(f"{label} is not L2-normalized: discrete mass {mass!r}")
 
@@ -147,12 +148,12 @@ class JointTemporalAmplitude:
 
 @dataclass(frozen=True, eq=False)
 class SchmidtDecomposition:
-    """Singular spectrum of a joint amplitude.
+    """Mode count and singular spectrum of a joint amplitude.
 
     ``singular_values`` are non-negative and sorted descending with unit sum
     of squares (up to :data:`SINGULAR_SUMSQ_ATOL`); ``schmidt_number`` is the
     inverse participation ratio of their squares and equals 1 only for a
-    product state.
+    product state.  Both are checked on construction.
     """
 
     singular_values: np.ndarray
@@ -172,6 +173,22 @@ class SchmidtDecomposition:
         if not (math.isfinite(self.schmidt_number) and self.schmidt_number >= 1.0 - 1e-12):
             raise ParameterError("schmidt_number must be finite and at least 1")
         lam.setflags(write=False)
+
+
+class _DeferredSchmidtDecomposition(SchmidtDecomposition):
+    """Decomposition of ``jsa`` whose spectrum is computed, checked and kept on first read."""
+
+    def __init__(self, jsa: JointSpectralAmplitude, schmidt_number: float) -> None:
+        object.__setattr__(self, "_jsa", jsa)
+        object.__setattr__(self, "schmidt_number", schmidt_number)
+
+    @functools.cached_property
+    def singular_values(self) -> np.ndarray:
+        try:
+            lam = np.linalg.svd(self._jsa.amplitudes, compute_uv=False) * self._jsa.grid.spacing
+        except np.linalg.LinAlgError as exc:
+            raise DecompositionError(f"singular value decomposition failed: {exc}") from exc
+        return SchmidtDecomposition(lam, self.schmidt_number).singular_values
 
 
 def default_grid(delta_plus: float, delta_minus: float) -> FrequencyGrid:
@@ -194,7 +211,7 @@ def make_gaussian_jsa(
     delta_minus: float,
     grid: FrequencyGrid | None = None,
 ) -> JointSpectralAmplitude:
-    """Sample the Gaussian two-photon amplitude and normalize it on the grid.
+    """Sample the real (float64) Gaussian two-photon amplitude and normalize it.
 
     Parameters
     ----------
@@ -231,12 +248,15 @@ def make_gaussian_jsa(
                 f"grid spacing {grid.spacing} does not resolve the smaller width {narrow}"
             )
     w = grid.points - grid.center
-    wm = (w[:, None] - w[None, :]) / math.sqrt(2.0)
-    wp = (w[:, None] + w[None, :]) / math.sqrt(2.0)
-    amps = np.exp(-(wm**2) / (2.0 * delta_plus**2) - (wp**2) / (2.0 * delta_minus**2))
-    amps = amps.astype(np.complex128)
-    norm = math.sqrt(float(np.sum(np.abs(amps) ** 2))) * grid.spacing
-    amps /= norm
+    amps, wp = np.subtract.outer(w, w), np.add.outer(w, w)  # in place: 134 MB each at 4096 points
+    for values, width in ((amps, delta_plus), (wp, delta_minus)):
+        values /= math.sqrt(2.0)
+        values **= 2
+        values /= -2.0 * width**2
+    amps += wp
+    np.exp(amps, out=amps)
+    norm = math.sqrt(float(np.sum(np.square(amps, out=wp)))) * grid.spacing
+    amps *= 1.0 / norm
     return JointSpectralAmplitude(
         kind="parametric-gaussian",
         grid=grid,
@@ -256,24 +276,17 @@ def analytic_schmidt_number(delta_plus: float, delta_minus: float) -> float:
 
 
 def schmidt_decompose(jsa: JointSpectralAmplitude) -> SchmidtDecomposition:
-    """Singular-value decomposition of the sampled amplitude.
+    """Schmidt number of the sampled amplitude, and its spectrum on demand.
 
-    The matrix is scaled by the grid spacing so the squared singular values
-    sum to the (unit) discrete L2 mass and approximate the modal weights of
-    the continuous kernel.
+    The Schmidt number is the inverse purity ``||M||_F**4 / ||M M^H||_F**2``
+    of either reduced state (Law, Walmsley & Eberly, PRL 84, 5304 (2000)).
+    The singular values of ``M`` times the grid spacing, whose squares sum to
+    the unit discrete L2 mass, come from one SVD on first access.
     """
-    matrix = jsa.amplitudes * jsa.grid.spacing
-    # A real matrix factors measurably faster; the Gaussian source is real.
-    if np.all(matrix.imag == 0.0):
-        matrix = np.ascontiguousarray(matrix.real)
-    try:
-        lam = np.linalg.svd(matrix, compute_uv=False)
-    except np.linalg.LinAlgError as exc:
-        raise DecompositionError(f"singular value decomposition failed: {exc}") from exc
-    sumsq = float(np.sum(lam**2))
-    weights = lam**2 / sumsq
-    schmidt_number = 1.0 / float(np.sum(weights**2))
-    return SchmidtDecomposition(singular_values=lam, schmidt_number=schmidt_number)
+    amplitudes = jsa.amplitudes
+    gram = amplitudes @ amplitudes.conj().T
+    mass = float(np.vdot(amplitudes, amplitudes).real)
+    return _DeferredSchmidtDecomposition(jsa, mass**2 / float(np.vdot(gram, gram).real))
 
 
 def _dual_transform(

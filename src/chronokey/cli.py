@@ -43,7 +43,8 @@ from .security import distribution_key_rate, simplified_key_rate
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    path.write_text(text + "\n")
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:

@@ -34,9 +34,15 @@ TIME_BASIS = "time"
 # Fraction of probability mass outside the binned window above which a
 # CoverageWarning is emitted by the binning routines.
 COVERAGE_WARN_THRESHOLD = 0.01
-# Target fine-sampling step for the time-basis evaluation, as a fraction of
-# the band-limit step pi/span of the spectral grid.
-_ZOOM_OVERSAMPLE = 8
+# Time bins are integrated by 16-node Gauss-Legendre panels (Golub-Welsch
+# nodes on [-1, 1]) at most _PANEL_SPAN_WIDTH / span wide for a spectral grid
+# of half-span span: on its band-limited temporal intensity panels of 24, 32
+# and 40 / span leave errors of 1e-16, 3e-13 and 4e-10.
+_NODES_PER_PANEL = 16
+_PANEL_SPAN_WIDTH = 24.0
+_k = np.arange(1.0, _NODES_PER_PANEL)
+_PANEL_NODES, _vectors = np.linalg.eigh(np.diag(_k / np.sqrt(4.0 * _k * _k - 1.0), -1))
+_PANEL_WEIGHTS = 2.0 * _vectors[0] ** 2
 # Relative tolerance tying a lens's focusing rate to depth * frequency**2.
 _LENS_CONSISTENCY_RTOL = 1e-12
 
@@ -266,12 +272,12 @@ def _bin_masses(
     axis 0) spectral amplitude, binned on every axis as described in
     :func:`joint_outcome_distribution`.
 
-    The time-basis fine step divides the time bin width exactly and stays
-    below the band-limit step ``pi / span`` of the spectral grid over
-    ``_ZOOM_OVERSAMPLE``, so cell sums are spectrally accurate and each bin
-    is a whole group of ``per_bin`` cells.
+    In the time basis the kernel evaluates the temporal amplitude at the
+    Gauss-Legendre nodes of each panel of each time bin, each row scaled by
+    the square root of its quadrature weight, so the squared magnitudes
+    summed over a bin's nodes (on every axis) are its mass.
     """
-    amplitudes = np.asarray(amplitudes, dtype=np.complex128)
+    amplitudes = np.asarray(amplitudes)
     ndim = amplitudes.ndim
     if basis == FREQUENCY_BASIS:
         weights = bin_overlap_weights(grid.points, grid.spacing, binning.bin_edges)
@@ -279,17 +285,17 @@ def _bin_masses(
         return raw[::-1, :] if ndim == 2 else raw
     elif basis == TIME_BASIS:
         dt_bin = time_resolution(binning, lens)
-        band_step = math.pi / grid.span
-        per_bin = max(1, math.ceil(dt_bin * _ZOOM_OVERSAMPLE / band_step))
-        step = dt_bin / per_bin
-        n_fine = binning.m * per_bin
-        t = (np.arange(n_fine) - (n_fine - 1) / 2.0) * step
+        per_bin = math.ceil(dt_bin * grid.span / _PANEL_SPAN_WIDTH)
+        n_panels = binning.m * per_bin
+        half = 0.5 * dt_bin / per_bin
+        t = (2.0 * (np.arange(n_panels)[:, None] - (n_panels - 1) / 2.0) + _PANEL_NODES) * half
+        row_scale = np.tile(np.sqrt(_PANEL_WEIGHTS * half), n_panels)
         kernel = np.exp(-1j * np.outer(t, grid.points)) * (
-            grid.spacing / math.sqrt(2.0 * math.pi)
+            row_scale[:, None] * (grid.spacing / math.sqrt(2.0 * math.pi))
         )
-        fine = np.abs(_on_every_axis(kernel, amplitudes)) ** 2 * step**ndim
-        cells = tuple(range(1, 2 * ndim, 2))
-        return fine.reshape((binning.m, per_bin) * ndim).sum(axis=cells)
+        at_nodes = np.abs(_on_every_axis(kernel, amplitudes)) ** 2
+        nodes_axes = tuple(range(1, 2 * ndim, 2))
+        return at_nodes.reshape((binning.m, per_bin * _NODES_PER_PANEL) * ndim).sum(axis=nodes_axes)
     else:
         raise ParameterError(f"unknown basis {basis!r}")
 
@@ -304,10 +310,10 @@ def joint_outcome_distribution(
 
     In the frequency basis the sampled spectral intensity is integrated over
     the bin rectangles.  In the time basis the temporal amplitude is
-    evaluated directly on a fine grid covering the time window (a zoomed
-    transform, so the time resolution is not tied to the spectral grid) and
-    integrated over time-bin rectangles of width ``delta_omega /
-    focusing_rate``.
+    evaluated directly at Gauss-Legendre nodes in every time bin (so the
+    time resolution is not tied to the spectral grid) and integrated over
+    time-bin rectangles of width ``delta_omega / focusing_rate`` by that
+    quadrature, on panels narrow enough for it to converge to roundoff.
 
     In the frequency basis the receiver's bin labels are reversed, which
     turns the anti-correlation of the source into agreement on identical
@@ -341,9 +347,9 @@ def binned_arrival_times(
 ) -> tuple[np.ndarray, float]:
     """Bin the arrival-time intensity of a single-photon spectral amplitude.
 
-    The temporal wavefunction is evaluated on the same zoomed grid as the
-    joint routine and integrated over time bins of width ``delta_omega /
-    focusing_rate``.
+    The temporal wavefunction is evaluated at the same Gauss-Legendre nodes
+    as in the joint routine and integrated over time bins of width
+    ``delta_omega / focusing_rate``.
     """
     raw = _bin_masses(state, grid, binning, lens, TIME_BASIS)
     return _renormalize(raw, TIME_BASIS)

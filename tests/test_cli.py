@@ -208,6 +208,11 @@ class TestErrorHandling:
         assert capsys.readouterr().err.startswith("error:")
         assert not (tmp_path / "feasibility.json").exists()
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_artifacts_refuse_non_finite_numbers(self, tmp_path, bad):
+        with pytest.raises(ValueError):
+            cli._write_json(tmp_path / "artifact.json", {"rows": [{"value": bad}]})
+
     def test_missing_config_exits_with_error_code(self, tmp_path, capsys):
         missing = tmp_path / "nope.json"
         assert _run("analyze", "--config", str(missing)) == 2

@@ -224,6 +224,59 @@ class TestTimeBinning:
         with pytest.raises(ck.ParameterError):
             ck.joint_outcome_distribution(source, scheme, lens, basis="polarization")
 
+    # A spectral Gaussian of width sigma has the arrival-time intensity
+    # sigma/sqrt(pi) * exp(-sigma**2 * (t - tau)**2), where the phase
+    # exp(i*w*tau) sets the delay tau, so each time bin's mass is half an
+    # erf difference.  On a grid that resolves and covers the Gaussian the
+    # sampled transform is exact to roundoff, and so must the binning be.
+    # The short pulse sits in long bins: with beta_minus = 0.05 a bin is 6.7
+    # wide and the sigma = 2 pulse about 0.35, and sixteen nodes per bin miss
+    # a pulse at a bin centre by 5e-3 of its mass.
+    DESIGNS = {
+        "long-pulse": (ck.BinningScheme(m=4), 0.5, ck.FrequencyGrid(256, span=8.0)),
+        "short-pulse": (
+            ck.BinningScheme(m=4, beta_minus=0.05),
+            2.0,
+            ck.FrequencyGrid(256, span=16.0),
+        ),
+    }
+
+    @staticmethod
+    def _erf_masses(scheme, lens, sigma, tau):
+        dt = ck.time_resolution(scheme, lens)
+        edges = (np.arange(scheme.m + 1) - scheme.m / 2.0) * dt - tau
+        return np.diff([0.5 * math.erf(sigma * e) for e in edges])
+
+    @pytest.mark.parametrize("design", DESIGNS)
+    def test_separable_source_against_closed_form(self, design):
+        scheme, sigma, grid = self.DESIGNS[design]
+        lens = ck.design_time_lens(scheme)
+        source = ck.make_gaussian_jsa(sigma, sigma, grid=grid)
+        q = self._erf_masses(scheme, lens, sigma, 0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ck.CoverageWarning)
+            dist = ck.joint_outcome_distribution(source, scheme, lens, basis="time")
+        expected = np.outer(q, q) / q.sum() ** 2
+        np.testing.assert_allclose(dist.probabilities, expected, rtol=1e-12, atol=1e-15)
+        assert dist.out_of_window == pytest.approx(1.0 - q.sum() ** 2, rel=1e-12, abs=1e-15)
+
+    @pytest.mark.parametrize("design", DESIGNS)
+    @pytest.mark.parametrize(
+        "shift,tau", [(0.0, 0.0), (1.3, 0.0), (0.0, 0.4), (-0.7, -1.1), (0.0, -3.3)]
+    )
+    def test_single_photon_gaussian_against_closed_form(self, design, shift, tau):
+        scheme, sigma, grid = self.DESIGNS[design]
+        lens = ck.design_time_lens(scheme)
+        w = grid.points
+        state = np.exp(-((w - shift) ** 2) / (2 * sigma**2) + 1j * w * tau)
+        state = _normalize(state, grid.spacing)
+        q = self._erf_masses(scheme, lens, sigma, tau)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ck.CoverageWarning)
+            probabilities, out = ck.binned_arrival_times(state, grid, scheme, lens)
+        np.testing.assert_allclose(probabilities, q / q.sum(), rtol=1e-12, atol=1e-15)
+        assert out == pytest.approx(1.0 - q.sum(), rel=1e-12, abs=1e-15)
+
     def test_lens_route_agrees_with_direct_time_binning(self, designed16):
         # binning arrival times after an ideal lens is the same measurement as
         # binning the rescaled output spectrum
