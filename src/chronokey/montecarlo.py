@@ -17,6 +17,15 @@ side has no photon), collisions, and click positions.  Dead rounds are booked
 as ``no_click`` by count.  At a lossy channel with rare dark counts the cost
 thus scales with the coincidences, not with the rounds.
 
+After the draws, a side's photon rounds are slices of the pattern blocks.
+Each live round gets one tally code: ``receiver * m + sender`` for a sifted
+frequency-basis round, ``m*m`` more in the time basis, ``2*m*m`` for a basis
+mismatch and ``2*m*m + 1`` for a discarded multi-click round.  One
+``bincount`` gives both joint count matrices and both discard classes.
+``sampled-jsa`` reads each pair's joint cell from a Chen & Asau (1974) guide
+table of its basis's CDF; only rounds in buckets that a CDF value splits
+fall back to a binary search.
+
 Determinism: rounds are processed in fixed-size shards, each driven by its
 own counter-based generator keyed on ``(seed, shard_index)``.  A shard's
 draws depend only on that generator, and shard results are merged in index
@@ -169,6 +178,34 @@ def _joint_cdf(distribution: OutcomeDistribution) -> np.ndarray:
     return cdf / cdf[-1]
 
 
+def _guide_table(cdf: np.ndarray) -> np.ndarray:
+    """Chen & Asau (1974) guide table of a CDF over ``K = 2**k`` buckets of
+    ``[0, 1)``, about 64 per cell (at least 2**12, at most 2**18).
+
+    Entry ``b`` is the ``searchsorted(cdf, u, "right")`` that every ``u`` in
+    ``[b/K, (b+1)/K)`` shares, or -1 where a CDF value splits the bucket.
+    """
+    buckets = 2 ** min(18, max(12, math.ceil(math.log2(64 * cdf.size))))
+    edges = np.arange(buckets + 1) / buckets
+    lo = np.searchsorted(cdf, edges[:-1], side="right")
+    hi = np.searchsorted(cdf, edges[1:], side="left")
+    return np.where(lo == hi, lo, -1).astype(np.int32)
+
+
+def _sample_cells(guides: np.ndarray, cdfs, u: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """``searchsorted(cdfs[basis], u, "right")`` per round, read from row
+    ``basis`` (0 or 1) of the stacked guide tables; ``K`` is a power of two,
+    so ``floor(u*K)`` is exact.  Only rounds in split buckets search."""
+    buckets = guides.shape[1]
+    index = (u * buckets).astype(np.int32) + basis * np.int32(buckets)
+    cells = guides.ravel()[index]
+    split = np.flatnonzero(cells < 0)
+    for row, cdf in enumerate(cdfs):
+        rounds = split[basis[split] == row]
+        cells[rounds] = np.searchsorted(cdf, u[rounds], side="right")
+    return cells
+
+
 def _dark_click_probability(m: int, d: float) -> float:
     """Chance ``1 - (1-d)**m`` that at least one of ``m`` detectors fires
     darkly, accurate down to ``m*d`` far below machine epsilon."""
@@ -207,21 +244,18 @@ def _zero_truncated_dark_counts(
 
 
 def _dark_counts(
-    rng: np.random.Generator, photon_clicked: np.ndarray, m: int, d: float
+    rng: np.random.Generator, blocks: tuple[int, int, int, int], m: int, d: float
 ) -> np.ndarray:
-    """Dark counts of one side over the live rounds: unconditioned where the
-    photon clicked, at least one where it did not."""
-    counts = np.empty(photon_clicked.size, dtype=np.int64)
-    with_photon = int(photon_clicked.sum())
-    counts[photon_clicked] = rng.binomial(m, d, with_photon)
-    counts[~photon_clicked] = _zero_truncated_dark_counts(
-        rng, m, d, photon_clicked.size - with_photon
-    )
-    return counts
+    """Dark counts of one side over the live rounds, whose blocks of sizes
+    ``blocks`` alternate between the photon having clicked (unconditioned
+    draws) and not (at least one), photon first."""
+    w = rng.binomial(m, d, blocks[0] + blocks[2])
+    z = _zero_truncated_dark_counts(rng, m, d, blocks[1] + blocks[3])
+    return np.concatenate([w[: blocks[0]], z[: blocks[1]], w[blocks[0] :], z[blocks[1] :]])
 
 
 def _resolve_side(
-    photon_clicked: np.ndarray,
+    photon: list[slice],
     symbol: np.ndarray,
     dark_count: np.ndarray,
     collide_u: np.ndarray,
@@ -229,29 +263,25 @@ def _resolve_side(
     assign_u: np.ndarray | None,
     alt_index: np.ndarray | None,
     m: int,
-    policy: str,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Click count and registered symbol for one party.
+) -> None:
+    """Click count and registered symbol for one party, written over
+    ``dark_count`` and ``dark_index``; ``photon`` holds the slices of live
+    rounds where its photon clicked.
 
     A dark count lands on the photon's own detector with chance ``k/m`` and
     is then indistinguishable from it.  Single-click rounds register the
     photon's symbol or the lone dark position (uniform).  Under the
-    random-assign policy a multi-click side keeps one click uniformly: the
-    photon's with chance ``1/clicks``, else one of the other ``m - 1``
-    positions uniformly.
+    random-assign policy (``assign_u`` given) a multi-click side keeps one
+    click uniformly: the photon's with chance ``1/clicks``, else one of the
+    other ``m - 1`` positions uniformly; without a photon, the dark position.
     """
-    collision = photon_clicked & (collide_u * m < dark_count)
-    clicks = np.where(photon_clicked, 1 + dark_count - collision, dark_count)
-    registered = np.where(photon_clicked, symbol, dark_index)
-    if policy == "random-assign":
-        multi = clicks > 1
-        keep_photon = assign_u * clicks < 1.0
-        alt = alt_index + (alt_index >= symbol)
-        registered = np.where(
-            multi & photon_clicked, np.where(keep_photon, symbol, alt), registered
-        )
-        registered = np.where(multi & ~photon_clicked, dark_index, registered)
-    return clicks, registered
+    for s in photon:
+        dark_count[s] += collide_u[s] * m >= dark_count[s]
+        if assign_u is None:
+            dark_index[s] = symbol[s]
+        else:
+            alt = alt_index[s] + (alt_index[s] >= symbol[s])
+            dark_index[s] = np.where(assign_u[s] * dark_count[s] < 1.0, symbol[s], alt)
 
 
 def _simulate_shard(
@@ -259,82 +289,74 @@ def _simulate_shard(
     n: int,
     config: SimulationConfig,
     channel: ChannelModel,
-    cdf_frequency: np.ndarray | None,
-    cdf_time: np.ndarray | None,
+    guides: np.ndarray | None,
+    cdfs: tuple[np.ndarray, np.ndarray] | None,
 ) -> RoundLedger:
     rng = _shard_rng(config.seed, shard_index)
     m = channel.m
     d = channel.dark_probability
+    random_assign = config.multi_click_policy == "random-assign"
 
-    # Live rounds per photon pattern, in blocks: both, sender's only,
-    # receiver's only, none.  Dead rounds need no further draws.
+    # Live rounds per photon pattern, in contiguous blocks: both, sender's
+    # only, receiver's only, none.  Dead rounds need no further draws.
     pattern = rng.multinomial(n, _pattern_probabilities(channel))[:4]
-    live = int(pattern.sum())
-    photon_a = np.repeat([True, True, False, False], pattern)
-    photon_b = np.repeat([True, False, True, False], pattern)
+    both, a_only, b_only, neither = (int(count) for count in pattern)
+    live = both + a_only + b_only + neither
 
-    # Fixed draw order over the live rounds.
+    # Fixed draw order over the live rounds.  The dark counts and dark
+    # positions become click counts and registered symbols in place.
     basis_a = rng.random(live) < config.basis_probability
     basis_b = rng.random(live) < config.basis_probability
-    dark_count_a = _dark_counts(rng, photon_a, m, d)
-    dark_count_b = _dark_counts(rng, photon_b, m, d)
+    clicks_a = _dark_counts(rng, (both + a_only, b_only + neither, 0, 0), m, d)
+    clicks_b = _dark_counts(rng, (both, a_only, b_only, neither), m, d)
     collide_a = rng.random(live)
     collide_b = rng.random(live)
     pair_u = rng.random(live)
-    dark_index_a = rng.integers(0, m, live)
-    dark_index_b = rng.integers(0, m, live)
-    assign_a = assign_b = alt_index_a = alt_index_b = None
-    if config.multi_click_policy == "random-assign":
+    registered_a = rng.integers(0, m, live).astype(np.int32)
+    registered_b = rng.integers(0, m, live).astype(np.int32)
+    assign_a = assign_b = alt_a = alt_b = None
+    if random_assign:
         assign_a = rng.random(live)
         assign_b = rng.random(live)
-        alt_index_a = rng.integers(0, m - 1, live)
-        alt_index_b = rng.integers(0, m - 1, live)
+        alt_a = rng.integers(0, m - 1, live).astype(np.int32)
+        alt_b = rng.integers(0, m - 1, live).astype(np.int32)
 
-    if config.correlation_model == "ideal-delta":
-        shared = np.minimum((pair_u * m).astype(np.int64), m - 1)
-        symbol_a = shared
-        symbol_b = shared
+    both_time = ~(basis_a | basis_b)
+    if guides is None:
+        symbol_a = symbol_b = np.minimum((pair_u * m).astype(np.int32), m - 1)
     else:
-        flat_f = np.searchsorted(cdf_frequency, pair_u, side="right")
-        flat_t = np.searchsorted(cdf_time, pair_u, side="right")
-        both_time = ~basis_a & ~basis_b
-        flat = np.where(both_time, flat_t, flat_f).astype(np.int64)
-        symbol_b = flat // m
-        symbol_a = flat % m
+        symbol_b, symbol_a = np.divmod(_sample_cells(guides, cdfs, pair_u, both_time), m)
+    del pair_u
+    photon_a = [slice(0, both + a_only)]
+    photon_b = [slice(0, both), slice(both + a_only, live - neither)]
+    _resolve_side(photon_a, symbol_a, clicks_a, collide_a, registered_a, assign_a, alt_a, m)
+    _resolve_side(photon_b, symbol_b, clicks_b, collide_b, registered_b, assign_b, alt_b, m)
+    del collide_a, collide_b, assign_a, assign_b, alt_a, alt_b, symbol_a, symbol_b
 
-    clicks_a, registered_a = _resolve_side(
-        photon_a, symbol_a, dark_count_a, collide_a, dark_index_a,
-        assign_a, alt_index_a, m, config.multi_click_policy,
-    )
-    clicks_b, registered_b = _resolve_side(
-        photon_b, symbol_b, dark_count_b, collide_b, dark_index_b,
-        assign_b, alt_index_b, m, config.multi_click_policy,
-    )
-
-    if config.multi_click_policy == "discard":
-        multi = (clicks_a > 1) | (clicks_b > 1)
-    else:
-        multi = np.zeros(live, dtype=bool)
-    coincident = ~multi
-    matched = basis_a == basis_b
-    sifted = coincident & matched
-    agree = registered_a == registered_b
-
-    freq_rounds = sifted & basis_a
-    time_rounds = sifted & ~basis_a
-    flat_freq = registered_b[freq_rounds] * m + registered_a[freq_rounds]
-    flat_time = registered_b[time_rounds] * m + registered_a[time_rounds]
+    # One tally code per live round (see the module docstring).
+    cells = m * m
+    code = registered_b * m + registered_a
+    del registered_a, registered_b
+    code += both_time * np.int32(cells)
+    np.putmask(code, basis_a != basis_b, 2 * cells)
+    if not random_assign:
+        np.putmask(code, (clicks_a > 1) | (clicks_b > 1), 2 * cells + 1)
+    tally = np.bincount(code, minlength=2 * cells + 2)
+    frequency, time = tally[: 2 * cells].reshape(2, m, m)
+    mismatch, discarded = (int(count) for count in tally[2 * cells :])
+    sifted = live - mismatch - discarded
+    correct = int(np.trace(frequency) + np.trace(time))
     return RoundLedger(
         m=m,
         rounds=n,
         no_click=n - live,
-        multi_click_discarded=int(multi.sum()),
-        basis_mismatch=int((coincident & ~matched).sum()),
-        sifted=int(sifted.sum()),
-        correct=int((sifted & agree).sum()),
-        incorrect=int((sifted & ~agree).sum()),
-        joint_counts_frequency=np.bincount(flat_freq, minlength=m * m).reshape(m, m),
-        joint_counts_time=np.bincount(flat_time, minlength=m * m).reshape(m, m),
+        multi_click_discarded=discarded,
+        basis_mismatch=mismatch,
+        sifted=sifted,
+        correct=correct,
+        incorrect=sifted - correct,
+        joint_counts_frequency=frequency,
+        joint_counts_time=time,
     )
 
 
@@ -351,7 +373,7 @@ def simulate_rounds(
     distributions for both bases with the channel's alphabet size; the
     ``ideal-delta`` model ignores them.
     """
-    if threads < 1:
+    if not _is_int(threads) or threads < 1:
         raise ParameterError("threads must be a positive integer")
     m = channel.m
     if m > _MAX_ALPHABET:
@@ -360,7 +382,7 @@ def simulate_rounds(
             f"int64 joint count matrices would take {16 * m * m / 2**30:.0f} GiB, "
             f"above the 1 GiB limit"
         )
-    cdf_f = cdf_t = None
+    guides = cdfs = None
     if config.correlation_model == "sampled-jsa":
         if frequency_distribution is None or time_distribution is None:
             raise ParameterError(
@@ -370,20 +392,14 @@ def simulate_rounds(
             raise ParameterError("distributions must come from the frequency and time bases")
         if frequency_distribution.m != channel.m or time_distribution.m != channel.m:
             raise ParameterError("distribution alphabet does not match the channel")
-        cdf_f = _joint_cdf(frequency_distribution)
-        cdf_t = _joint_cdf(time_distribution)
+        cdfs = (_joint_cdf(frequency_distribution), _joint_cdf(time_distribution))
+        guides = np.stack([_guide_table(cdf) for cdf in cdfs])
 
-    shards = []
-    remaining = config.rounds
-    index = 0
-    while remaining > 0:
-        size = min(config.shard_size, remaining)
-        shards.append((index, size))
-        remaining -= size
-        index += 1
+    starts = range(0, config.rounds, config.shard_size)
+    shards = [(i, min(config.shard_size, config.rounds - start)) for i, start in enumerate(starts)]
 
     def run(shard: tuple[int, int]) -> RoundLedger:
-        return _simulate_shard(shard[0], shard[1], config, channel, cdf_f, cdf_t)
+        return _simulate_shard(shard[0], shard[1], config, channel, guides, cdfs)
 
     if threads == 1 or len(shards) == 1:
         results = [run(s) for s in shards]

@@ -40,10 +40,10 @@ class ChannelModel:
             raise ParameterError("detector efficiency must lie in [0, 1]")
         if not 0.0 <= self.dark_probability < 1.0:
             raise ParameterError("dark probability must lie in [0, 1)")
-        if not self.length >= 0.0:
-            raise ParameterError("channel length cannot be negative")
-        if not self.attenuation_length > 0.0:
-            raise ParameterError("attenuation length must be positive")
+        if not 0.0 <= self.length < math.inf:
+            raise ParameterError("channel length must be finite and non-negative")
+        if not 0.0 < self.attenuation_length < math.inf:
+            raise ParameterError("attenuation length must be finite and positive")
 
 
 def transmission(model: ChannelModel) -> float:

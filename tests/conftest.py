@@ -1,10 +1,19 @@
-"""Shared fixtures: the designed 16-bin measurement and its outcome statistics."""
+"""Shared fixtures: the designed 16-bin measurement and its outcome statistics.
 
+Property tests explore at random by default.  ``HYPOTHESIS_PROFILE=ci``
+selects a derandomized profile, so a failure in CI replays exactly.
+"""
+
+import os
 import warnings
 
 import pytest
+from hypothesis import settings
 
 import chronokey as ck
+
+settings.register_profile("ci", derandomize=True)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 @pytest.fixture(scope="session")

@@ -213,6 +213,16 @@ class TestErrorHandling:
         with pytest.raises(ValueError):
             cli._write_json(tmp_path / "artifact.json", {"rows": [{"value": bad}]})
 
+    @pytest.mark.parametrize("threads", ["2.5", "true", "0"])
+    def test_bad_thread_count_exits_with_error_code(self, tmp_path, capsys, threads):
+        config = tmp_path / "cfg.json"
+        config.write_text(
+            '{"simulation": {"rounds": 3000, "shard_size": 1000, "threads": %s}}' % threads
+        )
+        assert _run("montecarlo", "--config", str(config), "--out", str(tmp_path)) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not (tmp_path / "montecarlo.json").exists()
+
     def test_missing_config_exits_with_error_code(self, tmp_path, capsys):
         missing = tmp_path / "nope.json"
         assert _run("analyze", "--config", str(missing)) == 2

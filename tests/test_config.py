@@ -1,6 +1,8 @@
 """Run-configuration parsing, validation, and domain-object construction."""
 
+import dataclasses
 import json
+import math
 
 import pytest
 
@@ -146,3 +148,39 @@ class TestDomainBuilders:
     def test_config_dict_is_json_clean(self):
         text = json.dumps(ck.RunConfig().to_dict(), sort_keys=True)
         assert "m" in json.loads(text)["protocol"]
+
+
+def _validated_objects():
+    """One valid instance of every validated domain type, from the defaults."""
+    config = ck.RunConfig()
+    return {
+        "channel": config.channel_model(),
+        "binning": config.binning(),
+        "lens": ck.design_time_lens(config.binning()),
+        "hardware": config.hardware_spec(),
+        "simulation": config.simulation_config(),
+    }
+
+
+NON_FINITE_CASES = [
+    (kind, field.name, bad)
+    for kind, instance in _validated_objects().items()
+    for field in dataclasses.fields(instance)
+    if field.type == "float"
+    for bad in (math.nan, math.inf, -math.inf)
+]
+
+
+class TestNonFiniteFields:
+    def test_every_float_field_is_covered(self):
+        fields = {(kind, name) for kind, name, _ in NON_FINITE_CASES}
+        assert len(fields) == 5 + 4 + 4 + 5 + 1
+        assert ("simulation", "basis_probability") in fields
+
+    @pytest.mark.parametrize(
+        "kind,name,bad", NON_FINITE_CASES, ids=[f"{k}.{n}={b}" for k, n, b in NON_FINITE_CASES]
+    )
+    def test_validators_reject_non_finite_values(self, kind, name, bad):
+        instance = _validated_objects()[kind]
+        with pytest.raises(ck.ParameterError):
+            dataclasses.replace(instance, **{name: bad})

@@ -1,5 +1,6 @@
 """Round-by-round channel simulation against the closed-form expectations."""
 
+import hashlib
 import math
 import time
 import warnings
@@ -10,7 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import chronokey as ck
-from chronokey.montecarlo import _shard_rng, _zero_truncated_dark_counts
+from chronokey.montecarlo import (
+    _guide_table,
+    _sample_cells,
+    _shard_rng,
+    _zero_truncated_dark_counts,
+)
 
 
 def _channel(m, **overrides):
@@ -81,6 +87,12 @@ class TestDeterminism:
         serial = ck.simulate_rounds(config, model, threads=1)
         parallel = ck.simulate_rounds(config, model, threads=4)
         assert _ledgers_equal(serial, parallel)
+
+    @pytest.mark.parametrize("threads", [True, 2.5, 0])
+    def test_threads_must_be_a_positive_integer(self, threads):
+        config = ck.SimulationConfig(rounds=30, seed=1, shard_size=10)
+        with pytest.raises(ck.ParameterError, match="threads"):
+            ck.simulate_rounds(config, _channel(4), threads=threads)
 
     def test_different_seeds_differ(self):
         model = _channel(16, dark_probability=1e-3)
@@ -373,3 +385,151 @@ class TestProperties:
         serial = ck.simulate_rounds(config, model, threads=1)
         for threads in (2, 3):
             assert _ledgers_equal(serial, ck.simulate_rounds(config, model, threads=threads))
+
+
+def _banded(basis, m, weights):
+    """Hand-built joint distribution: integer weight ``weights[k]`` on the
+    cells ``k`` bins off the diagonal, zero beyond, normalized exactly."""
+    counts = np.zeros((m, m))
+    for k, weight in enumerate(weights):
+        counts += weight * np.eye(m, k=k)
+        if k:
+            counts += weight * np.eye(m, k=-k)
+    return ck.OutcomeDistribution(basis=basis, probabilities=counts / counts.sum())
+
+
+def _banded_pair(m):
+    return dict(
+        frequency_distribution=_banded("frequency", m, (20.0, 3.0)),
+        time_distribution=_banded("time", m, (12.0, 4.0, 1.0)),
+    )
+
+
+def _digest(counts):
+    return hashlib.sha256(np.ascontiguousarray(counts, dtype="<i8").tobytes()).hexdigest()[:16]
+
+
+# frozen: ledgers of the current draw order, first produced by the
+# mask-and-two-bincount bookkeeping; fields are rounds, no_click,
+# multi_click_discarded, basis_mismatch, sifted, correct, incorrect, then
+# SHA-256 prefixes of the little-endian int64 frequency and time joint
+# count matrices.
+FINGERPRINTS = {
+    "default-m16": (
+        3_000_000, 2_997_471, 1, 1_292, 1_236, 1_236, 0,
+        "7b8e9e8245c40a80", "ada31eb18254c524",
+    ),
+    "m4-dark-random-assign": (
+        200_000, 83_755, 0, 58_297, 57_948, 14_505, 43_443,
+        "37d6ce80dce83054", "1008f85362a7a8d6",
+    ),
+    "m8-sampled-noisy-random-assign": (
+        230_000, 151_476, 0, 37_731, 40_793, 23_293, 17_500,
+        "f49ec1aa178cdf8c", "7c9b1bf1988ab4f8",
+    ),
+    "m256-noiseless-ideal": (
+        400_000, 0, 0, 199_846, 200_154, 200_154, 0,
+        "15952707f8e9f107", "494afce0f7ab8921",
+    ),
+    "m8-noiseless-sampled": (
+        400_000, 0, 0, 199_782, 200_218, 137_835, 62_383,
+        "f6d2689183fbc0a1", "72182acf971aba6f",
+    ),
+}
+
+
+def _fingerprint_case(name):
+    if name == "default-m16":
+        return ck.SimulationConfig(rounds=3_000_000, seed=101), _channel(16), {}
+    if name == "m4-dark-random-assign":
+        config = ck.SimulationConfig(
+            rounds=200_000, seed=102, shard_size=50_000, multi_click_policy="random-assign"
+        )
+        return config, _channel(4, dark_probability=0.3), {}
+    if name == "m8-sampled-noisy-random-assign":
+        config = ck.SimulationConfig(
+            rounds=230_000, seed=103, shard_size=70_000, basis_probability=0.6,
+            multi_click_policy="random-assign", correlation_model="sampled-jsa",
+        )
+        model = _channel(
+            8, pair_probability=0.6, detector_efficiency=0.7, dark_probability=0.02, length=0.0
+        )
+        return config, model, _banded_pair(8)
+    if name == "m256-noiseless-ideal":
+        return ck.SimulationConfig(rounds=400_000, seed=104, shard_size=150_000), _noiseless(256), {}
+    config = ck.SimulationConfig(
+        rounds=400_000, seed=105, shard_size=200_000, correlation_model="sampled-jsa"
+    )
+    return config, _noiseless(8), _banded_pair(8)
+
+
+class TestLedgerFingerprints:
+    """Every ledger field and joint count, pinned: a change to the draws or
+    their order moves these, a change to the bookkeeping after them must
+    not.  The pins hold for numpy's Philox stream and its binomial,
+    multinomial and bounded-integer samplers as of numpy 2."""
+
+    @pytest.mark.parametrize("name", sorted(FINGERPRINTS))
+    def test_ledger_matches_the_pinned_fingerprint(self, name):
+        config, model, distributions = _fingerprint_case(name)
+        ledger = ck.simulate_rounds(config, model, threads=2, **distributions)
+        observed = (
+            ledger.rounds, ledger.no_click, ledger.multi_click_discarded,
+            ledger.basis_mismatch, ledger.sifted, ledger.correct, ledger.incorrect,
+            _digest(ledger.joint_counts_frequency), _digest(ledger.joint_counts_time),
+        )
+        assert observed == FINGERPRINTS[name]
+
+
+def _adversarial_cdfs():
+    """CDFs as the sampler builds them (non-decreasing, last value exactly 1)
+    with zero-mass cells, values on and next to bucket edges, tiny cells,
+    and enough cells to reach the largest table."""
+    rng = np.random.default_rng(61)
+    edges = np.sort(rng.choice(np.arange(1, 4096), 40, replace=False)) / 4096
+    near = np.sort(np.concatenate([np.nextafter(edges[::2], 0.0), np.nextafter(edges[1::2], 1.0)]))
+    many = rng.random(2**13) * (rng.random(2**13) < 0.3)
+    return {
+        "zero-mass": np.cumsum([0.0, 0.0, 0.25, 0.0, 0.0, 0.5, 0.0, 0.25, 0.0, 0.0]),
+        "on-edges": np.append(np.repeat(edges, 2), 1.0),
+        "next-to-edges": np.append(near, 1.0),
+        "tiny-cells": np.array([1e-300, 2e-300, 1e-17, 0.5, 0.5 + 1e-16, 1.0 - 1e-16, 1.0]),
+        "many-cells": np.cumsum(many) / many.sum(),
+    }
+
+
+class TestGuideTable:
+    @staticmethod
+    def _probes(cdf, buckets):
+        edges = np.arange(buckets) / buckets
+        values = np.concatenate([cdf, [0.0, 1.0]])
+        u = np.concatenate([
+            edges, np.nextafter(edges, 0.0), np.nextafter(edges, 1.0),
+            values, np.nextafter(values, 0.0), np.nextafter(values, 1.0),
+            np.random.default_rng(67).random(20_000),
+        ])
+        return u[(u >= 0.0) & (u < 1.0)]
+
+    @pytest.mark.parametrize("name", sorted(_adversarial_cdfs()))
+    def test_lookup_equals_binary_search(self, name):
+        cdf = _adversarial_cdfs()[name]
+        guide = _guide_table(cdf)
+        assert guide.size & (guide.size - 1) == 0
+        u = self._probes(cdf, guide.size)
+        basis = np.zeros(u.size, dtype=bool)
+        cells = _sample_cells(np.stack([guide, guide]), (cdf, cdf), u, basis)
+        assert np.array_equal(cells, np.searchsorted(cdf, u, side="right"))
+
+    def test_each_round_reads_the_table_of_its_basis(self):
+        skewed = np.random.default_rng(73).random(2**13) ** 8
+        pair = (_adversarial_cdfs()["many-cells"], np.cumsum(skewed) / skewed.sum())
+        guides = np.stack([_guide_table(cdf) for cdf in pair])
+        u = np.concatenate([self._probes(cdf, guides.shape[1]) for cdf in pair])
+        basis = np.random.default_rng(71).random(u.size) < 0.5
+        cells = _sample_cells(guides, pair, u, basis)
+        expected = np.where(
+            basis,
+            np.searchsorted(pair[1], u, side="right"),
+            np.searchsorted(pair[0], u, side="right"),
+        )
+        assert np.array_equal(cells, expected)

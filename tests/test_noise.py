@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import chronokey as ck
 
@@ -232,3 +234,54 @@ class TestClosedFormKeyRateCurve:
         for bits in range(12, 16):
             assert rates[bits + 1] < rates[bits]
         assert rates[14] > 0.0 > rates[15]
+
+
+def _closed_form_key_rates(model):
+    """The two closed-form key rates ``analyze`` reports: the entropy route
+    through the uniform error model, and the simplified closed form."""
+    scheme = ck.BinningScheme(m=model.m)
+    p = ck.error_probability(model)
+    joint = ck.error_model_distribution(model.m, p)
+    route = ck.distribution_key_rate(
+        ck.OutcomeDistribution("frequency", joint),
+        ck.OutcomeDistribution("time", joint),
+        scheme,
+        ck.design_time_lens(scheme),
+    )
+    return route.secret_key, ck.simplified_key_rate(model.m, p)
+
+
+_DARK = st.one_of(st.just(0.0), st.floats(1e-12, 10**-0.5))
+
+
+class TestKeyRateMonotoneInDarkCounts:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        m=st.sampled_from([2, 4, 16, 256]),
+        pair=st.floats(0.01, 1.0),
+        efficiency=st.floats(0.01, 1.0),
+        length=st.floats(0.0, 5.0),
+        darks=st.lists(_DARK, min_size=2, max_size=2),
+    )
+    def test_closed_form_key_rates_do_not_grow_with_dark_counts(
+        self, m, pair, efficiency, length, darks
+    ):
+        low, high = sorted(darks)
+        quieter, noisier = (
+            _closed_form_key_rates(
+                _channel(m, pair_probability=pair, detector_efficiency=efficiency,
+                         length=length, dark_probability=d)
+            )
+            for d in (low, high)
+        )
+        for before, after in zip(quieter, noisier):
+            assert after <= before + 1e-12
+
+    @pytest.mark.parametrize("m", [2, 4, 16, 256, 4096])
+    def test_simplified_key_rate_falls_along_a_dark_count_grid(self, m):
+        darks = [0.0, *np.logspace(-12, -0.5, 60)]
+        rates = [
+            ck.simplified_key_rate(m, ck.error_probability(_channel(m, dark_probability=d)))
+            for d in darks
+        ]
+        assert all(b <= a + 1e-12 for a, b in zip(rates, rates[1:]))
