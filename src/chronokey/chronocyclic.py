@@ -232,8 +232,8 @@ def make_gaussian_jsa(
     GridCoverageError
         If the supplied grid is too small or too coarse for the widths.
     """
-    if not (delta_plus > 0.0 and delta_minus > 0.0):
-        raise ParameterError("widths must be positive")
+    if not all(math.isfinite(x) and x > 0.0 for x in (delta_plus, delta_minus)):
+        raise ParameterError("widths must be positive and finite")
     wide = max(delta_plus, delta_minus)
     narrow = min(delta_plus, delta_minus)
     if grid is None:
@@ -269,9 +269,11 @@ def make_gaussian_jsa(
 def analytic_schmidt_number(delta_plus: float, delta_minus: float) -> float:
     """Closed-form mode count of the Gaussian amplitude: ``(r + 1/r) / 2``
     with ``r`` the ratio of the two widths."""
-    if not (delta_plus > 0.0 and delta_minus > 0.0):
-        raise ParameterError("widths must be positive")
+    if not all(math.isfinite(x) and x > 0.0 for x in (delta_plus, delta_minus)):
+        raise ParameterError("widths must be positive and finite")
     r = delta_plus / delta_minus
+    if not (math.isfinite(r) and r > 0.0 and math.isfinite(1.0 / r)):
+        raise ParameterError(f"width ratio {r!r} is out of range")
     return 0.5 * (r + 1.0 / r)
 
 

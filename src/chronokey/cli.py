@@ -30,7 +30,7 @@ from .detection import (
     resolution_product,
     time_resolution,
 )
-from .errors import ChronokeyError
+from .errors import ChronokeyError, ParameterError
 from .feasibility import check_feasibility
 from .montecarlo import (
     RoundLedger,
@@ -293,6 +293,8 @@ def cmd_feasibility(args) -> int:
 
 
 def cmd_alphabet_scan(args) -> int:
+    if args.max_bits < 1:
+        raise ParameterError(f"--max-bits must be at least 1, got {args.max_bits}")
     config = load_config(args.config)
     out = _resolve_out(args, config)
     base_model = config.channel_model()

@@ -112,22 +112,24 @@ _SECTIONS = {
 def _build_section(name: str, cls, data) -> object:
     if not isinstance(data, dict):
         raise ConfigError(f"section {name!r} must be an object")
-    known = {f.name for f in dataclasses.fields(cls)}
-    unknown = sorted(set(data) - known)
+    defaults = {f.name: f.default for f in dataclasses.fields(cls)}
+    unknown = sorted(set(data) - set(defaults))
     if unknown:
         raise ConfigError(f"unknown key {unknown[0]!r} in section {name!r}")
     for key, value in data.items():
-        for item in value if isinstance(value, (list, tuple)) else (value,):
+        # A value takes its default's type; sweep values, the one list, default to None.
+        listed = defaults[key] is None and isinstance(value, (list, tuple))
+        kind = (int, float) if listed or isinstance(defaults[key], float) else type(defaults[key])
+        for item in value if listed else (value,):
             if isinstance(item, bool):
                 raise ConfigError(f"key {key!r} in section {name!r} must not be a boolean")
+            if not isinstance(item, kind):
+                raise ConfigError(f"key {key!r} in section {name!r} has the wrong type: {item!r}")
             if isinstance(item, float) and not math.isfinite(item):
                 raise ConfigError(f"key {key!r} in section {name!r} must be finite, got {item!r}")
     if name == "sweep" and isinstance(data.get("values"), list):
         data = dict(data, values=tuple(data["values"]))
-    try:
-        return cls(**data)
-    except TypeError as exc:
-        raise ConfigError(f"bad section {name!r}: {exc}") from exc
+    return cls(**data)
 
 
 @dataclass(frozen=True)

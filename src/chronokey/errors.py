@@ -28,7 +28,8 @@ class CoverageWarning(UserWarning):
 
 
 class ResolutionWarning(UserWarning):
-    """A discretization is too coarse for the analytic approximation being reported."""
+    """Bins are coarse enough that the paper's bound ``log2(2*pi / (delta_omega *
+    delta_t))`` parts from the exact ``-log2(sigma_max**2)`` of the overlap kernel."""
 
 
 class PureNoiseWarning(UserWarning):

@@ -145,7 +145,7 @@ class TestSource:
         with pytest.raises(ck.GridCoverageError):
             ck.make_gaussian_jsa(delta_plus=12.0, delta_minus=0.2, grid=grid)
 
-    @pytest.mark.parametrize("bad", [0.0, -2.0])
+    @pytest.mark.parametrize("bad", [0.0, -2.0, math.inf, math.nan])
     def test_rejects_non_positive_widths(self, bad):
         with pytest.raises(ck.ParameterError):
             ck.make_gaussian_jsa(delta_plus=bad, delta_minus=1.0)
@@ -176,6 +176,15 @@ class TestSchmidt:
         assert ck.analytic_schmidt_number(wide, narrow) == pytest.approx(
             expected, rel=1e-12
         )
+
+    @pytest.mark.parametrize(
+        "wide,narrow",
+        [(0.0, 1.0), (math.inf, 1.0), (1.0, math.nan), (1e-300, 1e300), (1e-160, 1e150)],
+        ids=["zero", "inf", "nan", "ratio-underflows", "inverse-overflows"],
+    )
+    def test_analytic_mode_count_rejects_bad_widths(self, wide, narrow):
+        with pytest.raises(ck.ParameterError):
+            ck.analytic_schmidt_number(wide, narrow)
 
     def test_numeric_matches_analytic_within_a_percent(self):
         jsa = ck.make_gaussian_jsa(delta_plus=5.2, delta_minus=1.0)

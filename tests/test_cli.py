@@ -186,11 +186,29 @@ class TestFeasibilitySubcommand:
 
 
 class TestErrorHandling:
-    def test_bad_config_exits_with_error_code(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "command,document,key",
+        [
+            ("analyze", {"channel": {"dark_counts": 1}}, "dark_counts"),
+            ("sweep", {"sweep": {"num": 2.5}}, "num"),
+            ("sweep", {"sweep": {"values": [1e-6, "x"]}}, "values"),
+            ("sweep", {"sweep": {"parameter": 5}}, "parameter"),
+        ],
+        ids=["unknown-key", "fractional-num", "non-numeric-value", "non-string-parameter"],
+    )
+    def test_bad_config_exits_with_error_code(self, tmp_path, capsys, command, document, key):
         config = tmp_path / "cfg.json"
-        config.write_text(json.dumps({"channel": {"dark_counts": 1}}))
-        assert _run("analyze", "--config", str(config)) == 2
-        assert "dark_counts" in capsys.readouterr().err
+        config.write_text(json.dumps(document))
+        assert _run(command, "--config", str(config), "--out", str(tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert repr(key) in err
+
+    @pytest.mark.parametrize("bits", ["0", "-3"])
+    def test_alphabet_scan_refuses_max_bits_below_one(self, tmp_path, capsys, bits):
+        assert _run("alphabet-scan", "--out", str(tmp_path), "--max-bits", bits) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not (tmp_path / "alphabet_scan.json").exists()
 
     @pytest.mark.parametrize(
         "hardware",

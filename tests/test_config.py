@@ -28,6 +28,16 @@ class TestRoundTrip:
         assert ck.load_config(None) == ck.RunConfig()
 
 
+def _assert_refused_by_name(tmp_path, document):
+    """Loading a one-key document fails with a ConfigError naming the key and section."""
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(document))
+    (section, fields), = document.items()
+    (key, _), = fields.items()
+    with pytest.raises(ck.ConfigError, match=f"{key}.*{section}"):
+        ck.load_config(path)
+
+
 class TestStrictParsing:
     def test_unknown_section_is_named_in_the_error(self):
         with pytest.raises(ck.ConfigError, match="detector"):
@@ -69,12 +79,20 @@ class TestStrictParsing:
         ],
     )
     def test_booleans_are_not_numbers(self, tmp_path, document):
-        path = tmp_path / "run.json"
-        path.write_text(json.dumps(document))
-        (section, fields), = document.items()
-        (key, _), = fields.items()
-        with pytest.raises(ck.ConfigError, match=f"{key}.*{section}"):
-            ck.load_config(path)
+        _assert_refused_by_name(tmp_path, document)
+
+    @pytest.mark.parametrize(
+        "document",
+        [
+            {"channel": {"length": "1"}},
+            {"protocol": {"m": 16.0}},
+            {"output": {"directory": 5}},
+            {"sweep": {"values": 5}},
+            {"sweep": {"parameter": ["channel.length"]}},
+        ],
+    )
+    def test_values_must_have_their_default_type(self, tmp_path, document):
+        _assert_refused_by_name(tmp_path, document)
 
 
 class TestSweepValues:

@@ -111,10 +111,31 @@ class TestUncertaintyBound:
             math.log2(m) - ck.binning_deficit(0.75, 0.2), abs=1e-9
         )
 
-    @pytest.mark.parametrize("bad", [0.0, -1.0])
-    def test_rejects_non_positive_resolutions(self, bad):
+    @pytest.mark.parametrize(
+        "delta_omega,delta_t",
+        [(0.0, 1.0), (-1.0, 1.0), (math.inf, 1.0), (1e-200, 1e-200), (1e-160, 1e-150)],
+        ids=["0.0", "-1.0", "inf", "product-underflows", "inverse-overflows"],
+    )
+    def test_rejects_non_positive_resolutions(self, delta_omega, delta_t):
         with pytest.raises(ck.ParameterError):
-            ck.entropic_bound(bad, 1.0)
+            ck.entropic_bound(delta_omega, delta_t)
+
+    @pytest.mark.parametrize(
+        "beta_plus,beta_minus",
+        [(0.0, 0.2), (math.inf, 0.5), (math.nan, 0.5), (1e-300, 1e-300), (1e200, 1e200)],
+        ids=["zero", "inf", "nan", "product-underflows", "product-overflows"],
+    )
+    def test_deficit_rejects_bad_ratios(self, beta_plus, beta_minus):
+        with pytest.raises(ck.ParameterError):
+            ck.binning_deficit(beta_plus, beta_minus)
+
+
+def _kernel_at(c):
+    """Overlap kernel of unit-width bins whose lens makes ``delta_omega * delta_t = 4c``."""
+    lens = ck.TimeLens(
+        focusing_rate=1.0 / (4.0 * c), mod_frequency=1.0, mod_depth=1.0 / (4.0 * c), gvd=4.0 * c
+    )
+    return ck.overlap_kernel_sigma_max(ck.BinningScheme(m=2, delta_omega=1.0), lens)
 
 
 class TestOverlapKernel:
@@ -136,10 +157,28 @@ class TestOverlapKernel:
         with pytest.warns(ck.ResolutionWarning):
             ck.overlap_kernel_sigma_max(scheme, lens)
 
-    def test_rejects_bad_sampling_counts(self, designed16):
-        scheme, _, lens = designed16
-        with pytest.raises(ck.ParameterError):
-            ck.overlap_kernel_sigma_max(scheme, lens, lobes=0)
+    # frozen: lambda_0(c) of the time- and band-limiting operator, from
+    # Slepian & Pollak, Bell Syst. Tech. J. 40, 43 (1961)
+    @pytest.mark.parametrize(
+        "c,eigenvalue",
+        [
+            (0.5, 0.309689565709),
+            (1.0, 0.572581780638),
+            (2.0, 0.880559922317),
+            (4.0, 0.995885490430),
+        ],
+    )
+    def test_sigma_max_is_the_slepian_eigenvalue(self, c, eigenvalue):
+        with pytest.warns(ck.ResolutionWarning):
+            spectrum = _kernel_at(c)
+        assert spectrum.sigma_max**2 == pytest.approx(eigenvalue, rel=1e-9)
+
+    @pytest.mark.parametrize("c", [16.0, 50.0])
+    def test_sigma_max_never_exceeds_one(self, c):
+        with pytest.warns(ck.ResolutionWarning):
+            spectrum = _kernel_at(c)
+        assert spectrum.sigma_max == pytest.approx(1.0, abs=1e-12)
+        assert spectrum.sigma_max <= 1.0
 
 
 class TestSecretKeyBound:
