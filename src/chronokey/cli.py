@@ -36,6 +36,7 @@ from .montecarlo import (
     RoundLedger,
     empirical_distribution,
     empirical_error_probability,
+    estimate_key_rate,
     simulate_rounds,
 )
 from .noise import error_model_distribution, error_probability, pure_noise, transmission
@@ -178,12 +179,10 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def _basis_block(
-    ledger: RoundLedger, basis: str, sampled: OutcomeDistribution | None
-) -> tuple[dict, OutcomeDistribution | None]:
-    """Counts and estimates of one basis, plus the window mass the sampled
-    distribution discarded (``None`` when none was sampled), and the
-    empirical distribution (``None`` when the basis has no sifted rounds)."""
+def _basis_block(ledger: RoundLedger, basis: str, sampled: OutcomeDistribution | None) -> dict:
+    """Counts and estimates of one basis (``None`` when it has no sifted
+    rounds), plus the window mass the sampled distribution discarded
+    (``None`` when none was sampled)."""
     counts = (
         ledger.joint_counts_frequency if basis == FREQUENCY_BASIS else ledger.joint_counts_time
     )
@@ -193,12 +192,11 @@ def _basis_block(
         "probabilities": None,
         "stderr": None,
     }
-    if int(counts.sum()) == 0:
-        return block, None
-    dist, stderr = empirical_distribution(ledger, basis)
-    block["probabilities"] = [[float(p) for p in row] for row in dist.probabilities]
-    block["stderr"] = [[float(s) for s in row] for row in stderr]
-    return block, dist
+    if counts.any():
+        dist, stderr = empirical_distribution(ledger, basis)
+        block["probabilities"] = [[float(p) for p in row] for row in dist.probabilities]
+        block["stderr"] = [[float(s) for s in row] for row in stderr]
+    return block
 
 
 def cmd_montecarlo(args) -> int:
@@ -238,8 +236,8 @@ def cmd_montecarlo(args) -> int:
             "incorrect": ledger.incorrect,
         },
     }
-    payload["frequency"], freq_emp = _basis_block(ledger, FREQUENCY_BASIS, freq_dist)
-    payload["time"], time_emp = _basis_block(ledger, TIME_BASIS, time_dist)
+    payload["frequency"] = _basis_block(ledger, FREQUENCY_BASIS, freq_dist)
+    payload["time"] = _basis_block(ledger, TIME_BASIS, time_dist)
     error_block = {"closed_form": closed_p, "pure_noise": pure_noise(model)}
     if ledger.sifted > 0:
         p_hat = empirical_error_probability(ledger)
@@ -250,9 +248,8 @@ def cmd_montecarlo(args) -> int:
         error_block["stderr"] = None
     payload["error_probability"] = error_block
     payload["key_rate"] = None
-    if freq_emp is not None and time_emp is not None:
-        rate = distribution_key_rate(freq_emp, time_emp, scheme, lens)
-        payload["key_rate"] = dataclasses.asdict(rate)
+    if ledger.joint_counts_frequency.any() and ledger.joint_counts_time.any():
+        payload["key_rate"] = dataclasses.asdict(estimate_key_rate(ledger, scheme, lens))
     _write_json(out / "montecarlo.json", payload)
     print(f"{ledger.sifted} sifted rounds out of {ledger.rounds}")
     if error_block["empirical"] is not None:

@@ -13,15 +13,18 @@ both sides click at least once.  Rounds are i.i.d., so each shard first
 draws one multinomial count of live rounds per photon pattern (both photons,
 either one alone, none) and of dead rounds.  Only live rounds get per-round
 draws: bases, symbols, dark counts (conditioned on at least one where the
-side has no photon), collisions, and click positions.  Dead rounds are booked
-as ``no_click`` by count.  At a lossy channel with rare dark counts the cost
+side has no photon), collisions, and click positions.  Dead rounds get
+neither draws nor a tally code.  At a lossy channel with rare dark counts the cost
 thus scales with the coincidences, not with the rounds.
 
 After the draws, a side's photon rounds are slices of the pattern blocks.
-Each live round gets one tally code: ``receiver * m + sender`` for a sifted
-frequency-basis round, ``m*m`` more in the time basis, ``2*m*m`` for a basis
-mismatch and ``2*m*m + 1`` for a discarded multi-click round.  One
-``bincount`` gives both joint count matrices and both discard classes.
+Each live round gets one tally code, and one ``bincount`` of the codes is
+the shard's ledger.  The tally is the ledger's only storage: an int64
+vector of length ``2*m*m + 2`` with the sifted frequency-basis cell
+``receiver * m + sender`` first, the sifted time-basis cells ``m*m`` further
+on, then the basis mismatches at ``2*m*m`` and the discarded multi-click
+rounds at ``2*m*m + 1``.  The ledger's ``no_click`` count, the dead rounds,
+is its round total minus the tally's sum.
 ``sampled-jsa`` reads each pair's joint cell from a Chen & Asau (1974) guide
 table of its basis's CDF; only rounds in buckets that a CDF value splits
 fall back to a binary search.
@@ -49,8 +52,8 @@ from .security import KeyRateBound, distribution_key_rate
 
 _POLICIES = ("discard", "random-assign")
 _MODELS = ("ideal-delta", "sampled-jsa")
-# Largest alphabet simulated: a ledger's two dense m x m int64 joint count
-# matrices take 1 GiB at this size.
+# Largest alphabet simulated: a ledger's 2*m*m + 2 int64 tally takes 1 GiB
+# at this size.
 _MAX_ALPHABET = 8192
 
 
@@ -95,40 +98,63 @@ class SimulationConfig:
 
 @dataclass(frozen=True, eq=False)
 class RoundLedger:
-    """Outcome counts of a batch of rounds.
+    """Outcome counts of a batch of rounds, held in one tally (laid out as in
+    the module docstring).
 
     Every round lands in exactly one of ``no_click``,
     ``multi_click_discarded``, ``basis_mismatch``, or ``sifted``, and sifted
-    rounds split into ``correct`` plus ``incorrect``.  The joint count
-    matrices (rows receiver, columns sender) cover the sifted rounds of each
-    basis.  Ledgers merge associatively, so sharded and threaded runs
-    reassemble into the same totals.
+    rounds split into ``correct`` plus ``incorrect``; all of them are read
+    off the tally.  The joint count matrices (rows receiver, columns sender)
+    are views of its sifted cells.  Ledgers merge associatively, so sharded
+    and threaded runs reassemble into the same totals.
     """
 
     m: int
     rounds: int
-    no_click: int
-    multi_click_discarded: int
-    basis_mismatch: int
-    sifted: int
-    correct: int
-    incorrect: int
-    joint_counts_frequency: np.ndarray
-    joint_counts_time: np.ndarray
+    tally: np.ndarray
 
     def __post_init__(self) -> None:
-        parts = self.no_click + self.multi_click_discarded + self.basis_mismatch + self.sifted
-        if parts != self.rounds:
-            raise ParameterError("round classes do not add up to the round total")
-        if self.correct + self.incorrect != self.sifted:
-            raise ParameterError("correct plus incorrect must equal sifted")
-        for name in ("joint_counts_frequency", "joint_counts_time"):
-            counts = getattr(self, name)
-            if counts.shape != (self.m, self.m) or counts.min() < 0:
-                raise ParameterError(f"{name} must be a non-negative {self.m}x{self.m} matrix")
-            counts.setflags(write=False)
-        if int(self.joint_counts_frequency.sum() + self.joint_counts_time.sum()) != self.sifted:
-            raise ParameterError("joint counts must cover exactly the sifted rounds")
+        size = 2 * self.m * self.m + 2
+        tally = self.tally
+        if not isinstance(tally, np.ndarray) or tally.dtype != np.int64 or tally.shape != (size,):
+            raise ParameterError(f"tally must be an int64 vector of length 2*m*m + 2 = {size}")
+        if tally.min() < 0:
+            raise ParameterError("tally counts must be non-negative")
+        if int(tally.sum()) > self.rounds:
+            raise ParameterError("tally counts more rounds than the round total")
+        tally.setflags(write=False)
+
+    @property
+    def joint_counts_frequency(self) -> np.ndarray:
+        return self.tally[: self.m * self.m].reshape(self.m, self.m)
+
+    @property
+    def joint_counts_time(self) -> np.ndarray:
+        return self.tally[self.m * self.m : -2].reshape(self.m, self.m)
+
+    @property
+    def basis_mismatch(self) -> int:
+        return int(self.tally[-2])
+
+    @property
+    def multi_click_discarded(self) -> int:
+        return int(self.tally[-1])
+
+    @property
+    def sifted(self) -> int:
+        return int(self.tally[:-2].sum())
+
+    @property
+    def correct(self) -> int:
+        return int(np.trace(self.joint_counts_frequency) + np.trace(self.joint_counts_time))
+
+    @property
+    def incorrect(self) -> int:
+        return self.sifted - self.correct
+
+    @property
+    def no_click(self) -> int:
+        return self.rounds - int(self.tally.sum())
 
     @property
     def coincidences(self) -> int:
@@ -136,35 +162,12 @@ class RoundLedger:
 
     @classmethod
     def empty(cls, m: int) -> "RoundLedger":
-        zero = np.zeros((m, m), dtype=np.int64)
-        return cls(
-            m=m,
-            rounds=0,
-            no_click=0,
-            multi_click_discarded=0,
-            basis_mismatch=0,
-            sifted=0,
-            correct=0,
-            incorrect=0,
-            joint_counts_frequency=zero,
-            joint_counts_time=zero.copy(),
-        )
+        return cls(m, 0, np.zeros(2 * m * m + 2, dtype=np.int64))
 
     def merged(self, other: "RoundLedger") -> "RoundLedger":
         if other.m != self.m:
             raise ParameterError("cannot merge ledgers with different alphabet sizes")
-        return RoundLedger(
-            m=self.m,
-            rounds=self.rounds + other.rounds,
-            no_click=self.no_click + other.no_click,
-            multi_click_discarded=self.multi_click_discarded + other.multi_click_discarded,
-            basis_mismatch=self.basis_mismatch + other.basis_mismatch,
-            sifted=self.sifted + other.sifted,
-            correct=self.correct + other.correct,
-            incorrect=self.incorrect + other.incorrect,
-            joint_counts_frequency=self.joint_counts_frequency + other.joint_counts_frequency,
-            joint_counts_time=self.joint_counts_time + other.joint_counts_time,
-        )
+        return RoundLedger(self.m, self.rounds + other.rounds, self.tally + other.tally)
 
 
 def _shard_rng(seed: int, shard_index: int) -> np.random.Generator:
@@ -341,23 +344,7 @@ def _simulate_shard(
     np.putmask(code, basis_a != basis_b, 2 * cells)
     if not random_assign:
         np.putmask(code, (clicks_a > 1) | (clicks_b > 1), 2 * cells + 1)
-    tally = np.bincount(code, minlength=2 * cells + 2)
-    frequency, time = tally[: 2 * cells].reshape(2, m, m)
-    mismatch, discarded = (int(count) for count in tally[2 * cells :])
-    sifted = live - mismatch - discarded
-    correct = int(np.trace(frequency) + np.trace(time))
-    return RoundLedger(
-        m=m,
-        rounds=n,
-        no_click=n - live,
-        multi_click_discarded=discarded,
-        basis_mismatch=mismatch,
-        sifted=sifted,
-        correct=correct,
-        incorrect=sifted - correct,
-        joint_counts_frequency=frequency,
-        joint_counts_time=time,
-    )
+    return RoundLedger(m, n, np.bincount(code, minlength=2 * cells + 2))
 
 
 def simulate_rounds(
@@ -378,9 +365,8 @@ def simulate_rounds(
     m = channel.m
     if m > _MAX_ALPHABET:
         raise ParameterError(
-            f"alphabet size {m} exceeds {_MAX_ALPHABET}: the ledger's two dense {m}x{m} "
-            f"int64 joint count matrices would take {16 * m * m / 2**30:.0f} GiB, "
-            f"above the 1 GiB limit"
+            f"alphabet size {m} exceeds {_MAX_ALPHABET}: the ledger's 2*m*m + 2 int64 "
+            f"tally would take {16 * m * m / 2**30:.0f} GiB, above the 1 GiB limit"
         )
     guides = cdfs = None
     if config.correlation_model == "sampled-jsa":

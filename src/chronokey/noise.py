@@ -34,6 +34,12 @@ class ChannelModel:
     def __post_init__(self) -> None:
         if not isinstance(self.m, int) or self.m < 2:
             raise ParameterError(f"alphabet size must be an integer >= 2, got {self.m!r}")
+        try:
+            float(self.m)
+        except OverflowError:
+            raise ParameterError(
+                f"alphabet size 2**{math.log2(self.m):g} exceeds the float range"
+            ) from None
         if not 0.0 <= self.pair_probability <= 1.0:
             raise ParameterError("pair probability must lie in [0, 1]")
         if not 0.0 <= self.detector_efficiency <= 1.0:
@@ -68,7 +74,8 @@ def error_probability(model: ChannelModel) -> float:
     errors; without signal (no pairs, or no transmission) every click is a
     dark count and the result saturates at the uniform-guessing value
     ``(m-1)/m``, flagged with a :class:`PureNoiseWarning` (see
-    :func:`pure_noise`).
+    :func:`pure_noise`).  Where ``kappa*m`` overflows, the result is that
+    same limit, which the formula approaches as ``kappa*m`` grows.
     """
     d = model.dark_probability
     if d == 0.0:
@@ -85,6 +92,8 @@ def error_probability(model: ChannelModel) -> float:
     kappa = 2.0 * d * (1.0 - eta) / eta + model.m * d * d * (
         1.0 + (1.0 - eps) / (eps * eta * eta)
     )
+    if not math.isfinite(kappa * model.m):
+        return (model.m - 1) / model.m
     return kappa * (model.m - 1) / (kappa * model.m + 1.0)
 
 

@@ -114,6 +114,11 @@ class TestAlphabetScan:
         assert len(keys) == 6
         assert all(a < b for a, b in zip(keys, keys[1:]))
 
+    def test_scan_past_float_kappa_saturates(self, tmp_path):
+        assert _run("alphabet-scan", "--out", str(tmp_path), "--max-bits", "600") == 0
+        rows = json.loads((tmp_path / "alphabet_scan.json").read_text())["rows"]
+        assert [row["error_probability"] for row in rows[-80:]] == [1.0] * 80
+
 
 class TestMonteCarlo:
     def test_byte_identical_across_runs_and_threads(self, tmp_path):
@@ -240,6 +245,13 @@ class TestErrorHandling:
         assert _run("montecarlo", "--config", str(config), "--out", str(tmp_path)) == 2
         assert capsys.readouterr().err.startswith("error:")
         assert not (tmp_path / "montecarlo.json").exists()
+
+    def test_alphabet_scan_past_the_float_range_exits_with_error_code(self, tmp_path, capsys):
+        assert _run("alphabet-scan", "--out", str(tmp_path), "--max-bits", "1030") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: alphabet size 2**1024")
+        assert "nan" not in err
+        assert not (tmp_path / "alphabet_scan.json").exists()
 
     def test_missing_config_exits_with_error_code(self, tmp_path, capsys):
         missing = tmp_path / "nope.json"

@@ -15,6 +15,7 @@ from chronokey.montecarlo import (
     _guide_table,
     _sample_cells,
     _shard_rng,
+    _simulate_shard,
     _zero_truncated_dark_counts,
 )
 
@@ -44,14 +45,7 @@ def _noiseless(m):
 
 
 def _ledgers_equal(a, b):
-    plain = (
-        "m rounds no_click multi_click_discarded basis_mismatch sifted "
-        "correct incorrect"
-    ).split()
-    return all(getattr(a, name) == getattr(b, name) for name in plain) and (
-        np.array_equal(a.joint_counts_frequency, b.joint_counts_frequency)
-        and np.array_equal(a.joint_counts_time, b.joint_counts_time)
-    )
+    return a.m == b.m and a.rounds == b.rounds and np.array_equal(a.tally, b.tally)
 
 
 class TestConfigValidation:
@@ -137,6 +131,33 @@ class TestLedgerAccounting:
         assert double.sifted == 2 * ledger.sifted
         with pytest.raises(ck.ParameterError):
             ledger.merged(ck.RoundLedger.empty(4))
+
+    def test_shard_ledger_properties_obey_the_class_identities(self):
+        config = ck.SimulationConfig(rounds=100_000, seed=23)
+        ledger = _simulate_shard(0, 100_000, config, _channel(8, dark_probability=5e-3), None, None)
+        assert ledger.multi_click_discarded > 0 and ledger.incorrect > 0
+        assert ledger.no_click + ledger.multi_click_discarded + ledger.coincidences == ledger.rounds
+        assert ledger.correct == (
+            np.trace(ledger.joint_counts_frequency) + np.trace(ledger.joint_counts_time)
+        )
+        assert ledger.joint_counts_frequency.nbytes == ledger.joint_counts_time.nbytes == 8 * 64
+        assert not ledger.tally.flags.writeable
+
+    @pytest.mark.parametrize(
+        "rounds,tally",
+        [
+            (100, np.array([1] * 9 + [-1] + [0] * 10, dtype=np.int64)),
+            (100, np.zeros(19, dtype=np.int64)),
+            (100, np.zeros(20, dtype=np.int32)),
+            (100, np.zeros(20)),
+            (100, [0] * 20),
+            (5, np.array([3] * 2 + [0] * 18, dtype=np.int64)),
+        ],
+        ids=["negative", "short", "int32", "float", "list", "past-rounds"],
+    )
+    def test_ledger_refuses_an_unrepresentable_tally(self, rounds, tally):
+        with pytest.raises(ck.ParameterError, match="tally"):
+            ck.RoundLedger(m=3, rounds=rounds, tally=tally)
 
 
 class TestAgainstClosedForms:
@@ -345,24 +366,10 @@ class TestEventDrivenSampler:
 
 @st.composite
 def _ledgers(draw, m=3):
-    cells = st.lists(st.integers(0, 20), min_size=m * m, max_size=m * m)
-    frequency = np.array(draw(cells), dtype=np.int64).reshape(m, m)
-    time_ = np.array(draw(cells), dtype=np.int64).reshape(m, m)
-    sifted = int(frequency.sum() + time_.sum())
-    correct = int(np.trace(frequency) + np.trace(time_))
-    no_click, multi, mismatch = (draw(st.integers(0, 1_000)) for _ in range(3))
-    return ck.RoundLedger(
-        m=m,
-        rounds=no_click + multi + mismatch + sifted,
-        no_click=no_click,
-        multi_click_discarded=multi,
-        basis_mismatch=mismatch,
-        sifted=sifted,
-        correct=correct,
-        incorrect=sifted - correct,
-        joint_counts_frequency=frequency,
-        joint_counts_time=time_,
-    )
+    cells = draw(st.lists(st.integers(0, 20), min_size=2 * m * m, max_size=2 * m * m))
+    discards = draw(st.lists(st.integers(0, 1_000), min_size=2, max_size=2))
+    tally = np.array(cells + discards, dtype=np.int64)
+    return ck.RoundLedger(m=m, rounds=int(tally.sum()) + draw(st.integers(0, 1_000)), tally=tally)
 
 
 class TestProperties:

@@ -51,6 +51,7 @@ class TestChannelModel:
             dict(length=-1.0),
             dict(attenuation_length=0.0),
             dict(length=float("nan")),
+            dict(m=2**1024),
         ],
     )
     def test_rejects_invalid_parameters(self, overrides):
@@ -102,6 +103,11 @@ class TestErrorProbability:
             for d in (1e-6, 1e-4, 1e-2, 0.4):
                 p = ck.error_probability(_channel(m, dark_probability=d))
                 assert 0.0 <= p < (m - 1) / m
+
+    @pytest.mark.parametrize("bits", [527, 600, 1023])
+    def test_overflowing_kappa_gives_the_uniform_limit(self, bits):
+        m = 2**bits
+        assert ck.error_probability(_channel(m)) == (m - 1) / m
 
     def test_error_grows_with_darks_and_alphabet(self):
         darks = [1e-7, 1e-6, 1e-5, 1e-4, 1e-3]
