@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DecompositionError, GridCoverageError, ParameterError
+from .errors import DecompositionError, GridCoverageError, ParameterError, refuse_boolean_floats
 
 # Tolerance on the discrete L2 mass of an amplitude record.
 NORMALIZATION_ATOL = 1e-9
@@ -52,6 +52,7 @@ class _UniformGrid:
     center: float = 0.0
 
     def __post_init__(self) -> None:
+        refuse_boolean_floats(self)
         if not isinstance(self.n_points, int) or not _is_power_of_two(self.n_points) or self.n_points < 2:
             raise ParameterError(f"n_points must be a power of two >= 2, got {self.n_points!r}")
         if not (math.isfinite(self.spacing) and self.span > 0.0):
@@ -301,7 +302,8 @@ def _dual_transform(
     the dual relation ``g*h = 2*pi/n``.
     """
     n = grid_in.n_points
-    if any(values.shape[axis] != n for axis in axes):
+    work = np.array(values, dtype=np.complex128)  # one copy, phased in place before and after the FFT
+    if any(work.shape[axis] != n for axis in axes):
         raise ParameterError("transform grids must match the axis length")
     if sign not in (-1, +1):
         raise ParameterError("sign must be +1 or -1")
@@ -315,16 +317,15 @@ def _dual_transform(
     post = np.exp(sign * 1j * (x0 * y0 + x0 * spacing_out * j)) * (
         grid_in.spacing / math.sqrt(2.0 * math.pi)
     )
-    for axis in axes:
-        shape = [1] * values.ndim
-        shape[axis] = n
-        work = values * pre.reshape(shape)
-        if sign == -1:
-            core = np.fft.fft(work, axis=axis)
-        else:
-            core = np.fft.ifft(work, axis=axis) * n
-        values = core * post.reshape(shape)
-    return grid_out, values
+    # A length-n vector shaped (n, 1, ..., 1) broadcasts along its axis.
+    shapes = [(n,) + (1,) * (work.ndim - 1 - axis % work.ndim) for axis in axes]
+    for shape in shapes:
+        work *= pre.reshape(shape)
+    fft = np.fft.fftn if sign == -1 else functools.partial(np.fft.ifftn, norm="forward")
+    work = fft(work, axes=axes)
+    for shape in shapes:
+        work *= post.reshape(shape)
+    return grid_out, work
 
 
 def transform_1d(
@@ -338,7 +339,7 @@ def transform_1d(
     convention and ``sign=+1`` the time-to-frequency direction; either sign
     is accepted on either grid kind so round trips are expressible.
     """
-    return _dual_transform(np.asarray(values, dtype=np.complex128), grid_in, sign, axes=(-1,))
+    return _dual_transform(values, grid_in, sign, axes=(-1,))
 
 
 def to_temporal(jsa: JointSpectralAmplitude) -> JointTemporalAmplitude:

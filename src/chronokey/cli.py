@@ -33,8 +33,6 @@ from .detection import (
 from .errors import ChronokeyError, ParameterError
 from .feasibility import check_feasibility
 from .montecarlo import (
-    RoundLedger,
-    empirical_distribution,
     empirical_error_probability,
     estimate_key_rate,
     simulate_rounds,
@@ -44,8 +42,8 @@ from .security import distribution_key_rate, simplified_key_rate
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
-    path.write_text(text + "\n")
+    # Without ``indent``, ``json`` takes its C encoder: one line per artifact.
+    path.write_text(json.dumps(payload, sort_keys=True, allow_nan=False) + "\n")
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
@@ -179,26 +177,6 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def _basis_block(ledger: RoundLedger, basis: str, sampled: OutcomeDistribution | None) -> dict:
-    """Counts and estimates of one basis (``None`` when it has no sifted
-    rounds), plus the window mass the sampled distribution discarded
-    (``None`` when none was sampled)."""
-    counts = (
-        ledger.joint_counts_frequency if basis == FREQUENCY_BASIS else ledger.joint_counts_time
-    )
-    block = {
-        "counts": [[int(c) for c in row] for row in counts],
-        "out_of_window": None if sampled is None else sampled.out_of_window,
-        "probabilities": None,
-        "stderr": None,
-    }
-    if counts.any():
-        dist, stderr = empirical_distribution(ledger, basis)
-        block["probabilities"] = [[float(p) for p in row] for row in dist.probabilities]
-        block["stderr"] = [[float(s) for s in row] for row in stderr]
-    return block
-
-
 def cmd_montecarlo(args) -> int:
     config = load_config(args.config)
     out = _resolve_out(args, config)
@@ -236,16 +214,21 @@ def cmd_montecarlo(args) -> int:
             "incorrect": ledger.incorrect,
         },
     }
-    payload["frequency"] = _basis_block(ledger, FREQUENCY_BASIS, freq_dist)
-    payload["time"] = _basis_block(ledger, TIME_BASIS, time_dist)
-    error_block = {"closed_form": closed_p, "pure_noise": pure_noise(model)}
+    # Joint counts only (rows receiver): probabilities and stderr follow from them.
+    for basis, counts, sampled in (
+        (FREQUENCY_BASIS, ledger.joint_counts_frequency, freq_dist),
+        (TIME_BASIS, ledger.joint_counts_time, time_dist),
+    ):
+        payload[basis] = {
+            "counts": counts.tolist(),
+            "out_of_window": None if sampled is None else sampled.out_of_window,
+        }
+    error_block = {"closed_form": closed_p, "pure_noise": pure_noise(model),
+                   "empirical": None, "stderr": None}
     if ledger.sifted > 0:
         p_hat = empirical_error_probability(ledger)
         error_block["empirical"] = p_hat
         error_block["stderr"] = math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / ledger.sifted)
-    else:
-        error_block["empirical"] = None
-        error_block["stderr"] = None
     payload["error_probability"] = error_block
     payload["key_rate"] = None
     if ledger.joint_counts_frequency.any() and ledger.joint_counts_time.any():

@@ -26,7 +26,7 @@ from .chronocyclic import (
     TimeGrid,
     transform_1d,
 )
-from .errors import CoverageWarning, ParameterError
+from .errors import CoverageWarning, ParameterError, refuse_boolean_floats
 
 FREQUENCY_BASIS = "frequency"
 TIME_BASIS = "time"
@@ -63,6 +63,7 @@ class BinningScheme:
     center: float = 0.0
 
     def __post_init__(self) -> None:
+        refuse_boolean_floats(self)
         if not isinstance(self.m, int) or self.m < 2:
             raise ParameterError(f"bin count must be an integer >= 2, got {self.m!r}")
         if not (math.isfinite(self.delta_omega) and self.delta_omega > 0.0):
@@ -112,6 +113,7 @@ class TimeLens:
     gvd: float
 
     def __post_init__(self) -> None:
+        refuse_boolean_floats(self)
         for name in ("focusing_rate", "mod_frequency", "mod_depth", "gvd"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0.0):

@@ -1,6 +1,8 @@
-"""Exception and warning types shared across the package."""
+"""Exception and warning types shared across the package, and the boolean check."""
 
 from __future__ import annotations
+
+import dataclasses
 
 
 class ChronokeyError(Exception):
@@ -9,6 +11,14 @@ class ChronokeyError(Exception):
 
 class ParameterError(ChronokeyError, ValueError):
     """A scalar argument or configuration value is out of its valid domain."""
+
+
+def refuse_boolean_floats(instance) -> None:
+    """Raise :class:`ParameterError` when a ``float`` field of a dataclass
+    holds a ``bool``, which subclasses ``int`` and passes numeric checks."""
+    for field in dataclasses.fields(instance):
+        if field.type == "float" and isinstance(getattr(instance, field.name), bool):
+            raise ParameterError(f"{field.name} must be a number, not a boolean")
 
 
 class GridCoverageError(ChronokeyError, ValueError):

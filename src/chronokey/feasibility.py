@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import math
 
 from .detection import BinningScheme
-from .errors import ParameterError
+from .errors import ParameterError, refuse_boolean_floats
 
 SPEED_OF_LIGHT = 299_792_458.0
 
@@ -59,6 +59,7 @@ class HardwareSpec:
     angular_convention: str
 
     def __post_init__(self) -> None:
+        refuse_boolean_floats(self)
         for name in (
             "center_wavelength",
             "spectrometer_resolution",

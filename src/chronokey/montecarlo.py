@@ -46,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .detection import FREQUENCY_BASIS, TIME_BASIS, BinningScheme, OutcomeDistribution, TimeLens
-from .errors import ParameterError
+from .errors import ParameterError, refuse_boolean_floats
 from .noise import ChannelModel, transmission
 from .security import KeyRateBound, distribution_key_rate
 
@@ -82,6 +82,7 @@ class SimulationConfig:
     shard_size: int = 1_000_000
 
     def __post_init__(self) -> None:
+        refuse_boolean_floats(self)
         if not _is_int(self.rounds) or self.rounds < 1:
             raise ParameterError("rounds must be a positive integer")
         if not _is_int(self.seed) or self.seed < 0:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, PureNoiseWarning
+from .errors import ParameterError, PureNoiseWarning, refuse_boolean_floats
 
 
 @dataclass(frozen=True)
@@ -32,6 +32,7 @@ class ChannelModel:
     attenuation_length: float = 1.0
 
     def __post_init__(self) -> None:
+        refuse_boolean_floats(self)
         if not isinstance(self.m, int) or self.m < 2:
             raise ParameterError(f"alphabet size must be an integer >= 2, got {self.m!r}")
         try:

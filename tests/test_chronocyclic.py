@@ -42,6 +42,11 @@ class TestGrids:
         with pytest.raises(ck.ParameterError):
             ck.TimeGrid(64, span=span)
 
+    @pytest.mark.parametrize("field", ["span", "center"])
+    def test_rejects_boolean_floats(self, field):
+        with pytest.raises(ck.ParameterError, match="boolean"):
+            ck.FrequencyGrid(64, **{"span": 4.0, field: True})
+
     def test_dual_grid_satisfies_exchange_relation(self):
         g = ck.FrequencyGrid(256, span=10.0)
         d = g.dual()
@@ -105,6 +110,30 @@ class TestTransform:
         intensity = np.abs(out) ** 2 * tg.spacing
         std = math.sqrt(float((intensity * tg.points**2).sum()))
         assert std == pytest.approx(1.0 / (sigma * math.sqrt(2.0)), rel=1e-6)
+
+    @pytest.mark.parametrize("n", [16, 64])
+    def test_transforms_equal_the_direct_fourier_sum(self, n):
+        """Each axis carries ``sum_j f_j exp(sign*i*x_j*y_k) * h / sqrt(2*pi)``;
+        an off-center grid makes every phase term count."""
+        grid = ck.FrequencyGrid(n, span=3.0, center=0.7)
+        dual = grid.dual()
+
+        def kernel(sign):
+            phase = sign * 1j * np.outer(grid.points, dual.points)
+            return np.exp(phase) * grid.spacing / math.sqrt(2.0 * math.pi)
+
+        rng = np.random.default_rng(n)
+        row = rng.normal(size=n) + 1j * rng.normal(size=n)
+        for sign in (-1, +1):
+            out_grid, out = ck.transform_1d(row, grid, sign=sign)
+            expected = row @ kernel(sign)
+            assert np.allclose(out_grid.points, dual.points)
+            assert np.abs(out - expected).max() <= 1e-12 * np.abs(expected).max()
+        values = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        values /= math.sqrt(float(np.vdot(values, values).real)) * grid.spacing
+        jta = ck.to_temporal(ck.JointSpectralAmplitude("sampled", grid, values))
+        expected = kernel(-1).T @ values @ kernel(-1)
+        assert np.abs(jta.amplitudes - expected).max() <= 1e-12 * np.abs(expected).max()
 
     def test_rejects_invalid_sign(self):
         g = ck.FrequencyGrid(64, span=4.0)

@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 import chronokey as ck
@@ -177,8 +178,52 @@ class TestMonteCarlo:
         assert _run("montecarlo", "--config", str(config), "--out", str(tmp_path)) == 0
         payload = json.loads((tmp_path / "montecarlo.json").read_text())
         assert payload["key_rate"] is None
-        assert payload["time"]["probabilities"] is None
-        assert payload["frequency"]["probabilities"] is not None
+        assert np.sum(payload["time"]["counts"]) == 0
+        assert np.sum(payload["frequency"]["counts"]) > 0
+
+
+@pytest.mark.filterwarnings("ignore::chronokey.CoverageWarning")
+@pytest.mark.parametrize(
+    "document",
+    [
+        {"simulation": {"rounds": 400000, "seed": 5}},
+        {
+            "protocol": {"m": 8},
+            "channel": {"pair_probability": 1.0, "detector_efficiency": 1.0, "length": 0.0,
+                        "dark_probability": 1e-3},
+            "simulation": {"rounds": 20000, "seed": 3, "shard_size": 6000, "threads": 2,
+                           "correlation_model": "sampled-jsa",
+                           "multi_click_policy": "random-assign"},
+        },
+    ],
+    ids=["defaults-m16", "sampled-jsa-m8"],
+)
+def test_montecarlo_basis_blocks_hold_the_ledger_counts(tmp_path, document):
+    """Each basis block is the ledger's joint counts and the discarded window
+    mass; the relative frequencies follow from the counts bit for bit."""
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(document))
+    assert _run("montecarlo", "--config", str(config), "--out", str(tmp_path)) == 0
+    payload = json.loads((tmp_path / "montecarlo.json").read_text())
+    run = ck.load_config(config)
+    dists = {"frequency": None, "time": None}
+    if run.simulation.correlation_model == "sampled-jsa":
+        scheme, source, lens = run.matched_design()
+        dists = {basis: ck.joint_outcome_distribution(source, scheme, lens, basis) for basis in dists}
+    ledger = ck.simulate_rounds(
+        run.simulation_config(), run.channel_model(), dists["frequency"], dists["time"]
+    )
+    joint = {"frequency": ledger.joint_counts_frequency, "time": ledger.joint_counts_time}
+    for basis, matrix in joint.items():
+        block = payload[basis]
+        assert set(block) == {"counts", "out_of_window"}
+        counts = np.asarray(block["counts"])
+        assert counts.shape == (run.protocol.m, run.protocol.m)
+        assert np.array_equal(counts, matrix)
+        total = int(counts.sum())
+        assert total > 0
+        expected, _ = ck.empirical_distribution(ledger, basis)
+        assert np.array_equal(counts / total, expected.probabilities)
 
 
 class TestFeasibilitySubcommand:

@@ -185,7 +185,7 @@ NON_FINITE_CASES = [
     for kind, instance in _validated_objects().items()
     for field in dataclasses.fields(instance)
     if field.type == "float"
-    for bad in (math.nan, math.inf, -math.inf)
+    for bad in (math.nan, math.inf, -math.inf, True)
 ]
 
 
