@@ -442,6 +442,22 @@ FINGERPRINTS = {
         400_000, 0, 0, 199_782, 200_218, 137_835, 62_383,
         "f6d2689183fbc0a1", "72182acf971aba6f",
     ),
+    "m7-dark-discard": (
+        200_000, 31_345, 156_474, 6_064, 6_117, 854, 5_263,
+        "b664bd386225eab6", "f507c279707b1800",
+    ),
+    "m8-sampled-lossy-discard": (
+        250_000, 180_485, 30_190, 19_696, 19_629, 6_641, 12_988,
+        "092aa95be3a7756a", "404198dbf359efcb",
+    ),
+    "m5-noiseless-sampled-random-assign": (
+        200_000, 0, 0, 83_656, 116_344, 75_081, 41_263,
+        "a5470ba4106ed73a", "be580be9cde786f9",
+    ),
+    "m6-frequency-only": (
+        200_000, 182_045, 4_737, 0, 13_218, 2_615, 10_603,
+        "539b7595262ebc22", "2d5565fb483d8ea4",
+    ),
 }
 
 
@@ -464,6 +480,28 @@ def _fingerprint_case(name):
         return config, model, _banded_pair(8)
     if name == "m256-noiseless-ideal":
         return ck.SimulationConfig(rounds=400_000, seed=104, shard_size=150_000), _noiseless(256), {}
+    if name == "m7-dark-discard":
+        config = ck.SimulationConfig(rounds=200_000, seed=106, shard_size=60_000)
+        return config, _channel(7, dark_probability=0.3), {}
+    if name == "m8-sampled-lossy-discard":
+        config = ck.SimulationConfig(
+            rounds=250_000, seed=107, shard_size=80_000, correlation_model="sampled-jsa"
+        )
+        model = _channel(
+            8, pair_probability=0.5, detector_efficiency=0.5, dark_probability=0.05, length=0.0
+        )
+        return config, model, _banded_pair(8)
+    if name == "m5-noiseless-sampled-random-assign":
+        config = ck.SimulationConfig(
+            rounds=200_000, seed=108, shard_size=90_000, basis_probability=0.3,
+            multi_click_policy="random-assign", correlation_model="sampled-jsa",
+        )
+        return config, _noiseless(5), _banded_pair(5)
+    if name == "m6-frequency-only":
+        config = ck.SimulationConfig(
+            rounds=200_000, seed=109, shard_size=70_000, basis_probability=1.0
+        )
+        return config, _channel(6, pair_probability=0.5, dark_probability=0.05), {}
     config = ck.SimulationConfig(
         rounds=400_000, seed=105, shard_size=200_000, correlation_model="sampled-jsa"
     )
