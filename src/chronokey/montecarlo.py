@@ -17,14 +17,19 @@ side has no photon), collisions, and click positions.  Dead rounds get
 neither draws nor a tally code.  At a lossy channel with rare dark counts the cost
 thus scales with the coincidences, not with the rounds.
 
-After the draws, a side's photon rounds are slices of the pattern blocks.
-Each live round gets one tally code, and one ``bincount`` of the codes is
-the shard's ledger.  The tally is the ledger's only storage: an int64
-vector of length ``2*m*m + 2`` with the sifted frequency-basis cell
-``receiver * m + sender`` first, the sifted time-basis cells ``m*m`` further
-on, then the basis mismatches at ``2*m*m`` and the discarded multi-click
-rounds at ``2*m*m + 1``.  The ledger's ``no_click`` count, the dead rounds,
-is its round total minus the tally's sum.
+After the draws, each live round gets one tally code, and one ``bincount``
+of the codes is the shard's ledger.  A round that no dark count touched
+clicks once per side and registers the pair's symbols, so its code is the
+pair's joint cell plus its basis offset.  Only the rounds with a dark count
+on either side (every side without a photon has one) go through the
+collision, random-assign and multi-click arithmetic, on their indices alone.
+Past the draws, the bookkeeping thus scales with the rounds a dark count
+touched, and at ``d == 0`` there are none.  The tally is the ledger's only
+storage: an int64 vector of length ``2*m*m + 2`` with the sifted
+frequency-basis cell ``receiver * m + sender`` first, the sifted time-basis
+cells ``m*m`` further on, then the basis mismatches at ``2*m*m`` and the
+discarded multi-click rounds at ``2*m*m + 1``.  The ledger's ``no_click``
+count, the dead rounds, is its round total minus the tally's sum.
 ``sampled-jsa`` reads each pair's joint cell from a Chen & Asau (1974) guide
 table of its basis's CDF; only rounds in buckets that a CDF value splits
 fall back to a binary search.
@@ -38,6 +43,7 @@ order, so the ledger depends only on ``seed``, ``rounds``, and
 
 from __future__ import annotations
 
+import collections
 import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
@@ -252,14 +258,19 @@ def _dark_counts(
 ) -> np.ndarray:
     """Dark counts of one side over the live rounds, whose blocks of sizes
     ``blocks`` alternate between the photon having clicked (unconditioned
-    draws) and not (at least one), photon first."""
-    w = rng.binomial(m, d, blocks[0] + blocks[2])
+    draws) and not (at least one), photon first.  numpy's ``binomial``
+    returns zeros for ``d == 0`` without drawing, so skipping it there leaves
+    the stream as it was."""
+    size = blocks[0] + blocks[2]
+    w = rng.binomial(m, d, size) if d > 0.0 else np.zeros(size, dtype=np.int64)
     z = _zero_truncated_dark_counts(rng, m, d, blocks[1] + blocks[3])
+    if z.size == 0:  # always at d == 0; copying w would touch every page
+        return w
     return np.concatenate([w[: blocks[0]], z[: blocks[1]], w[blocks[0] :], z[blocks[1] :]])
 
 
 def _resolve_side(
-    photon: list[slice],
+    photon: np.ndarray,
     symbol: np.ndarray,
     dark_count: np.ndarray,
     collide_u: np.ndarray,
@@ -267,10 +278,9 @@ def _resolve_side(
     assign_u: np.ndarray | None,
     alt_index: np.ndarray | None,
     m: int,
-) -> None:
-    """Click count and registered symbol for one party, written over
-    ``dark_count`` and ``dark_index``; ``photon`` holds the slices of live
-    rounds where its photon clicked.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Click counts and registered symbols of one party over the rounds a
+    dark count touched; ``photon`` marks those where its photon clicked.
 
     A dark count lands on the photon's own detector with chance ``k/m`` and
     is then indistinguishable from it.  Single-click rounds register the
@@ -279,13 +289,12 @@ def _resolve_side(
     click uniformly: the photon's with chance ``1/clicks``, else one of the
     other ``m - 1`` positions uniformly; without a photon, the dark position.
     """
-    for s in photon:
-        dark_count[s] += collide_u[s] * m >= dark_count[s]
-        if assign_u is None:
-            dark_index[s] = symbol[s]
-        else:
-            alt = alt_index[s] + (alt_index[s] >= symbol[s])
-            dark_index[s] = np.where(assign_u[s] * dark_count[s] < 1.0, symbol[s], alt)
+    clicks = dark_count + (photon & (collide_u * m >= dark_count))
+    registered = np.where(photon, symbol, dark_index)
+    if assign_u is not None:
+        alt = alt_index + (alt_index >= symbol)
+        np.putmask(registered, photon & (assign_u * clicks >= 1.0), alt)
+    return clicks, registered
 
 
 def _simulate_shard(
@@ -307,45 +316,69 @@ def _simulate_shard(
     both, a_only, b_only, neither = (int(count) for count in pattern)
     live = both + a_only + b_only + neither
 
-    # Fixed draw order over the live rounds.  The dark counts and dark
-    # positions become click counts and registered symbols in place.
+    # Fixed draw order over the live rounds.  Rounds no dark count touched
+    # click once per side and register the pair's symbols, so every later
+    # per-round draw is kept only at the ``special`` rounds.
     basis_a = rng.random(live) < config.basis_probability
     basis_b = rng.random(live) < config.basis_probability
     clicks_a = _dark_counts(rng, (both + a_only, b_only + neither, 0, 0), m, d)
     clicks_b = _dark_counts(rng, (both, a_only, b_only, neither), m, d)
-    collide_a = rng.random(live)
-    collide_b = rng.random(live)
+    special = np.flatnonzero(clicks_a | clicks_b)
+    clicks_a, clicks_b = clicks_a[special], clicks_b[special]
+    collide_a = rng.random(live)[special]
+    collide_b = rng.random(live)[special]
+    both_time = ~(basis_a | basis_b)
     pair_u = rng.random(live)
-    registered_a = rng.integers(0, m, live).astype(np.int32)
-    registered_b = rng.integers(0, m, live).astype(np.int32)
+    # The pair's joint cell ``receiver * m + sender``.
+    if guides is None:
+        code = np.minimum((pair_u * m).astype(np.int32), m - 1) * np.int32(m + 1)
+    else:
+        code = _sample_cells(guides, cdfs, pair_u, both_time)
+    del pair_u
+    registered_a = rng.integers(0, m, live, dtype=np.int32)[special]
+    registered_b = rng.integers(0, m, live, dtype=np.int32)[special]
     assign_a = assign_b = alt_a = alt_b = None
     if random_assign:
-        assign_a = rng.random(live)
-        assign_b = rng.random(live)
-        alt_a = rng.integers(0, m - 1, live).astype(np.int32)
-        alt_b = rng.integers(0, m - 1, live).astype(np.int32)
+        assign_a = rng.random(live)[special]
+        assign_b = rng.random(live)[special]
+        alt_a = rng.integers(0, m - 1, live, dtype=np.int32)[special]
+        alt_b = rng.integers(0, m - 1, live, dtype=np.int32)[special]
 
-    both_time = ~(basis_a | basis_b)
-    if guides is None:
-        symbol_a = symbol_b = np.minimum((pair_u * m).astype(np.int32), m - 1)
-    else:
-        symbol_b, symbol_a = np.divmod(_sample_cells(guides, cdfs, pair_u, both_time), m)
-    del pair_u
-    photon_a = [slice(0, both + a_only)]
-    photon_b = [slice(0, both), slice(both + a_only, live - neither)]
-    _resolve_side(photon_a, symbol_a, clicks_a, collide_a, registered_a, assign_a, alt_a, m)
-    _resolve_side(photon_b, symbol_b, clicks_b, collide_b, registered_b, assign_b, alt_b, m)
-    del collide_a, collide_b, assign_a, assign_b, alt_a, alt_b, symbol_a, symbol_b
+    photon_a = special < both + a_only
+    photon_b = (special < both) | ((special >= both + a_only) & (special < live - neither))
+    symbol_b, symbol_a = np.divmod(code[special], m)
+    clicks_a, registered_a = _resolve_side(
+        photon_a, symbol_a, clicks_a, collide_a, registered_a, assign_a, alt_a, m
+    )
+    clicks_b, registered_b = _resolve_side(
+        photon_b, symbol_b, clicks_b, collide_b, registered_b, assign_b, alt_b, m
+    )
 
     # One tally code per live round (see the module docstring).
     cells = m * m
-    code = registered_b * m + registered_a
-    del registered_a, registered_b
+    code[special] = registered_b * m + registered_a
+    # Branch-free arithmetic: masked writes at random positions cost several
+    # times more than a multiply over the whole block.
     code += both_time * np.int32(cells)
-    np.putmask(code, basis_a != basis_b, 2 * cells)
+    mismatch = basis_a != basis_b
+    code *= ~mismatch
+    code += mismatch * np.int32(2 * cells)
     if not random_assign:
-        np.putmask(code, (clicks_a > 1) | (clicks_b > 1), 2 * cells + 1)
+        code[special[(clicks_a > 1) | (clicks_b > 1)]] = 2 * cells + 1
     return RoundLedger(m, n, np.bincount(code, minlength=2 * cells + 2))
+
+
+def _in_order(pool: ThreadPoolExecutor, fn, items, window: int):
+    """``pool.map(fn, items)`` with at most ``window + 1`` calls submitted
+    and not yet yielded, so that a slow consumer holds O(window) results,
+    not all of them."""
+    pending: collections.deque = collections.deque()
+    for item in items:
+        pending.append(pool.submit(fn, item))
+        if len(pending) > window:
+            yield pending.popleft().result()
+    while pending:
+        yield pending.popleft().result()
 
 
 def simulate_rounds(
@@ -367,7 +400,8 @@ def simulate_rounds(
     if m > _MAX_ALPHABET:
         raise ParameterError(
             f"alphabet size {m} exceeds {_MAX_ALPHABET}: the ledger's 2*m*m + 2 int64 "
-            f"tally would take {16 * m * m / 2**30:.0f} GiB, above the 1 GiB limit"
+            f"tally would take {8 * (2 * m * m + 2):,} bytes, above the "
+            f"{8 * (2 * _MAX_ALPHABET**2 + 2):,} it takes at {_MAX_ALPHABET}"
         )
     guides = cdfs = None
     if config.correlation_model == "sampled-jsa":
@@ -388,12 +422,13 @@ def simulate_rounds(
     def run(shard: tuple[int, int]) -> RoundLedger:
         return _simulate_shard(shard[0], shard[1], config, channel, guides, cdfs)
 
+    # Shard ledgers are merged in index order as they arrive, so at most
+    # O(threads) shard tallies are alive at once.
     if threads == 1 or len(shards) == 1:
-        results = [run(s) for s in shards]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run, shards))
-    return functools.reduce(RoundLedger.merged, results, RoundLedger.empty(m))
+        return functools.reduce(RoundLedger.merged, map(run, shards), RoundLedger.empty(m))
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        ledgers = _in_order(pool, run, shards, threads)
+        return functools.reduce(RoundLedger.merged, ledgers, RoundLedger.empty(m))
 
 
 def empirical_distribution(

@@ -2,8 +2,10 @@
 
 import hashlib
 import math
+import threading
 import time
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -13,6 +15,9 @@ from hypothesis import strategies as st
 import chronokey as ck
 from chronokey.montecarlo import (
     _guide_table,
+    _in_order,
+    _joint_cdf,
+    _pattern_probabilities,
     _sample_cells,
     _shard_rng,
     _simulate_shard,
@@ -356,10 +361,14 @@ class TestEventDrivenSampler:
             observed = getattr(ledger, name)
             assert abs(observed - n * p) <= 5.0 * math.sqrt(n * p * (1.0 - p)), name
 
-    def test_large_alphabet_is_refused_before_allocating(self):
-        model = _channel(2**16)
+    @pytest.mark.parametrize(
+        "m,size", [(8193, "1,074,004,000"), (2**16, "68,719,476,752")]
+    )
+    def test_large_alphabet_is_refused_before_allocating(self, m, size):
+        model = _channel(m)
         start = time.perf_counter()
-        with pytest.raises(ck.ParameterError, match="exceeds 8192"):
+        message = rf"exceeds 8192: .* take {size} bytes, above the 1,073,741,840 it takes at 8192"
+        with pytest.raises(ck.ParameterError, match=message):
             ck.simulate_rounds(ck.SimulationConfig(rounds=10, seed=1), model)
         assert time.perf_counter() - start < 1.0
 
@@ -379,6 +388,26 @@ class TestProperties:
         empty = ck.RoundLedger.empty(a.m)
         assert _ledgers_equal(empty.merged(a), a)
         assert _ledgers_equal(a.merged(empty), a)
+
+    @settings(max_examples=10, deadline=None)
+    @given(window=st.integers(1, 4), items=st.integers(0, 40))
+    def test_in_order_yields_in_order_with_few_results_pending(self, window, items):
+        lock = threading.Lock()
+        started = []
+
+        def work(item):
+            with lock:
+                started.append(item)
+            return item
+
+        results = []
+        with ThreadPoolExecutor(max_workers=window) as pool:
+            for result in _in_order(pool, work, range(items), window):
+                time.sleep(0.002)  # a consumer slower than the workers
+                with lock:
+                    assert len(started) - len(results) <= window + 1
+                results.append(result)
+        assert results == list(range(items))
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -524,6 +553,104 @@ class TestLedgerFingerprints:
             _digest(ledger.joint_counts_frequency), _digest(ledger.joint_counts_time),
         )
         assert observed == FINGERPRINTS[name]
+
+
+def _dense_shard_oracle(shard_index, n, config, channel, guides, cdfs):
+    """Reference shard: the same draws in the same order, with every live
+    round resolved and coded densely, in place, and the dark counts drawn
+    even at ``d == 0``.  ``_simulate_shard`` must reproduce its tally."""
+    rng = _shard_rng(config.seed, shard_index)
+    m = channel.m
+    d = channel.dark_probability
+    random_assign = config.multi_click_policy == "random-assign"
+    pattern = rng.multinomial(n, _pattern_probabilities(channel))[:4]
+    both, a_only, b_only, neither = (int(count) for count in pattern)
+    live = both + a_only + b_only + neither
+
+    def dark_counts(blocks):
+        w = rng.binomial(m, d, blocks[0] + blocks[2])
+        z = _zero_truncated_dark_counts(rng, m, d, blocks[1] + blocks[3])
+        return np.concatenate([w[: blocks[0]], z[: blocks[1]], w[blocks[0] :], z[blocks[1] :]])
+
+    basis_a = rng.random(live) < config.basis_probability
+    basis_b = rng.random(live) < config.basis_probability
+    clicks_a = dark_counts((both + a_only, b_only + neither, 0, 0))
+    clicks_b = dark_counts((both, a_only, b_only, neither))
+    collide_a = rng.random(live)
+    collide_b = rng.random(live)
+    pair_u = rng.random(live)
+    registered_a = rng.integers(0, m, live).astype(np.int32)
+    registered_b = rng.integers(0, m, live).astype(np.int32)
+    assign_a = assign_b = alt_a = alt_b = None
+    if random_assign:
+        assign_a = rng.random(live)
+        assign_b = rng.random(live)
+        alt_a = rng.integers(0, m - 1, live).astype(np.int32)
+        alt_b = rng.integers(0, m - 1, live).astype(np.int32)
+
+    both_time = ~(basis_a | basis_b)
+    if guides is None:
+        symbol_a = symbol_b = np.minimum((pair_u * m).astype(np.int32), m - 1)
+    else:
+        symbol_b, symbol_a = np.divmod(_sample_cells(guides, cdfs, pair_u, both_time), m)
+
+    def resolve(photon, symbol, dark_count, collide_u, dark_index, assign_u, alt_index):
+        for s in photon:
+            dark_count[s] += collide_u[s] * m >= dark_count[s]
+            if assign_u is None:
+                dark_index[s] = symbol[s]
+            else:
+                alt = alt_index[s] + (alt_index[s] >= symbol[s])
+                dark_index[s] = np.where(assign_u[s] * dark_count[s] < 1.0, symbol[s], alt)
+
+    photon_a = [slice(0, both + a_only)]
+    photon_b = [slice(0, both), slice(both + a_only, live - neither)]
+    resolve(photon_a, symbol_a, clicks_a, collide_a, registered_a, assign_a, alt_a)
+    resolve(photon_b, symbol_b, clicks_b, collide_b, registered_b, assign_b, alt_b)
+
+    cells = m * m
+    code = registered_b * m + registered_a
+    code += both_time * np.int32(cells)
+    np.putmask(code, basis_a != basis_b, 2 * cells)
+    if not random_assign:
+        np.putmask(code, (clicks_a > 1) | (clicks_b > 1), 2 * cells + 1)
+    return ck.RoundLedger(m, n, np.bincount(code, minlength=2 * cells + 2))
+
+
+class TestSparseBookkeeping:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        m=st.sampled_from([2, 3, 7, 8, 33, 256]),
+        d=st.sampled_from([0.0, 1e-6, 1e-3, 0.05, 0.3, 0.7]),
+        policy=st.sampled_from(["discard", "random-assign"]),
+        model=st.sampled_from(["ideal-delta", "sampled-jsa"]),
+        basis_probability=st.floats(0.0, 1.0),
+        pair_probability=st.sampled_from([0.3, 1.0]),
+        detector_efficiency=st.sampled_from([0.4, 1.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_shard_tally_equals_the_dense_oracle(
+        self, m, d, policy, model, basis_probability, pair_probability,
+        detector_efficiency, seed,
+    ):
+        channel = ck.ChannelModel(
+            m=m, pair_probability=pair_probability,
+            detector_efficiency=detector_efficiency, dark_probability=d,
+        )
+        config = ck.SimulationConfig(
+            rounds=20_000, seed=seed, basis_probability=basis_probability,
+            multi_click_policy=policy, correlation_model=model,
+        )
+        guides = cdfs = None
+        if model == "sampled-jsa":
+            pair = _banded_pair(m)
+            cdfs = (
+                _joint_cdf(pair["frequency_distribution"]),
+                _joint_cdf(pair["time_distribution"]),
+            )
+            guides = np.stack([_guide_table(cdf) for cdf in cdfs])
+        shard = (3, config.rounds, config, channel, guides, cdfs)
+        assert _ledgers_equal(_simulate_shard(*shard), _dense_shard_oracle(*shard))
 
 
 def _adversarial_cdfs():
