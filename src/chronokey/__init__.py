@@ -91,6 +91,7 @@ from .security import (
     distribution_key_rate,
     entropic_bound,
     entropy_report,
+    error_model_report,
     mutual_information,
     overlap_kernel_sigma_max,
     secret_key_bound,

@@ -24,7 +24,6 @@ from .config import RunConfig, load_config, set_by_path
 from .detection import (
     FREQUENCY_BASIS,
     TIME_BASIS,
-    OutcomeDistribution,
     design_time_lens,
     joint_outcome_distribution,
     resolution_product,
@@ -37,8 +36,8 @@ from .montecarlo import (
     estimate_key_rate,
     simulate_rounds,
 )
-from .noise import error_model_distribution, error_probability, pure_noise, transmission
-from .security import distribution_key_rate, simplified_key_rate
+from .noise import error_probability, pure_noise, transmission
+from .security import simplified_key_rate
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -62,26 +61,17 @@ def _cell(value) -> str:
 
 
 def _closed_form_key_rates(config: RunConfig) -> dict:
-    """Error-model entropy route and the simplified closed form, as one
-    JSON-ready block."""
+    """The channel's error probability and the uniform-error key bound, as
+    one JSON-ready block."""
     scheme = config.binning()
     model = config.channel_model()
     p = error_probability(model)
-    joint = error_model_distribution(scheme.m, p)
-    rate = distribution_key_rate(
-        OutcomeDistribution(FREQUENCY_BASIS, joint),
-        OutcomeDistribution(TIME_BASIS, joint),
-        scheme,
-        design_time_lens(scheme),
-    )
+    rate = simplified_key_rate(scheme.m, p, scheme.beta_plus, scheme.beta_minus)
     return {
         "error_probability": p,
         "pure_noise": pure_noise(model),
         "transmission": transmission(model),
         "entropy_route": dataclasses.asdict(rate),
-        "closed_form_secret_key": simplified_key_rate(
-            scheme.m, p, scheme.beta_plus, scheme.beta_minus
-        ),
     }
 
 
@@ -125,10 +115,7 @@ def cmd_analyze(args) -> int:
             "pure_noise": rates["pure_noise"],
             "transmission": rates["transmission"],
         },
-        "key_rate": {
-            "entropy_route": rates["entropy_route"],
-            "closed_form_secret_key": rates["closed_form_secret_key"],
-        },
+        "key_rate": {"entropy_route": rates["entropy_route"]},
     }
     _write_json(out / "analyze.json", payload)
     print(f"alphabet bits {payload['security']['alphabet_bits']:.1f}, "
@@ -150,7 +137,6 @@ def cmd_sweep(args) -> int:
         "error_probability",
         "mutual_information",
         "secret_key",
-        "closed_form_secret_key",
         "clamped",
     ]
     rows = []
@@ -161,11 +147,10 @@ def cmd_sweep(args) -> int:
         rates = _closed_form_key_rates(RunConfig.from_dict(data))
         record = {
             "parameter": sweep.parameter,
-            "value": float(value),
+            "value": value,
             "error_probability": rates["error_probability"],
             "mutual_information": rates["entropy_route"]["mutual_information"],
             "secret_key": rates["entropy_route"]["secret_key"],
-            "closed_form_secret_key": rates["closed_form_secret_key"],
             "clamped": rates["entropy_route"]["clamped"],
         }
         records.append(record)
@@ -285,7 +270,7 @@ def cmd_alphabet_scan(args) -> int:
     for bits in range(1, args.max_bits + 1):
         m = 2**bits
         p = error_probability(dataclasses.replace(base_model, m=m))
-        secret = simplified_key_rate(m, p, protocol.beta_plus, protocol.beta_minus)
+        secret = simplified_key_rate(m, p, protocol.beta_plus, protocol.beta_minus).secret_key
         record = {
             "alphabet_bits": bits,
             "m": m,

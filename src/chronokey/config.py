@@ -75,11 +75,11 @@ class SweepSettings:
         if self.num == 0:
             return []
         if self.spacing == "linear":
-            return list(np.linspace(self.start, self.stop, self.num))
+            return np.linspace(self.start, self.stop, self.num).tolist()
         if self.spacing == "log":
             if not (self.start > 0.0 and self.stop > 0.0):
                 raise ConfigError("log spacing needs positive endpoints")
-            return list(np.geomspace(self.start, self.stop, self.num))
+            return np.geomspace(self.start, self.stop, self.num).tolist()
         raise ConfigError(f"unknown sweep spacing {self.spacing!r}")
 
 

@@ -431,13 +431,10 @@ def simulate_rounds(
         return functools.reduce(RoundLedger.merged, ledgers, RoundLedger.empty(m))
 
 
-def empirical_distribution(
-    ledger: RoundLedger, basis: str
-) -> tuple[OutcomeDistribution, np.ndarray]:
+def empirical_distribution(ledger: RoundLedger, basis: str) -> OutcomeDistribution:
     """Relative frequencies of one basis's sifted joint counts.
 
-    Returns the distribution and the elementwise binomial standard error
-    ``sqrt(p*(1-p)/n)``.  Raises when that basis saw no sifted rounds.
+    Raises when that basis saw no sifted rounds.
     """
     if basis == FREQUENCY_BASIS:
         counts = ledger.joint_counts_frequency
@@ -448,9 +445,7 @@ def empirical_distribution(
     n = int(counts.sum())
     if n == 0:
         raise ParameterError(f"no sifted rounds in the {basis} basis")
-    probabilities = counts / n
-    stderr = np.sqrt(probabilities * (1.0 - probabilities) / n)
-    return OutcomeDistribution(basis=basis, probabilities=probabilities), stderr
+    return OutcomeDistribution(basis=basis, probabilities=counts / n)
 
 
 def empirical_error_probability(ledger: RoundLedger) -> float:
@@ -467,8 +462,8 @@ def estimate_key_rate(
     reconciliation_efficiency: float = 1.0,
 ) -> KeyRateBound:
     """Key-rate bound computed from the simulated joint counts."""
-    freq_dist, _ = empirical_distribution(ledger, FREQUENCY_BASIS)
-    time_dist, _ = empirical_distribution(ledger, TIME_BASIS)
+    freq_dist = empirical_distribution(ledger, FREQUENCY_BASIS)
+    time_dist = empirical_distribution(ledger, TIME_BASIS)
     return distribution_key_rate(
         freq_dist, time_dist, binning, lens, reconciliation_efficiency=reconciliation_efficiency
     )

@@ -242,19 +242,13 @@ def distribution_key_rate(
     )
 
 
-def simplified_key_rate(
-    m: int,
-    error_probability: float,
-    beta_plus: float = 0.75,
-    beta_minus: float = 0.2,
-    reconciliation_efficiency: float = 1.0,
-) -> float:
-    """Closed-form key bound for the uniform-error model at alphabet ``m``.
+def error_model_report(m: int, error_probability: float, basis: str) -> EntropyReport:
+    """Entropy report of the uniform symmetric error model, in closed form.
 
-    Equals ``log2(m)`` minus the binning deficit minus twice the conditional
-    entropy ``p*log2(m - 1) + h(p)`` of the uniform error model (once for
-    error correction, once for privacy against the conjugate basis).  With a
-    reconciliation efficiency below 1 the error-correction share grows.
+    Equals :func:`entropy_report` of
+    :func:`~chronokey.noise.error_model_distribution` without building the
+    m x m matrix: the receiver's marginal is uniform, ``log2(m)``, and the
+    conditional entropy is ``p*log2(m - 1) + h(p)``.
     """
     if not isinstance(m, int) or m < 2:
         raise ParameterError("alphabet size must be an integer >= 2")
@@ -262,13 +256,33 @@ def simplified_key_rate(
         raise ParameterError(
             f"error probability {error_probability!r} outside [0, {(m - 1) / m}]"
         )
-    if not 0.0 < reconciliation_efficiency <= 1.0:
-        raise ParameterError("reconciliation efficiency must lie in (0, 1]")
-    p = min(error_probability, (m - 1) / m)
-    leak = p * math.log2(m - 1) + binary_entropy(p)
-    return (
-        math.log2(m)
-        - binning_deficit(beta_plus, beta_minus)
-        - leak
-        - leak / reconciliation_efficiency
+    # A numpy scalar would make ``clamped`` a numpy bool, which JSON refuses.
+    p = float(min(error_probability, (m - 1) / m))
+    return EntropyReport(
+        basis=basis,
+        marginal_bits=math.log2(m),
+        conditional_bits=p * math.log2(m - 1) + binary_entropy(p),
+    )
+
+
+def simplified_key_rate(
+    m: int,
+    error_probability: float,
+    beta_plus: float = 0.75,
+    beta_minus: float = 0.2,
+    reconciliation_efficiency: float = 1.0,
+) -> KeyRateBound:
+    """Closed-form key bound for the uniform-error model at alphabet ``m``.
+
+    :func:`secret_key_bound` on :func:`error_model_report` in both bases:
+    ``log2(m)`` minus the binning deficit minus twice ``p*log2(m - 1) +
+    h(p)`` (error correction and privacy), clamped at ``log2(m)``.
+    """
+    deficit = binning_deficit(beta_plus, beta_minus)
+    return secret_key_bound(
+        error_model_report(m, error_probability, "frequency"),
+        error_model_report(m, error_probability, "time"),
+        math.log2(m) - deficit,
+        deficit=deficit,
+        reconciliation_efficiency=reconciliation_efficiency,
     )

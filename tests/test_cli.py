@@ -115,10 +115,34 @@ class TestAlphabetScan:
         assert len(keys) == 6
         assert all(a < b for a, b in zip(keys, keys[1:]))
 
+    def test_key_never_exceeds_the_alphabet(self, tmp_path):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"protocol": {"beta_plus": 0.5, "beta_minus": 0.4}}))
+        args = ("alphabet-scan", "--config", str(config), "--out", str(tmp_path))
+        assert _run(*args, "--max-bits", "16") == 0
+        rows = json.loads((tmp_path / "alphabet_scan.json").read_text())["rows"]
+        assert all(row["secret_key"] <= row["alphabet_bits"] for row in rows)
+
     def test_scan_past_float_kappa_saturates(self, tmp_path):
         assert _run("alphabet-scan", "--out", str(tmp_path), "--max-bits", "600") == 0
         rows = json.loads((tmp_path / "alphabet_scan.json").read_text())["rows"]
         assert [row["error_probability"] for row in rows[-80:]] == [1.0] * 80
+
+
+@pytest.mark.parametrize("bits", [4, 12])
+def test_analyze_and_alphabet_scan_share_one_key_chain(tmp_path, bits):
+    m = 2**bits
+    document = {"protocol": {"m": m}}
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(document))
+    assert _run("analyze", "--config", str(config), "--out", str(tmp_path)) == 0
+    assert _run("alphabet-scan", "--out", str(tmp_path), "--max-bits", str(bits)) == 0
+    report = json.loads((tmp_path / "analyze.json").read_text())
+    row = json.loads((tmp_path / "alphabet_scan.json").read_text())["rows"][-1]
+    p = ck.error_probability(ck.RunConfig.from_dict(document).channel_model())
+    expected = ck.simplified_key_rate(m, p).secret_key
+    assert row["m"] == m
+    assert report["key_rate"]["entropy_route"]["secret_key"] == row["secret_key"] == expected
 
 
 class TestMonteCarlo:
@@ -222,7 +246,7 @@ def test_montecarlo_basis_blocks_hold_the_ledger_counts(tmp_path, document):
         assert np.array_equal(counts, matrix)
         total = int(counts.sum())
         assert total > 0
-        expected, _ = ck.empirical_distribution(ledger, basis)
+        expected = ck.empirical_distribution(ledger, basis)
         assert np.array_equal(counts / total, expected.probabilities)
 
 

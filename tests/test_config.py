@@ -115,6 +115,20 @@ class TestSweepValues:
         ).sweep
         assert sweep.resolved_values() == pytest.approx([0.0, 0.25, 0.5, 0.75, 1.0])
 
+    @pytest.mark.parametrize(
+        "sweep",
+        [
+            {"values": [1e-6, 2e-6]},
+            {"spacing": "linear", "start": 0.0, "stop": 1.0, "num": 5},
+            {"spacing": "log", "start": 1e-7, "stop": 1e-2, "num": 11},
+        ],
+        ids=["values", "linear", "log"],
+    )
+    def test_values_are_python_floats(self, sweep):
+        values = ck.RunConfig.from_dict({"sweep": sweep}).sweep.resolved_values()
+        assert values
+        assert all(type(value) is float for value in values)
+
     def test_log_spacing_rejects_non_positive_endpoints(self):
         config = ck.RunConfig.from_dict({"sweep": {"start": 0.0}})
         with pytest.raises(ck.ConfigError):

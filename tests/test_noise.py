@@ -231,7 +231,7 @@ class TestClosedFormKeyRateCurve:
             rates = {
                 bits: ck.simplified_key_rate(
                     2**bits, ck.error_probability(_channel(2**bits))
-                )
+                ).secret_key
                 for bits in range(1, 17)
             }
         best = max(rates, key=rates.get)
@@ -243,8 +243,8 @@ class TestClosedFormKeyRateCurve:
 
 
 def _closed_form_key_rates(model):
-    """The two closed-form key rates ``analyze`` reports: the entropy route
-    through the uniform error model, and the simplified closed form."""
+    """The uniform error model's key rate two ways: from the entropies of
+    its matrix, and in closed form."""
     scheme = ck.BinningScheme(m=model.m)
     p = ck.error_probability(model)
     joint = ck.error_model_distribution(model.m, p)
@@ -254,7 +254,7 @@ def _closed_form_key_rates(model):
         scheme,
         ck.design_time_lens(scheme),
     )
-    return route.secret_key, ck.simplified_key_rate(model.m, p)
+    return route.secret_key, ck.simplified_key_rate(model.m, p).secret_key
 
 
 _DARK = st.one_of(st.just(0.0), st.floats(1e-12, 10**-0.5))
@@ -287,7 +287,9 @@ class TestKeyRateMonotoneInDarkCounts:
     def test_simplified_key_rate_falls_along_a_dark_count_grid(self, m):
         darks = [0.0, *np.logspace(-12, -0.5, 60)]
         rates = [
-            ck.simplified_key_rate(m, ck.error_probability(_channel(m, dark_probability=d)))
+            ck.simplified_key_rate(
+                m, ck.error_probability(_channel(m, dark_probability=d))
+            ).secret_key
             for d in darks
         ]
         assert all(b <= a + 1e-12 for a, b in zip(rates, rates[1:]))

@@ -71,12 +71,18 @@ class TestSharedInformation:
             ck.conditional_entropy(p, conditioned_on="eavesdropper")
 
     @pytest.mark.parametrize("m", [4, 16])
-    @pytest.mark.parametrize("p_err", [0.0, 0.01, 0.1, 0.3])
-    def test_symmetric_error_model_identities(self, m, p_err):
+    @pytest.mark.parametrize("p_err", [0.0, 0.01, 0.1, 0.3, "uniform"])
+    @pytest.mark.parametrize("route", ["matrix", "closed_form"])
+    def test_symmetric_error_model_identities(self, m, p_err, route):
+        if p_err == "uniform":
+            p_err = (m - 1) / m
         dist = ck.OutcomeDistribution(
             "frequency", ck.error_model_distribution(m, p_err), 0.0
         )
-        report = ck.entropy_report(dist)
+        matrix = ck.entropy_report(dist)
+        report = matrix if route == "matrix" else ck.error_model_report(m, p_err, "frequency")
+        assert report.marginal_bits == pytest.approx(matrix.marginal_bits, abs=1e-12)
+        assert report.conditional_bits == pytest.approx(matrix.conditional_bits, abs=1e-9)
         assert report.marginal_bits == pytest.approx(math.log2(m), abs=1e-12)
         expected = p_err * math.log2(m - 1) + ck.binary_entropy(p_err)
         assert report.conditional_bits == pytest.approx(expected, abs=1e-9)
@@ -246,7 +252,15 @@ class TestSecretKeyBound:
         bound = math.log2(m) - ck.binning_deficit(0.75, 0.2)
         route = ck.secret_key_bound(freq, time, bound)
         closed = ck.simplified_key_rate(m, p_err)
-        assert route.secret_key == pytest.approx(closed, abs=1e-9)
+        assert route.secret_key == pytest.approx(closed.secret_key, abs=1e-9)
+
+    def test_closed_form_is_clamped_at_the_alphabet(self):
+        # At these design ratios the deficit is negative: the uncertainty
+        # bound exceeds log2(m), and the receiver's own entropy binds.
+        p = ck.error_probability(ck.RunConfig().channel_model())
+        rate = ck.simplified_key_rate(16, p, 0.5, 0.4)
+        assert rate.clamped
+        assert rate.secret_key == 4.0
 
     def test_closed_form_validates_inputs(self):
         with pytest.raises(ck.ParameterError):
