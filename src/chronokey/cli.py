@@ -143,7 +143,7 @@ def cmd_sweep(args) -> int:
     records = []
     for value in values:
         data = json.loads(json.dumps(base))
-        set_by_path(data, sweep.parameter, value)
+        value = set_by_path(data, sweep.parameter, value)
         rates = _closed_form_key_rates(RunConfig.from_dict(data))
         record = {
             "parameter": sweep.parameter,

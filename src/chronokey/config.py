@@ -198,15 +198,22 @@ def save_config(config: RunConfig, path: str | Path) -> None:
     Path(path).write_text(json.dumps(config.to_dict(), indent=2, sort_keys=True) + "\n")
 
 
-def set_by_path(data: dict, dotted: str, value) -> None:
-    """Assign ``section.key`` inside a config dictionary, validating names."""
+def set_by_path(data: dict, dotted: str, value):
+    """Assign ``section.key`` inside a config dictionary, validating names,
+    and return the value assigned.  A key with an integer default takes an
+    integral float as an ``int``; a fractional one is refused."""
     parts = dotted.split(".")
     if len(parts) != 2:
         raise ConfigError(f"sweep parameter {dotted!r} must look like 'section.key'")
     section, key = parts
     if section not in _SECTIONS:
         raise ConfigError(f"unknown section {section!r}")
-    known = {f.name for f in dataclasses.fields(_SECTIONS[section])}
-    if key not in known:
+    defaults = {f.name: f.default for f in dataclasses.fields(_SECTIONS[section])}
+    if key not in defaults:
         raise ConfigError(f"unknown key {key!r} in section {section!r}")
+    if type(defaults[key]) is int and isinstance(value, float):
+        if not value.is_integer():
+            raise ConfigError(f"key {key!r} in section {section!r} takes integers, got {value!r}")
+        value = int(value)
     data.setdefault(section, {})[key] = value
+    return value

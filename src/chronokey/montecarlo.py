@@ -34,6 +34,18 @@ count, the dead rounds, is its round total minus the tally's sum.
 table of its basis's CDF; only rounds in buckets that a CDF value splits
 fall back to a binary search.
 
+Draws that no round reads are skipped, not made.  The collision uniforms
+and click positions, and under random-assign the assignment uniforms and
+alternative positions, are read only at the rounds a dark count touched.
+In a shard with none (every shard at ``d == 0``, which builds no click
+arrays either) the Philox generator is moved past them exactly as far as
+drawing them would: a double takes one 64-bit word and an integer below a
+power of two one 32-bit half (Lemire's sampler never rejects there), whole
+4-word blocks are jumped with ``Philox.advance`` (Salmon et al., SC'11), and
+the generator state ends the same, buffers included.  Below any other bound
+a value may take several halves, so those are drawn.  The random stream, and
+with it every ledger, is thus the one that drawing everything gives.
+
 Determinism: rounds are processed in fixed-size shards, each driven by its
 own counter-based generator keyed on ``(seed, shard_index)``.  A shard's
 draws depend only on that generator, and shard results are merged in index
@@ -258,13 +270,12 @@ def _dark_counts(
 ) -> np.ndarray:
     """Dark counts of one side over the live rounds, whose blocks of sizes
     ``blocks`` alternate between the photon having clicked (unconditioned
-    draws) and not (at least one), photon first.  numpy's ``binomial``
-    returns zeros for ``d == 0`` without drawing, so skipping it there leaves
-    the stream as it was."""
-    size = blocks[0] + blocks[2]
-    w = rng.binomial(m, d, size) if d > 0.0 else np.zeros(size, dtype=np.int64)
+    draws) and not (at least one), photon first.  Called only for
+    ``d > 0``: at ``d == 0`` numpy's ``binomial`` returns zeros without
+    drawing, and no side lacks its photon, so the counts take no draws."""
+    w = rng.binomial(m, d, blocks[0] + blocks[2])
     z = _zero_truncated_dark_counts(rng, m, d, blocks[1] + blocks[3])
-    if z.size == 0:  # always at d == 0; copying w would touch every page
+    if z.size == 0:  # every photon clicked; copying w would touch every page
         return w
     return np.concatenate([w[: blocks[0]], z[: blocks[1]], w[blocks[0] :], z[blocks[1] :]])
 
@@ -297,6 +308,52 @@ def _resolve_side(
     return clicks, registered
 
 
+def _draws_at(
+    rng: np.random.Generator, special: np.ndarray, count: int, high: int | None = None
+) -> np.ndarray:
+    """``rng.random(count)[special]``, or with ``high`` given
+    ``rng.integers(0, high, count, dtype=np.int32)[special]``.
+
+    With ``special`` empty no draw is read, so the generator is moved
+    exactly past the draws instead of making them: a double takes one
+    64-bit Philox word and, at a power-of-two ``high``, an integer one
+    32-bit half (Lemire's sampler never rejects there; ``high == 1`` takes
+    none).  Whole 4-word blocks are jumped with ``Philox.advance``; the
+    words either side of them come from the buffered block.  The state,
+    buffer and spare half included, is then what the draws would leave.
+    Other ranges may reject and redraw, so they are drawn.
+    """
+    if special.size or (high is not None and high & (high - 1)):
+        values = rng.random(count) if high is None else rng.integers(0, high, count, dtype=np.int32)
+        return values[special]
+    empty = np.empty(0, dtype=np.float64 if high is None else np.int32)
+    if count == 0 or high == 1:
+        return empty
+    bits = rng.bit_generator
+    state = bits.state
+    has_uint32, uinteger = state["has_uint32"], state["uinteger"]
+    words = count
+    if high is not None:
+        # A spare half from an earlier 64-bit word is read first; the last
+        # word's high half is kept for the next read when ``halves`` is odd.
+        halves = count - has_uint32
+        words, has_uint32 = (halves + 1) // 2, halves % 2
+    position = state["buffer_pos"]
+    if position + words <= 4:
+        state["buffer_pos"] = position + words
+        last = state["buffer"][position + words - 1]
+    else:
+        blocks, rest = divmod(position + words - 5, 4)
+        bits.advance(blocks)  # also discards the buffered block
+        last = bits.random_raw(rest + 1)[-1]
+        state = bits.state
+    if high is not None and words:  # the spare half is the last word's high half
+        uinteger = int(last) >> 32
+    state["has_uint32"], state["uinteger"] = has_uint32, uinteger
+    bits.state = state
+    return empty
+
+
 def _simulate_shard(
     shard_index: int,
     n: int,
@@ -318,15 +375,19 @@ def _simulate_shard(
 
     # Fixed draw order over the live rounds.  Rounds no dark count touched
     # click once per side and register the pair's symbols, so every later
-    # per-round draw is kept only at the ``special`` rounds.
+    # per-round draw is kept only at the ``special`` rounds, and skipped
+    # where there are none.
     basis_a = rng.random(live) < config.basis_probability
     basis_b = rng.random(live) < config.basis_probability
-    clicks_a = _dark_counts(rng, (both + a_only, b_only + neither, 0, 0), m, d)
-    clicks_b = _dark_counts(rng, (both, a_only, b_only, neither), m, d)
-    special = np.flatnonzero(clicks_a | clicks_b)
-    clicks_a, clicks_b = clicks_a[special], clicks_b[special]
-    collide_a = rng.random(live)[special]
-    collide_b = rng.random(live)[special]
+    if d > 0.0:
+        clicks_a = _dark_counts(rng, (both + a_only, b_only + neither, 0, 0), m, d)
+        clicks_b = _dark_counts(rng, (both, a_only, b_only, neither), m, d)
+        special = np.flatnonzero(clicks_a | clicks_b)
+        clicks_a, clicks_b = clicks_a[special], clicks_b[special]
+    else:  # no dark counts, so every live round has both photons and none is special
+        special = clicks_a = clicks_b = np.empty(0, dtype=np.intp)
+    collide_a = _draws_at(rng, special, live)
+    collide_b = _draws_at(rng, special, live)
     both_time = ~(basis_a | basis_b)
     pair_u = rng.random(live)
     # The pair's joint cell ``receiver * m + sender``.
@@ -335,14 +396,14 @@ def _simulate_shard(
     else:
         code = _sample_cells(guides, cdfs, pair_u, both_time)
     del pair_u
-    registered_a = rng.integers(0, m, live, dtype=np.int32)[special]
-    registered_b = rng.integers(0, m, live, dtype=np.int32)[special]
+    registered_a = _draws_at(rng, special, live, m)
+    registered_b = _draws_at(rng, special, live, m)
     assign_a = assign_b = alt_a = alt_b = None
     if random_assign:
-        assign_a = rng.random(live)[special]
-        assign_b = rng.random(live)[special]
-        alt_a = rng.integers(0, m - 1, live, dtype=np.int32)[special]
-        alt_b = rng.integers(0, m - 1, live, dtype=np.int32)[special]
+        assign_a = _draws_at(rng, special, live)
+        assign_b = _draws_at(rng, special, live)
+        alt_a = _draws_at(rng, special, live, m - 1)
+        alt_b = _draws_at(rng, special, live, m - 1)
 
     photon_a = special < both + a_only
     photon_b = (special < both) | ((special >= both + a_only) & (special < live - neither))

@@ -173,8 +173,9 @@ class KeyRateBound:
 
     ``secret_key`` is reported raw and may be negative when the conditional
     entropies eat the whole bound; consumers that need a rate floor use
-    :attr:`secret_key_floored`.  ``clamped`` is True when the receiver's own
-    outcome entropy, not the uncertainty bound, was the binding limit.
+    :attr:`secret_key_floored`.  ``clamped`` is True when what error
+    correction leaves of the receiver's outcome entropy, not the uncertainty
+    bound, was the binding limit.
     """
 
     uncertainty_bound: float
@@ -198,19 +199,22 @@ def secret_key_bound(
     """Combine the two bases' entropy reports into a key-rate bound.
 
     The frequency basis is the key basis: the extractable information is the
-    smaller of the receiver's outcome entropy there and the uncertainty bound
-    minus both bases' conditional entropies.  ``reconciliation_efficiency``
-    scales up the error-correction leakage (the key-basis conditional
-    entropy) for imperfect reconciliation; 1 is the ideal default.
+    smaller of what error correction leaves of the receiver's outcome entropy
+    there, ``H(B) - leak``, and the uncertainty bound minus the time basis's
+    conditional entropy and the leak.  The leak is the key-basis conditional
+    entropy ``H(B|A)`` scaled up by ``1/reconciliation_efficiency`` for
+    imperfect reconciliation; 1 is the ideal default.  A key thus never
+    exceeds the mutual information ``H(B) - H(B|A)`` it is distilled from.
     """
     if frequency.basis != "frequency" or time.basis != "time":
         raise ParameterError("reports must come from the frequency and time bases")
     if not 0.0 < reconciliation_efficiency <= 1.0:
         raise ParameterError("reconciliation efficiency must lie in (0, 1]")
     leak = frequency.conditional_bits / reconciliation_efficiency
+    ceiling = frequency.marginal_bits - leak
     info_branch = uncertainty_bound - time.conditional_bits - leak
-    clamped = frequency.marginal_bits <= info_branch
-    secret = min(frequency.marginal_bits, info_branch)
+    clamped = ceiling <= info_branch
+    secret = min(ceiling, info_branch)
     return KeyRateBound(
         uncertainty_bound=uncertainty_bound,
         mutual_information=frequency.mutual_bits,
@@ -276,7 +280,8 @@ def simplified_key_rate(
 
     :func:`secret_key_bound` on :func:`error_model_report` in both bases:
     ``log2(m)`` minus the binning deficit minus twice ``p*log2(m - 1) +
-    h(p)`` (error correction and privacy), clamped at ``log2(m)``.
+    h(p)`` (error correction and privacy), clamped at ``log2(m)`` minus the
+    error-correction leak alone.
     """
     deficit = binning_deficit(beta_plus, beta_minus)
     return secret_key_bound(

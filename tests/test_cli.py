@@ -96,6 +96,20 @@ class TestSweep:
         keys = [row["secret_key"] for row in rows]
         assert all(a > b for a, b in zip(keys, keys[1:]))
 
+    def test_sweep_over_an_integer_key(self, tmp_path):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"sweep": {"parameter": "protocol.m", "values": [4, 8]}}))
+        assert _run("sweep", "--config", str(config), "--out", str(tmp_path)) == 0
+        rows = json.loads((tmp_path / "sweep.json").read_text())["rows"]
+        assert [row["value"] for row in rows] == [4, 8]
+        expected = [
+            ck.simplified_key_rate(row["value"], row["error_probability"]).secret_key
+            for row in rows
+        ]
+        assert [row["secret_key"] for row in rows] == pytest.approx(expected, rel=1e-12)
+        lines = (tmp_path / "sweep.csv").read_text().strip().splitlines()
+        assert [line.split(",")[1] for line in lines[1:]] == ["4", "8"]
+
 
 class TestAlphabetScan:
     def test_summary_marks_peak_decline_and_crossing(self, tmp_path):
@@ -267,8 +281,12 @@ class TestErrorHandling:
             ("sweep", {"sweep": {"num": 2.5}}, "num"),
             ("sweep", {"sweep": {"values": [1e-6, "x"]}}, "values"),
             ("sweep", {"sweep": {"parameter": 5}}, "parameter"),
+            ("sweep", {"sweep": {"parameter": "protocol.m", "values": [4, 4.5]}}, "m"),
         ],
-        ids=["unknown-key", "fractional-num", "non-numeric-value", "non-string-parameter"],
+        ids=[
+            "unknown-key", "fractional-num", "non-numeric-value", "non-string-parameter",
+            "fractional-integer-sweep",
+        ],
     )
     def test_bad_config_exits_with_error_code(self, tmp_path, capsys, command, document, key):
         config = tmp_path / "cfg.json"

@@ -145,6 +145,18 @@ class TestSetByPath:
         set_by_path(data, "channel.dark_probability", 1e-4)
         assert ck.RunConfig.from_dict(data).channel.dark_probability == 1e-4
 
+    def test_integer_key_takes_integral_values_as_int(self):
+        data = ck.RunConfig().to_dict()
+        assert set_by_path(data, "protocol.m", 8.0) == 8
+        assert type(data["protocol"]["m"]) is int
+        assert ck.RunConfig.from_dict(data).protocol.m == 8
+        assert type(set_by_path(data, "channel.length", 2.0)) is float
+
+    @pytest.mark.parametrize("value", [4.5, float("inf"), float("nan")])
+    def test_integer_key_refuses_fractional_values(self, value):
+        with pytest.raises(ck.ConfigError, match="'m'"):
+            set_by_path(ck.RunConfig().to_dict(), "protocol.m", value)
+
     @pytest.mark.parametrize("dotted", ["dark", "channel.dark.deep", "bogus.key"])
     def test_rejects_malformed_paths(self, dotted):
         with pytest.raises(ck.ConfigError):

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import chronokey as ck
 from chronokey.montecarlo import (
+    _draws_at,
     _guide_table,
     _in_order,
     _joint_cdf,
@@ -368,6 +369,53 @@ class TestEventDrivenSampler:
         with pytest.raises(ck.ParameterError, match=message):
             ck.simulate_rounds(ck.SimulationConfig(rounds=10, seed=1), model)
         assert time.perf_counter() - start < 1.0
+
+
+def _primed_philox(prefix_words, spare_half):
+    """A shard generator after ``prefix_words`` doubles, preceded by one
+    power-of-two integer when ``spare_half`` (which leaves a 32-bit half
+    buffered): every buffer position, with and without a spare half."""
+    rng = _shard_rng(59, 7)
+    if spare_half:
+        rng.integers(0, 2, 1, dtype=np.int32)
+    rng.random(prefix_words)
+    return rng
+
+
+def _state_key(state):
+    return {
+        key: _state_key(value) if isinstance(value, dict)
+        else value.tolist() if isinstance(value, np.ndarray) else value
+        for key, value in state.items()
+    }
+
+
+class TestDrawSkip:
+    """``_draws_at`` with no index to keep must leave the generator exactly
+    where the real draws would, whatever numpy had buffered: this fails if
+    numpy changes how Philox buffers words or bounded integers consume them."""
+
+    @pytest.mark.parametrize("high", [None, 1, 2, 8, 256, 3, 7])
+    @pytest.mark.parametrize("count", [0, 1, 2, 3, 4, 5, 2_000_001])
+    def test_skip_leaves_the_state_of_the_real_draws(self, count, high):
+        nothing = np.empty(0, dtype=np.intp)
+        for prefix_words in range(5):
+            for spare_half in (False, True):
+                skipped = _primed_philox(prefix_words, spare_half)
+                drawn = _primed_philox(prefix_words, spare_half)
+                assert _draws_at(skipped, nothing, count, high).size == 0
+                if high is None:
+                    drawn.random(count)
+                else:
+                    drawn.integers(0, high, count, dtype=np.int32)
+                state = _state_key(skipped.bit_generator.state)
+                assert state == _state_key(drawn.bit_generator.state)
+                # The next 16 draws, halves then whole words, agree too.
+                later = [
+                    np.concatenate([rng.integers(0, 2**31, 8, dtype=np.int32), rng.random(8)])
+                    for rng in (skipped, drawn)
+                ]
+                assert np.array_equal(*later)
 
 
 @st.composite

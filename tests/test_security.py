@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import chronokey as ck
 
@@ -254,13 +256,35 @@ class TestSecretKeyBound:
         closed = ck.simplified_key_rate(m, p_err)
         assert route.secret_key == pytest.approx(closed.secret_key, abs=1e-9)
 
-    def test_closed_form_is_clamped_at_the_alphabet(self):
+    def test_closed_form_is_clamped_at_the_mutual_information(self):
         # At these design ratios the deficit is negative: the uncertainty
-        # bound exceeds log2(m), and the receiver's own entropy binds.
+        # bound exceeds log2(m), and what error correction leaves of the
+        # receiver's own entropy binds.
         p = ck.error_probability(ck.RunConfig().channel_model())
         rate = ck.simplified_key_rate(16, p, 0.5, 0.4)
         assert rate.clamped
-        assert rate.secret_key == 4.0
+        assert rate.secret_key == 4.0 - (p * math.log2(15) + ck.binary_entropy(p))
+        assert rate.secret_key == rate.mutual_information < 4.0
+
+    @given(
+        marginal=st.floats(0.0, 30.0),
+        conditional_share=st.floats(0.0, 1.0),
+        time_conditional=st.floats(0.0, 30.0),
+        uncertainty_bound=st.floats(-5.0, 40.0),
+        efficiency=st.floats(0.05, 1.0),
+    )
+    def test_key_never_exceeds_what_reconciliation_leaves(
+        self, marginal, conditional_share, time_conditional, uncertainty_bound, efficiency
+    ):
+        freq = ck.EntropyReport("frequency", marginal, marginal * conditional_share)
+        time = ck.EntropyReport("time", max(marginal, time_conditional), time_conditional)
+        rate = ck.secret_key_bound(
+            freq, time, uncertainty_bound, reconciliation_efficiency=efficiency
+        )
+        ceiling = freq.marginal_bits - freq.conditional_bits / efficiency
+        assert rate.secret_key <= ceiling
+        assert rate.secret_key <= rate.mutual_information
+        assert rate.clamped == (rate.secret_key == ceiling)
 
     def test_closed_form_validates_inputs(self):
         with pytest.raises(ck.ParameterError):
