@@ -75,8 +75,13 @@ def error_probability(model: ChannelModel) -> float:
     errors; without signal (no pairs, or no transmission) every click is a
     dark count and the result saturates at the uniform-guessing value
     ``(m-1)/m``, flagged with a :class:`PureNoiseWarning` (see
-    :func:`pure_noise`).  Where ``kappa*m`` overflows, the result is that
-    same limit, which the formula approaches as ``kappa*m`` grows.
+    :func:`pure_noise`).  The result is that same limit, which the formula
+    approaches as ``kappa*m`` grows, wherever ``kappa*m + 1`` rounds to
+    ``kappa*m`` (the formula's last digit would only wobble around it) or
+    overflows, and wherever the transmission is positive but the signal
+    weight ``eps*eta**2`` underflows to 0 (from about 370 attenuation lengths
+    at the default efficiency and pair probability, until ``eta`` itself
+    underflows near 745).
     """
     d = model.dark_probability
     if d == 0.0:
@@ -90,12 +95,14 @@ def error_probability(model: ChannelModel) -> float:
         return (model.m - 1) / model.m
     eta = transmission(model)
     eps = model.pair_probability
-    kappa = 2.0 * d * (1.0 - eta) / eta + model.m * d * d * (
-        1.0 + (1.0 - eps) / (eps * eta * eta)
-    )
-    if not math.isfinite(kappa * model.m):
+    signal = eps * eta * eta
+    if signal == 0.0:
         return (model.m - 1) / model.m
-    return kappa * (model.m - 1) / (kappa * model.m + 1.0)
+    kappa = 2.0 * d * (1.0 - eta) / eta + model.m * d * d * (1.0 + (1.0 - eps) / signal)
+    weight = kappa * model.m
+    if weight + 1.0 == weight:
+        return (model.m - 1) / model.m
+    return kappa * (model.m - 1) / (weight + 1.0)
 
 
 def pcorrect_pincorrect(model: ChannelModel) -> tuple[float, float]:

@@ -2,10 +2,11 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import chronokey as ck
@@ -13,6 +14,25 @@ import chronokey as ck
 
 def _normalize(values, spacing):
     return values / math.sqrt(float((np.abs(values) ** 2).sum() * spacing))
+
+
+TINY = np.finfo(np.float64).tiny
+
+
+def _reference_gaussian_amplitudes(delta_plus, delta_minus, grid):
+    """The Gaussian record built as one whole-matrix formula: ``exp`` of the
+    full exponent, subnormal and underflowing tail included, normalized."""
+    w = grid.points - grid.center
+    amps, wp = np.subtract.outer(w, w), np.add.outer(w, w)
+    for values, width in ((amps, delta_plus), (wp, delta_minus)):
+        values /= math.sqrt(2.0)
+        values **= 2
+        values /= -2.0 * width**2
+    amps += wp
+    np.exp(amps, out=amps)
+    norm = math.sqrt(float(np.sum(np.square(amps, out=wp)))) * grid.spacing
+    amps *= 1.0 / norm
+    return amps
 
 
 def _svd_mode_count(decomposition):
@@ -189,6 +209,60 @@ class TestSource:
         grid = ck.FrequencyGrid(64, span=8.0)
         with pytest.raises(ck.ParameterError):
             ck.JointSpectralAmplitude("sampled", grid, np.full((64, 64), bad, dtype=complex))
+
+
+class TestSubnormalFreeSource:
+    """The Gaussian record is the whole-matrix formula's, bit for bit, with
+    every entry that would be subnormal stored as an exact 0."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        narrow=st.floats(0.05, 1.0),
+        ratio=st.floats(1.0, 8.0),
+        swapped=st.booleans(),
+        # None: the default grid; else (span over 4 widths, extra doublings
+        # of the point count, grid center)
+        layout=st.none() | st.tuples(st.floats(1.0, 1.5), st.integers(0, 2), st.floats(-50.0, 50.0)),
+    )
+    # widths whose product is below 1/pi normalize by a factor above 1, so an
+    # entry whose exponential is subnormal can end up normal (144 do here)
+    @example(narrow=0.1, ratio=10.0, swapped=False, layout=(1.0, 2, 0.0))
+    def test_record_is_the_reference_with_subnormals_zeroed(self, narrow, ratio, swapped, layout):
+        wide = narrow * ratio
+        delta_plus, delta_minus = (narrow, wide) if swapped else (wide, narrow)
+        grid = None
+        if layout is not None:
+            widths, doublings, center = layout
+            span = 4.0 * wide * widths
+            n_points = 1 << (math.ceil(math.log2(4.0 * span / narrow)) + doublings)
+            grid = ck.FrequencyGrid(n_points, span=span, center=center)
+        jsa = ck.make_gaussian_jsa(delta_plus, delta_minus, grid=grid)
+        reference = _reference_gaussian_amplitudes(delta_plus, delta_minus, jsa.grid)
+        amps = jsa.amplitudes
+        assert not np.any((amps != 0.0) & (np.abs(amps) < TINY))
+        assert np.array_equal(amps, np.where(reference >= TINY, reference, 0.0))
+
+    @pytest.mark.parametrize("m,n_points", [(4, 256), (8, 1024), (16, 1024)])
+    def test_downstream_results_are_bitwise_unchanged(self, m, n_points):
+        scheme, jsa = ck.design_binning(m, grid=ck.FrequencyGrid(n_points, span=3.0 * m))
+        lens = ck.design_time_lens(scheme)
+        reference = ck.JointSpectralAmplitude(
+            "parametric-gaussian",
+            jsa.grid,
+            _reference_gaussian_amplitudes(jsa.delta_plus, jsa.delta_minus, jsa.grid),
+            jsa.delta_plus,
+            jsa.delta_minus,
+        )
+        assert np.any((reference.amplitudes > 0.0) & (reference.amplitudes < TINY))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ck.CoverageWarning)
+            for basis in ("frequency", "time"):
+                ours = ck.joint_outcome_distribution(jsa, scheme, lens, basis)
+                theirs = ck.joint_outcome_distribution(reference, scheme, lens, basis)
+                assert np.array_equal(ours.probabilities, theirs.probabilities)
+                assert ours.out_of_window == theirs.out_of_window
+        assert ck.schmidt_decompose(jsa).schmidt_number == ck.schmidt_decompose(reference).schmidt_number
+        assert np.array_equal(ck.to_temporal(jsa).amplitudes, ck.to_temporal(reference).amplitudes)
 
 
 class TestSchmidt:

@@ -49,6 +49,17 @@ class TestAnalyze:
         )
 
 
+@pytest.mark.parametrize("command", ["analyze", "sweep"])
+def test_channel_past_the_signal_underflow(tmp_path, command):
+    # 400 attenuation lengths: the transmission is positive, eps*eta**2 is 0
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"channel": {"length": 400.0}}))
+    assert _run(command, "--config", str(config), "--out", str(tmp_path)) == 0
+    report = json.loads((tmp_path / f"{command}.json").read_text())
+    channels = [report["channel"]] if command == "analyze" else report["rows"]
+    assert [row["error_probability"] for row in channels] == [15 / 16] * len(channels)
+
+
 @pytest.mark.filterwarnings("ignore::chronokey.PureNoiseWarning")
 @pytest.mark.parametrize(
     "document,expected",

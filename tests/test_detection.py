@@ -219,6 +219,26 @@ class TestTimeBinning:
         )
         assert conditional == pytest.approx(ORACLE16_CONDITIONAL_BITS, abs=1.5e-3)
 
+    @pytest.mark.parametrize("m,n_points", [(4, 256), (8, 1024)])
+    def test_real_record_bins_as_its_complex_copy(self, m, n_points):
+        # a real joint record takes one real GEMM against the kernel's
+        # interleaved (re, im) columns; a complex one the general product
+        scheme, source = ck.design_binning(m, grid=ck.FrequencyGrid(n_points, span=3.0 * m))
+        lens = ck.design_time_lens(scheme)
+        as_complex = ck.JointSpectralAmplitude("sampled", source.grid, source.amplitudes + 0j)
+        grid = source.grid
+        state = _normalize(np.exp(-((grid.points - 0.3) ** 2) / (2 * 1.5**2)), grid.spacing)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ck.CoverageWarning)
+            real = ck.joint_outcome_distribution(source, scheme, lens, basis="time")
+            general = ck.joint_outcome_distribution(as_complex, scheme, lens, basis="time")
+            single_real = ck.binned_arrival_times(state, grid, scheme, lens)
+            single_complex = ck.binned_arrival_times(state + 0j, grid, scheme, lens)
+        assert np.abs(real.probabilities - general.probabilities).max() < 1e-13
+        assert real.out_of_window == pytest.approx(general.out_of_window, abs=1e-13)
+        assert np.abs(single_real[0] - single_complex[0]).max() < 1e-13
+        assert single_real[1] == pytest.approx(single_complex[1], abs=1e-13)
+
     def test_rejects_unknown_basis(self, designed16):
         scheme, source, lens = designed16
         with pytest.raises(ck.ParameterError):

@@ -109,6 +109,27 @@ class TestErrorProbability:
         m = 2**bits
         assert ck.error_probability(_channel(m)) == (m - 1) / m
 
+    def test_underflowing_signal_gives_the_uniform_limit(self):
+        # at 400 attenuation lengths the transmission is still positive but
+        # the signal weight eps*eta**2 underflows to 0
+        model = _channel(16, length=400.0)
+        assert ck.transmission(model) > 0.0
+        assert model.pair_probability * ck.transmission(model) ** 2 == 0.0
+        assert not ck.pure_noise(model)
+        assert ck.error_probability(model) == 15 / 16
+
+    def test_error_saturates_monotonically_along_a_long_fiber(self):
+        # through kappa*m past 2**53 and past the float range, the signal
+        # underflow (~370) and the transmission underflow (~745, pure noise
+        # from there on)
+        lengths = np.linspace(300.0, 800.0, 501)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ck.PureNoiseWarning)
+            values = np.array([ck.error_probability(_channel(16, length=float(x))) for x in lengths])
+        assert np.all(np.isfinite(values))
+        assert np.all(np.diff(values) >= 0.0)
+        assert values[-1] == 15 / 16
+
     def test_error_grows_with_darks_and_alphabet(self):
         darks = [1e-7, 1e-6, 1e-5, 1e-4, 1e-3]
         values = [ck.error_probability(_channel(64, dark_probability=d)) for d in darks]
