@@ -34,21 +34,18 @@ count, the dead rounds, is its round total minus the tally's sum.
 table of its basis's CDF; only rounds in buckets that a CDF value splits
 fall back to a binary search.
 
-Draws that no round reads are skipped, not made.  The collision uniforms
-and click positions, and under random-assign the assignment uniforms and
-alternative positions, are read only at the rounds a dark count touched.
-In a shard with none (every shard at ``d == 0``, which builds no click
-arrays either) the Philox generator is moved past them exactly as far as
-drawing them would: a double takes one 64-bit word and an integer below a
-power of two one 32-bit half (Lemire's sampler never rejects there), whole
-4-word blocks are jumped with ``Philox.advance`` (Salmon et al., SC'11), and
-the generator state ends the same, buffers included.  Below any other bound
-a value may take several halves, so those are drawn.  The random stream, and
-with it every ledger, is thus the one that drawing everything gives.
+Draws that no round reads are not made.  The collision uniforms and click
+positions, and under random-assign the assignment uniforms and alternative
+positions, are read only at the rounds a dark count touched, and at
+``d == 0`` there are none.  The two collision-uniform arrays come before
+the pair's draw, so a noiseless shard moves its Philox generator past them
+to the state drawing them leaves (``Philox.advance``, Salmon et al., SC'11).
+The draws after the pair's are the shard's last, so it does not make them.
+Every ledger is thus the one that drawing everything gives.
 
 Determinism: rounds are processed in fixed-size shards, each driven by its
 own counter-based generator keyed on ``(seed, shard_index)``.  A shard's
-draws depend only on that generator, and shard results are merged in index
+draws depend only on that generator, and shard tallies are added in index
 order, so the ledger depends only on ``seed``, ``rounds``, and
 ``shard_size``, never on the thread count.
 """
@@ -56,7 +53,6 @@ order, so the ledger depends only on ``seed``, ``rounds``, and
 from __future__ import annotations
 
 import collections
-import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -133,6 +129,10 @@ class RoundLedger:
     tally: np.ndarray
 
     def __post_init__(self) -> None:
+        if not _is_int(self.m) or self.m < 2:
+            raise ParameterError(f"tally alphabet size must be an integer >= 2, got {self.m!r}")
+        if not _is_int(self.rounds) or self.rounds < 0:
+            raise ParameterError(f"tally round total must be an integer >= 0, got {self.rounds!r}")
         size = 2 * self.m * self.m + 2
         tally = self.tally
         if not isinstance(tally, np.ndarray) or tally.dtype != np.int64 or tally.shape != (size,):
@@ -308,50 +308,23 @@ def _resolve_side(
     return clicks, registered
 
 
-def _draws_at(
-    rng: np.random.Generator, special: np.ndarray, count: int, high: int | None = None
-) -> np.ndarray:
-    """``rng.random(count)[special]``, or with ``high`` given
-    ``rng.integers(0, high, count, dtype=np.int32)[special]``.
-
-    With ``special`` empty no draw is read, so the generator is moved
-    exactly past the draws instead of making them: a double takes one
-    64-bit Philox word and, at a power-of-two ``high``, an integer one
-    32-bit half (Lemire's sampler never rejects there; ``high == 1`` takes
-    none).  Whole 4-word blocks are jumped with ``Philox.advance``; the
-    words either side of them come from the buffered block.  The state,
-    buffer and spare half included, is then what the draws would leave.
-    Other ranges may reject and redraw, so they are drawn.
+def _skip_doubles(rng: np.random.Generator, count: int) -> None:
+    """Move ``rng`` past ``rng.random(count)`` without drawing: a double
+    takes one 64-bit Philox word, whole 4-word blocks are jumped with
+    ``Philox.advance`` and the words either side come from the buffered
+    block.  State, buffer and spare 32-bit half end as the draw leaves them.
     """
-    if special.size or (high is not None and high & (high - 1)):
-        values = rng.random(count) if high is None else rng.integers(0, high, count, dtype=np.int32)
-        return values[special]
-    empty = np.empty(0, dtype=np.float64 if high is None else np.int32)
-    if count == 0 or high == 1:
-        return empty
     bits = rng.bit_generator
     state = bits.state
-    has_uint32, uinteger = state["has_uint32"], state["uinteger"]
-    words = count
-    if high is not None:
-        # A spare half from an earlier 64-bit word is read first; the last
-        # word's high half is kept for the next read when ``halves`` is odd.
-        halves = count - has_uint32
-        words, has_uint32 = (halves + 1) // 2, halves % 2
-    position = state["buffer_pos"]
-    if position + words <= 4:
-        state["buffer_pos"] = position + words
-        last = state["buffer"][position + words - 1]
+    position = state["buffer_pos"] + count
+    if position > 4:
+        blocks, rest = divmod(position - 5, 4)
+        bits.advance(blocks)  # also drops the buffered block and the spare half
+        bits.random_raw(rest + 1)
+        state = {**bits.state, "has_uint32": state["has_uint32"], "uinteger": state["uinteger"]}
     else:
-        blocks, rest = divmod(position + words - 5, 4)
-        bits.advance(blocks)  # also discards the buffered block
-        last = bits.random_raw(rest + 1)[-1]
-        state = bits.state
-    if high is not None and words:  # the spare half is the last word's high half
-        uinteger = int(last) >> 32
-    state["has_uint32"], state["uinteger"] = has_uint32, uinteger
+        state["buffer_pos"] = position
     bits.state = state
-    return empty
 
 
 def _simulate_shard(
@@ -374,9 +347,8 @@ def _simulate_shard(
     live = both + a_only + b_only + neither
 
     # Fixed draw order over the live rounds.  Rounds no dark count touched
-    # click once per side and register the pair's symbols, so every later
-    # per-round draw is kept only at the ``special`` rounds, and skipped
-    # where there are none.
+    # click once per side and register the pair's symbols, so every draw
+    # after the dark counts is kept only at the ``special`` rounds.
     basis_a = rng.random(live) < config.basis_probability
     basis_b = rng.random(live) < config.basis_probability
     if d > 0.0:
@@ -384,10 +356,10 @@ def _simulate_shard(
         clicks_b = _dark_counts(rng, (both, a_only, b_only, neither), m, d)
         special = np.flatnonzero(clicks_a | clicks_b)
         clicks_a, clicks_b = clicks_a[special], clicks_b[special]
-    else:  # no dark counts, so every live round has both photons and none is special
-        special = clicks_a = clicks_b = np.empty(0, dtype=np.intp)
-    collide_a = _draws_at(rng, special, live)
-    collide_b = _draws_at(rng, special, live)
+        collide_a = rng.random(live)[special]
+        collide_b = rng.random(live)[special]
+    else:  # every live round has both photons and no dark count
+        _skip_doubles(rng, 2 * live)
     both_time = ~(basis_a | basis_b)
     pair_u = rng.random(live)
     # The pair's joint cell ``receiver * m + sender``.
@@ -396,36 +368,41 @@ def _simulate_shard(
     else:
         code = _sample_cells(guides, cdfs, pair_u, both_time)
     del pair_u
-    registered_a = _draws_at(rng, special, live, m)
-    registered_b = _draws_at(rng, special, live, m)
-    assign_a = assign_b = alt_a = alt_b = None
-    if random_assign:
-        assign_a = _draws_at(rng, special, live)
-        assign_b = _draws_at(rng, special, live)
-        alt_a = _draws_at(rng, special, live, m - 1)
-        alt_b = _draws_at(rng, special, live, m - 1)
 
-    photon_a = special < both + a_only
-    photon_b = (special < both) | ((special >= both + a_only) & (special < live - neither))
-    symbol_b, symbol_a = np.divmod(code[special], m)
-    clicks_a, registered_a = _resolve_side(
-        photon_a, symbol_a, clicks_a, collide_a, registered_a, assign_a, alt_a, m
-    )
-    clicks_b, registered_b = _resolve_side(
-        photon_b, symbol_b, clicks_b, collide_b, registered_b, assign_b, alt_b, m
-    )
+    # The click positions and assignment draws are the shard's last, so a
+    # shard without dark counts does not make them.
+    cells = m * m
+    discarded = np.empty(0, dtype=np.intp)
+    if d > 0.0:
+        registered_a = rng.integers(0, m, live, dtype=np.int32)[special]
+        registered_b = rng.integers(0, m, live, dtype=np.int32)[special]
+        assign_a = assign_b = alt_a = alt_b = None
+        if random_assign:
+            assign_a = rng.random(live)[special]
+            assign_b = rng.random(live)[special]
+            alt_a = rng.integers(0, m - 1, live, dtype=np.int32)[special]
+            alt_b = rng.integers(0, m - 1, live, dtype=np.int32)[special]
+        photon_a = special < both + a_only
+        photon_b = (special < both) | ((special >= both + a_only) & (special < live - neither))
+        symbol_b, symbol_a = np.divmod(code[special], m)
+        clicks_a, registered_a = _resolve_side(
+            photon_a, symbol_a, clicks_a, collide_a, registered_a, assign_a, alt_a, m
+        )
+        clicks_b, registered_b = _resolve_side(
+            photon_b, symbol_b, clicks_b, collide_b, registered_b, assign_b, alt_b, m
+        )
+        code[special] = registered_b * m + registered_a
+        if not random_assign:
+            discarded = special[(clicks_a > 1) | (clicks_b > 1)]
 
     # One tally code per live round (see the module docstring).
-    cells = m * m
-    code[special] = registered_b * m + registered_a
     # Branch-free arithmetic: masked writes at random positions cost several
     # times more than a multiply over the whole block.
     code += both_time * np.int32(cells)
     mismatch = basis_a != basis_b
     code *= ~mismatch
     code += mismatch * np.int32(2 * cells)
-    if not random_assign:
-        code[special[(clicks_a > 1) | (clicks_b > 1)]] = 2 * cells + 1
+    code[discarded] = 2 * cells + 1
     return RoundLedger(m, n, np.bincount(code, minlength=2 * cells + 2))
 
 
@@ -480,16 +457,21 @@ def simulate_rounds(
     starts = range(0, config.rounds, config.shard_size)
     shards = [(i, min(config.shard_size, config.rounds - start)) for i, start in enumerate(starts)]
 
-    def run(shard: tuple[int, int]) -> RoundLedger:
-        return _simulate_shard(shard[0], shard[1], config, channel, guides, cdfs)
+    def run(shard: tuple[int, int]) -> np.ndarray:
+        return _simulate_shard(shard[0], shard[1], config, channel, guides, cdfs).tally
 
-    # Shard ledgers are merged in index order as they arrive, so at most
-    # O(threads) shard tallies are alive at once.
+    # Shard tallies are added into one total in index order as they arrive,
+    # so at most O(threads) shard tallies are alive at once.
+    total = np.zeros(2 * m * m + 2, dtype=np.int64)
     if threads == 1 or len(shards) == 1:
-        return functools.reduce(RoundLedger.merged, map(run, shards), RoundLedger.empty(m))
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        ledgers = _in_order(pool, run, shards, threads)
-        return functools.reduce(RoundLedger.merged, ledgers, RoundLedger.empty(m))
+        for shard in shards:
+            total += run(shard)
+    else:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            for tally in _in_order(pool, run, shards, threads):
+                total += tally
+                del tally  # not kept alive while the next shard is awaited
+    return RoundLedger(m, config.rounds, total)
 
 
 def empirical_distribution(ledger: RoundLedger, basis: str) -> OutcomeDistribution:

@@ -4,6 +4,7 @@ import hashlib
 import math
 import threading
 import time
+import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 
@@ -14,7 +15,6 @@ from hypothesis import strategies as st
 
 import chronokey as ck
 from chronokey.montecarlo import (
-    _draws_at,
     _guide_table,
     _in_order,
     _joint_cdf,
@@ -22,6 +22,7 @@ from chronokey.montecarlo import (
     _sample_cells,
     _shard_rng,
     _simulate_shard,
+    _skip_doubles,
     _zero_truncated_dark_counts,
 )
 
@@ -149,21 +150,38 @@ class TestLedgerAccounting:
         assert ledger.joint_counts_frequency.nbytes == ledger.joint_counts_time.nbytes == 8 * 64
         assert not ledger.tally.flags.writeable
 
+    def test_shard_tallies_add_into_one_total(self):
+        # At the peak only the running total and one shard's tally are alive.
+        config = ck.SimulationConfig(rounds=400_000, seed=29, shard_size=50_000)
+        tracemalloc.start()
+        try:
+            ledger = ck.simulate_rounds(config, _channel(512), threads=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * ledger.tally.nbytes
+
     @pytest.mark.parametrize(
-        "rounds,tally",
+        "m,rounds,tally",
         [
-            (100, np.array([1] * 9 + [-1] + [0] * 10, dtype=np.int64)),
-            (100, np.zeros(19, dtype=np.int64)),
-            (100, np.zeros(20, dtype=np.int32)),
-            (100, np.zeros(20)),
-            (100, [0] * 20),
-            (5, np.array([3] * 2 + [0] * 18, dtype=np.int64)),
+            (3, 100, np.array([1] * 9 + [-1] + [0] * 10, dtype=np.int64)),
+            (3, 100, np.zeros(19, dtype=np.int64)),
+            (3, 100, np.zeros(20, dtype=np.int32)),
+            (3, 100, np.zeros(20)),
+            (3, 100, [0] * 20),
+            (3, 5, np.array([3] * 2 + [0] * 18, dtype=np.int64)),
+            (-3, 0, np.zeros(20, dtype=np.int64)),
+            (True, 0, np.zeros(4, dtype=np.int64)),
+            (2, 2.5, np.zeros(10, dtype=np.int64)),
         ],
-        ids=["negative", "short", "int32", "float", "list", "past-rounds"],
+        ids=[
+            "negative", "short", "int32", "float", "list", "past-rounds",
+            "negative-m", "boolean-m", "fractional-rounds",
+        ],
     )
-    def test_ledger_refuses_an_unrepresentable_tally(self, rounds, tally):
+    def test_ledger_refuses_an_unrepresentable_tally(self, m, rounds, tally):
         with pytest.raises(ck.ParameterError, match="tally"):
-            ck.RoundLedger(m=3, rounds=rounds, tally=tally)
+            ck.RoundLedger(m=m, rounds=rounds, tally=tally)
 
 
 class TestAgainstClosedForms:
@@ -391,23 +409,18 @@ def _state_key(state):
 
 
 class TestDrawSkip:
-    """``_draws_at`` with no index to keep must leave the generator exactly
-    where the real draws would, whatever numpy had buffered: this fails if
-    numpy changes how Philox buffers words or bounded integers consume them."""
+    """``_skip_doubles`` must leave the generator exactly where
+    ``rng.random(count)`` would, whatever numpy had buffered: this fails if
+    numpy changes how Philox buffers words or doubles consume them."""
 
-    @pytest.mark.parametrize("high", [None, 1, 2, 8, 256, 3, 7])
     @pytest.mark.parametrize("count", [0, 1, 2, 3, 4, 5, 2_000_001])
-    def test_skip_leaves_the_state_of_the_real_draws(self, count, high):
-        nothing = np.empty(0, dtype=np.intp)
+    def test_skip_leaves_the_state_of_the_real_draws(self, count):
         for prefix_words in range(5):
             for spare_half in (False, True):
                 skipped = _primed_philox(prefix_words, spare_half)
                 drawn = _primed_philox(prefix_words, spare_half)
-                assert _draws_at(skipped, nothing, count, high).size == 0
-                if high is None:
-                    drawn.random(count)
-                else:
-                    drawn.integers(0, high, count, dtype=np.int32)
+                _skip_doubles(skipped, count)
+                drawn.random(count)
                 state = _state_key(skipped.bit_generator.state)
                 assert state == _state_key(drawn.bit_generator.state)
                 # The next 16 draws, halves then whole words, agree too.
@@ -532,6 +545,10 @@ FINGERPRINTS = {
         200_000, 182_045, 4_737, 0, 13_218, 2_615, 10_603,
         "539b7595262ebc22", "2d5565fb483d8ea4",
     ),
+    "m7-noiseless-random-assign": (
+        300_000, 0, 0, 144_153, 155_847, 155_847, 0,
+        "60a0ca1d39ac33ed", "169fda65223655d5",
+    ),
 }
 
 
@@ -576,6 +593,15 @@ def _fingerprint_case(name):
             rounds=200_000, seed=109, shard_size=70_000, basis_probability=1.0
         )
         return config, _channel(6, pair_probability=0.5, dark_probability=0.05), {}
+    if name == "m7-noiseless-random-assign":
+        # Bounds 7 and 6 are not powers of two, so a click or alternative
+        # position may take several 32-bit halves; a noiseless shard draws
+        # neither.
+        config = ck.SimulationConfig(
+            rounds=300_000, seed=110, shard_size=110_000, basis_probability=0.4,
+            multi_click_policy="random-assign",
+        )
+        return config, _noiseless(7), {}
     config = ck.SimulationConfig(
         rounds=400_000, seed=105, shard_size=200_000, correlation_model="sampled-jsa"
     )
