@@ -173,10 +173,17 @@ class TestLedgerAccounting:
             (-3, 0, np.zeros(20, dtype=np.int64)),
             (True, 0, np.zeros(4, dtype=np.int64)),
             (2, 2.5, np.zeros(10, dtype=np.int64)),
+            (1, 0, np.zeros(3, dtype=np.int64)),
+            (3.0, 0, np.zeros(20, dtype=np.int64)),
+            ("3", 0, np.zeros(20, dtype=np.int64)),
+            (3, -1, np.zeros(20, dtype=np.int64)),
+            (3, True, np.zeros(20, dtype=np.int64)),
+            (3, None, np.zeros(20, dtype=np.int64)),
         ],
         ids=[
             "negative", "short", "int32", "float", "list", "past-rounds",
-            "negative-m", "boolean-m", "fractional-rounds",
+            "negative-m", "boolean-m", "fractional-rounds", "one-symbol-m",
+            "float-m", "string-m", "negative-rounds", "boolean-rounds", "no-rounds",
         ],
     )
     def test_ledger_refuses_an_unrepresentable_tally(self, m, rounds, tally):
@@ -722,6 +729,32 @@ class TestSparseBookkeeping:
             guides = np.stack([_guide_table(cdf) for cdf in cdfs])
         shard = (3, config.rounds, config, channel, guides, cdfs)
         assert _ledgers_equal(_simulate_shard(*shard), _dense_shard_oracle(*shard))
+
+    @pytest.mark.parametrize("model", ["ideal-delta", "sampled-jsa"])
+    @pytest.mark.parametrize("policy", ["discard", "random-assign"])
+    @pytest.mark.parametrize("m", [2, 3, 4, 7, 8, 9, 256, 257])
+    def test_noiseless_shard_needs_none_of_the_trailing_draws(self, m, policy, model):
+        # The oracle still draws the click positions (bound m) and, under
+        # random-assign, the alternative positions (bound m - 1) after the
+        # pair cells; the shard stops at the pair cells.  Powers of two and
+        # their neighbours take different numbers of 32-bit halves per draw.
+        channel = ck.ChannelModel(
+            m=m, pair_probability=0.3, detector_efficiency=0.4, dark_probability=0.0
+        )
+        config = ck.SimulationConfig(
+            rounds=20_000, seed=m, multi_click_policy=policy, correlation_model=model
+        )
+        guides = cdfs = None
+        if model == "sampled-jsa":
+            pair = _banded_pair(m)
+            cdfs = tuple(
+                _joint_cdf(pair[key]) for key in ("frequency_distribution", "time_distribution")
+            )
+            guides = np.stack([_guide_table(cdf) for cdf in cdfs])
+        shard = (5, config.rounds, config, channel, guides, cdfs)
+        ledger = _simulate_shard(*shard)
+        assert ledger.sifted > 0 and ledger.no_click > 0
+        assert _ledgers_equal(ledger, _dense_shard_oracle(*shard))
 
 
 def _adversarial_cdfs():
