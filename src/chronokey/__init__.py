@@ -39,6 +39,7 @@ from .detection import (
     binned_spectrum,
     design_binning,
     design_time_lens,
+    gaussian_outcome_distribution,
     joint_outcome_distribution,
     overlap_fidelity,
     resolution_product,

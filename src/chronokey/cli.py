@@ -25,7 +25,7 @@ from .detection import (
     FREQUENCY_BASIS,
     TIME_BASIS,
     design_time_lens,
-    joint_outcome_distribution,
+    gaussian_outcome_distribution,
     resolution_product,
     time_resolution,
 )
@@ -181,9 +181,9 @@ def cmd_montecarlo(args) -> int:
     lens = design_time_lens(scheme)
     freq_dist = time_dist = None
     if sim.correlation_model == "sampled-jsa":
-        _, source, _ = config.matched_design()
-        freq_dist = joint_outcome_distribution(source, scheme, lens, FREQUENCY_BASIS)
-        time_dist = joint_outcome_distribution(source, scheme, lens, TIME_BASIS)
+        wide, narrow = scheme.matched_widths()
+        freq_dist = gaussian_outcome_distribution(scheme, lens, wide, narrow, FREQUENCY_BASIS)
+        time_dist = gaussian_outcome_distribution(scheme, lens, wide, narrow, TIME_BASIS)
     ledger = simulate_rounds(sim, model, freq_dist, time_dist, threads=threads)
     closed_p = error_probability(model)
     payload = {
@@ -266,16 +266,17 @@ def cmd_alphabet_scan(args) -> int:
     protocol = config.protocol
     rows = []
     records = []
-    header = ["alphabet_bits", "m", "error_probability", "secret_key"]
+    header = ["alphabet_bits", "m", "error_probability", "secret_key", "clamped"]
     for bits in range(1, args.max_bits + 1):
         m = 2**bits
         p = error_probability(dataclasses.replace(base_model, m=m))
-        secret = simplified_key_rate(m, p, protocol.beta_plus, protocol.beta_minus).secret_key
+        rate = simplified_key_rate(m, p, protocol.beta_plus, protocol.beta_minus)
         record = {
             "alphabet_bits": bits,
             "m": m,
             "error_probability": p,
-            "secret_key": secret,
+            "secret_key": rate.secret_key,
+            "clamped": rate.clamped,
         }
         records.append(record)
         rows.append([_cell(record[key]) for key in header])

@@ -148,6 +148,22 @@ class TestAlphabetScan:
         rows = json.loads((tmp_path / "alphabet_scan.json").read_text())["rows"]
         assert all(row["secret_key"] <= row["alphabet_bits"] for row in rows)
 
+    def test_rows_say_when_the_key_is_clamped(self, tmp_path):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"protocol": {"beta_plus": 0.5, "beta_minus": 0.4}}))
+        args = ("alphabet-scan", "--config", str(config), "--out", str(tmp_path))
+        assert _run(*args, "--max-bits", "12") == 0
+        rows = json.loads((tmp_path / "alphabet_scan.json").read_text())["rows"]
+        expected = [
+            ck.simplified_key_rate(row["m"], row["error_probability"], 0.5, 0.4).clamped
+            for row in rows
+        ]
+        assert [row["clamped"] for row in rows] == expected
+        assert expected[:8] == [True] * 8 and not all(expected)
+        lines = (tmp_path / "alphabet_scan.csv").read_text().strip().splitlines()
+        assert lines[0].split(",")[-1] == "clamped"
+        assert [line.split(",")[-1] for line in lines[1:]] == [str(c).lower() for c in expected]
+
     def test_scan_past_float_kappa_saturates(self, tmp_path):
         assert _run("alphabet-scan", "--out", str(tmp_path), "--max-bits", "600") == 0
         rows = json.loads((tmp_path / "alphabet_scan.json").read_text())["rows"]
@@ -214,10 +230,13 @@ class TestMonteCarlo:
             assert _run("montecarlo", "--config", str(config), "--out", str(tmp_path)) == 0
         assert len(caught) == 2
         payload = json.loads((tmp_path / "montecarlo.json").read_text())
-        scheme, source, lens = ck.load_config(config).matched_design()
+        scheme = ck.load_config(config).binning()
+        lens = ck.design_time_lens(scheme)
         for basis in ("frequency", "time"):
             with pytest.warns(ck.CoverageWarning):
-                expected = ck.joint_outcome_distribution(source, scheme, lens, basis)
+                expected = ck.gaussian_outcome_distribution(
+                    scheme, lens, *scheme.matched_widths(), basis
+                )
             assert payload[basis]["out_of_window"] == expected.out_of_window
             assert 0.15 < payload[basis]["out_of_window"] < 0.25
 
@@ -257,8 +276,12 @@ def test_montecarlo_basis_blocks_hold_the_ledger_counts(tmp_path, document):
     run = ck.load_config(config)
     dists = {"frequency": None, "time": None}
     if run.simulation.correlation_model == "sampled-jsa":
-        scheme, source, lens = run.matched_design()
-        dists = {basis: ck.joint_outcome_distribution(source, scheme, lens, basis) for basis in dists}
+        scheme = run.binning()
+        lens = ck.design_time_lens(scheme)
+        dists = {
+            basis: ck.gaussian_outcome_distribution(scheme, lens, *scheme.matched_widths(), basis)
+            for basis in dists
+        }
     ledger = ck.simulate_rounds(
         run.simulation_config(), run.channel_model(), dists["frequency"], dists["time"]
     )

@@ -5,8 +5,11 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import chronokey as ck
+from chronokey.detection import _erfc
 
 # frozen: 30-digit quadrature of the binned bivariate-normal intensity for the
 # designed 16-bin measurement (exact rectangle integrals, then renormalized
@@ -333,6 +336,14 @@ class TestCoverageWarningAttribution:
             lambda: ck.joint_outcome_distribution(source, scheme, lens, basis=basis)
         )
 
+    @pytest.mark.parametrize("basis", ["frequency", "time"])
+    def test_gaussian_outcome_distribution(self, designed16, basis):
+        scheme, _, lens = designed16
+        wide, narrow = scheme.matched_widths()
+        self._assert_warns_here(
+            lambda: ck.gaussian_outcome_distribution(scheme, lens, wide, narrow, basis)
+        )
+
     def test_binned_spectrum(self, designed16):
         scheme, source, _ = designed16
         grid = source.grid
@@ -344,6 +355,149 @@ class TestCoverageWarningAttribution:
         grid = source.grid
         state = _normalize(np.exp(-grid.points**2 / (2 * 0.05**2)) + 0j, grid.spacing)
         self._assert_warns_here(lambda: ck.binned_arrival_times(state, grid, scheme, lens))
+
+
+def _closed_form(scheme, basis, lens=None):
+    lens = lens or ck.design_time_lens(scheme)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ck.CoverageWarning)
+        return ck.gaussian_outcome_distribution(scheme, lens, *scheme.matched_widths(), basis)
+
+
+def _grid_route(scheme, source, basis, lens=None):
+    lens = lens or ck.design_time_lens(scheme)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ck.CoverageWarning)
+        return ck.joint_outcome_distribution(source, scheme, lens, basis)
+
+
+class TestErfc:
+    def test_matches_math_erfc(self):
+        x = np.concatenate([np.linspace(-6.0, 27.0, 110_001), np.linspace(26.4, 26.7, 10_001)])
+        got = _erfc(x)
+        expected = np.array([math.erfc(v) for v in x])
+        normal = expected >= np.finfo(float).tiny
+        assert (np.abs(got[normal] - expected[normal]) <= 1e-14 * expected[normal]).all()
+        assert (~normal).sum() > 1000
+        assert (got[~normal] == 0.0).all()
+
+    def test_infinities_and_nan(self):
+        got = _erfc(np.array([np.inf, -np.inf, 1e300, -1e300, np.nan, 0.0, -0.0]))
+        assert got[:4].tolist() == [0.0, 2.0, 0.0, 2.0]
+        assert np.isnan(got[4])
+        assert got[5:].tolist() == [1.0, 1.0]
+
+
+class TestGaussianClosedForm:
+    """``gaussian_outcome_distribution`` against the grid route, its frozen
+    quadrature oracle, and its own self-duality."""
+
+    @pytest.mark.parametrize("m", [4, 8, 16])
+    def test_time_basis_equals_the_grid_route(self, m, request):
+        if m == 16:
+            grid = request.getfixturevalue("outcomes16")[1]
+        else:
+            grid = _grid_route(*ck.design_binning(m), "time")
+        closed = _closed_form(ck.BinningScheme(m), "time")
+        assert np.abs(closed.probabilities - grid.probabilities).max() <= 1e-9
+        assert closed.out_of_window == pytest.approx(grid.out_of_window, abs=1e-9)
+
+    def test_frequency_grid_route_converges_at_second_order(self):
+        # The grid route integrates sampled intensity by the midpoint rule:
+        # its distance from the closed form falls 4x per doubling of the grid
+        # (m = 8: 1.7e-4, 4.1e-5, 1.0e-5 at 1024, 2048, 4096 points).
+        scheme = ck.BinningScheme(8)
+        closed = _closed_form(scheme, "frequency")
+        span = ck.default_grid(*scheme.matched_widths()).span
+        errors = []
+        for n_points in (1024, 2048, 4096):
+            _, source = ck.design_binning(8, grid=ck.FrequencyGrid(n_points, span=span))
+            grid = _grid_route(scheme, source, "frequency")
+            errors.append(np.abs(closed.probabilities - grid.probabilities).max())
+        assert errors[-1] < 2e-5
+        for coarse, fine in zip(errors, errors[1:]):
+            assert 3.5 < coarse / fine < 4.5
+
+    def test_designed16_against_the_frozen_oracle(self):
+        scheme = ck.BinningScheme(16)
+        for basis in ("frequency", "time"):
+            closed = _closed_form(scheme, basis)
+            p = closed.probabilities
+            assert closed.out_of_window == pytest.approx(ORACLE16_OUT_OF_WINDOW, abs=1e-14)
+            assert _entropy_bits(p.sum(axis=1)) == pytest.approx(ORACLE16_MARGINAL_BITS, abs=1e-6)
+            conditional = _entropy_bits(p.ravel()) - _entropy_bits(p.sum(axis=0))
+            assert conditional == pytest.approx(ORACLE16_CONDITIONAL_BITS, abs=1e-6)
+            assert 1.0 - np.trace(p) == pytest.approx(ORACLE16_OFF_DIAGONAL, abs=1e-6)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        m=st.integers(2, 1024),
+        beta_plus=st.floats(0.05, 1.0),
+        ratio=st.floats(0.02, 0.95),
+    )
+    @example(m=1024, beta_plus=0.75, ratio=0.2 / 0.75)
+    @example(m=2, beta_plus=1.0, ratio=0.95)
+    def test_matched_designs_are_self_dual(self, m, beta_plus, ratio):
+        scheme = ck.BinningScheme(m, beta_plus=beta_plus, beta_minus=max(ratio * beta_plus, 0.02))
+        freq = _closed_form(scheme, "frequency")
+        time = _closed_form(scheme, "time")
+        assert np.abs(freq.probabilities - time.probabilities).max() <= 1e-12
+        assert freq.out_of_window == pytest.approx(time.out_of_window, abs=1e-12)
+
+    def test_narrow_source_against_a_fine_quadrature(self):
+        # sigma = 0.02 bins needs 9 panels per bin; the reference takes 200
+        # panels of 20 nodes per bin and scalar math.erfc.
+        scheme = ck.BinningScheme(3, beta_plus=0.9, beta_minus=0.02)
+        wide, narrow = scheme.matched_widths()
+        var_sum, var_diff = narrow**2 / 2, wide**2 / 2
+        var = (var_sum + var_diff) / 2
+        rho, sigma = (var_sum - var_diff) / 2 / var, math.sqrt(var_sum * var_diff / var)
+        nodes, weights = np.polynomial.legendre.leggauss(20)
+        erfc = np.vectorize(math.erfc)
+        edges = scheme.bin_edges
+        raw = np.zeros((3, 3))
+        for a in range(3):
+            x = (edges[a] + (np.arange(200)[:, None] + 0.5 + nodes / 2) / 200).ravel()
+            density = np.exp(-x * x / (2 * var)) / math.sqrt(2 * math.pi * var)
+            w = np.tile(weights / 400, 200) * density
+            for b in range(3):
+                z = [(edges[b + k] - rho * x) / (sigma * math.sqrt(2)) for k in (0, 1)]
+                raw[b, a] = w @ (0.5 * (erfc(z[0]) - erfc(z[1])))
+        closed = _closed_form(scheme, "frequency")
+        assert np.abs(closed.probabilities - raw[::-1] / raw.sum()).max() < 1e-13
+        assert closed.out_of_window == pytest.approx(1.0 - raw.sum(), abs=1e-13)
+
+    def test_cells_beyond_the_band_are_exact_zeros(self):
+        # The default design's conditional deviation is 0.2 bins, so cells
+        # more than 8 bins off the diagonal hold less than erfc(27) < 1e-308.
+        p = _closed_form(ck.BinningScheme(64), "frequency").probabilities
+        offset = np.abs(np.subtract.outer(np.arange(64), np.arange(64)))
+        assert (p[offset > 9] == 0.0).all()
+        assert (p[offset <= 4] > 0.0).all()
+
+    def test_frequency_window_follows_the_center(self):
+        # The source sits at zero; moving the bins moves the window over it,
+        # exactly as on the grid.  Time bins stay centred on zero.
+        scheme = ck.BinningScheme(4, center=0.7)
+        _, source = ck.design_binning(4)
+        lens = ck.design_time_lens(scheme)
+        closed = _closed_form(scheme, "frequency")
+        grid = _grid_route(scheme, source, "frequency")
+        assert np.abs(closed.probabilities - grid.probabilities).max() < 1e-4
+        assert closed.out_of_window == pytest.approx(grid.out_of_window, abs=1e-4)
+        assert closed.out_of_window > _closed_form(ck.BinningScheme(4), "frequency").out_of_window
+        centred = _closed_form(ck.BinningScheme(4), "time").probabilities
+        assert np.array_equal(_closed_form(scheme, "time", lens).probabilities, centred)
+
+    @pytest.mark.parametrize(
+        "widths,basis",
+        [((0.0, 0.2), "frequency"), ((6.0, math.nan), "time"), ((math.inf, 0.2), "time"),
+         ((1e200, 0.2), "time"), ((6.0, 0.2), "spectral")],
+    )
+    def test_refuses_bad_widths_and_bases(self, widths, basis):
+        scheme = ck.BinningScheme(8)
+        with pytest.raises(ck.ParameterError):
+            ck.gaussian_outcome_distribution(scheme, ck.design_time_lens(scheme), *widths, basis)
 
 
 @pytest.fixture(scope="module")
