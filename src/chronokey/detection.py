@@ -24,6 +24,7 @@ from .chronocyclic import (
     FrequencyGrid,
     JointSpectralAmplitude,
     TimeGrid,
+    make_gaussian_jsa,
     transform_1d,
 )
 from .errors import CoverageWarning, ParameterError, refuse_boolean_floats
@@ -55,29 +56,7 @@ _PANEL_SIGMAS = 6.0
 _ERFC_REACH = 27.0
 # Values per block of the closed-form binning: temporaries stay in cache.
 _BLOCK_VALUES = 1 << 16
-# W. J. Cody, Math. Comp. 23, 631 (1969): rational approximations of erf on
-# |x| <= 0.46875 (A/B), of erfc on (0.46875, 4] (C/D) and of x*exp(x*x)*erfc(x)
-# in 1/x**2 beyond 4 (P/Q), each as (leading, numerator..., denominator...).
-_ERF_SMALL = (1.85777706184603153e-1,
-              (3.16112374387056560e00, 1.13864154151050156e02, 3.77485237685302021e02,
-               3.20937758913846947e03),
-              (2.36012909523441209e01, 2.44024637934444173e02, 1.28261652607737228e03,
-               2.84423683343917062e03))
-_ERFC_MID = (2.15311535474403846e-8,
-             (5.64188496988670089e-1, 8.88314979438837594e00, 6.61191906371416295e01,
-              2.98635138197400131e02, 8.81952221241769090e02, 1.71204761263407058e03,
-              2.05107837782607147e03, 1.23033935479799725e03),
-             (1.57449261107098347e01, 1.17693950891312499e02, 5.37181101862009858e02,
-              1.62138957456669019e03, 3.29079923573345963e03, 4.36261909014324716e03,
-              3.43936767414372164e03, 1.23033935480374942e03))
-_ERFC_TAIL = (1.63153871373020978e-2,
-              (3.05326634961232344e-1, 3.60344899949804439e-1, 1.25781726111229246e-1,
-               1.60837851487422766e-2, 6.58749161529837803e-4),
-              (2.56852019228982242e00, 1.87295284992346725e00, 5.27905102951428412e-1,
-               6.05183413124413191e-2, 2.33520497626869185e-3))
-# exp(-q*q) on Cody's sixteenths q = k/16, so exp(-x*x) = exp(-q*q) * exp(-(x-q)*(x+q))
-# keeps full precision up to erfc's underflow.
-_EXP_SIXTEENTHS = np.exp(-np.square(np.arange(16 * _ERFC_REACH + 1.0) / 16.0))
+_MATH_ERFC = np.frompyfunc(math.erfc, 1, 1)
 _TINY = np.finfo(float).tiny
 
 
@@ -182,8 +161,6 @@ def design_binning(
     narrow width ``beta_minus * delta_omega``, which makes the binned
     time-basis statistics mirror the frequency-basis ones exactly.
     """
-    from .chronocyclic import make_gaussian_jsa
-
     scheme = BinningScheme(m=m, delta_omega=delta_omega, beta_plus=beta_plus, beta_minus=beta_minus)
     wide, narrow = scheme.matched_widths()
     return scheme, make_gaussian_jsa(wide, narrow, grid=grid)
@@ -282,6 +259,8 @@ def _renormalize(raw: np.ndarray, basis: str) -> tuple[np.ndarray, float]:
     at their caller.
     """
     in_mass = float(raw.sum())
+    if not (0.0 < in_mass < math.inf):
+        raise ParameterError(f"no finite positive intensity inside the {basis}-basis window")
     out_mass = max(0.0, 1.0 - in_mass)
     if out_mass > COVERAGE_WARN_THRESHOLD:
         warnings.warn(
@@ -294,50 +273,14 @@ def _renormalize(raw: np.ndarray, basis: str) -> tuple[np.ndarray, float]:
     return raw, out_mass
 
 
-def _rational(x: np.ndarray, coefficients: tuple) -> np.ndarray:
-    """One of Cody's rational functions, evaluated in his Horner order."""
-    leading, num, den = coefficients
-    top = leading * x
-    top += num[0]
-    top *= x
-    bottom = x + den[0]
-    bottom *= x
-    for a, b in zip(num[1:-1], den[1:-1]):
-        top += a
-        top *= x
-        bottom += b
-        bottom *= x
-    top += num[-1]
-    bottom += den[-1]
-    top /= bottom
-    return top
-
-
 def _erfc(x: np.ndarray) -> np.ndarray:
-    """Complementary error function, elementwise, after Cody (1969).
+    """Complementary error function, elementwise: libm's ``math.erfc`` with
+    results below the smallest normal double flushed to an exact 0.
 
-    Within a few ulps of ``math.erfc`` wherever the result is a normal
-    double, an exact 0 where it is below that, 2 at ``-inf`` and NaN only at
-    NaN.  Every value takes the tail form first; the few at ``|x| <= 4`` are
-    then overwritten.
+    2 at ``-inf`` and NaN only at NaN.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.abs(x)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        k = np.fmin(16.0 * y, _EXP_SIXTEENTHS.size - 1.0).astype(np.intp)
-        q = k / 16.0
-        gauss = _EXP_SIXTEENTHS[k] * np.exp(-(y - q) * (y + q))
-        w = 1.0 / (y * y)
-        out = gauss * ((0.5641895835477562869 - w * _rational(w, _ERFC_TAIL)) / y)
-    near = np.flatnonzero(y <= 4.0)
-    if near.size:
-        yn = y.ravel()[near]
-        small = 1.0 - yn * _rational(yn * yn, _ERF_SMALL)
-        mid = gauss.ravel()[near] * _rational(yn, _ERFC_MID)
-        out.ravel()[near] = np.where(yn <= 0.46875, small, mid)
+    out = np.asarray(_MATH_ERFC(np.asarray(x, dtype=float)), dtype=float)
     out[out < _TINY] = 0.0
-    negative = x < 0.0
-    out[negative] = 2.0 - out[negative]
     return out
 
 

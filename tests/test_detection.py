@@ -1,5 +1,6 @@
 """Binning schemes, the time lens, and binned outcome distributions."""
 
+import dataclasses
 import math
 import warnings
 
@@ -357,6 +358,89 @@ class TestCoverageWarningAttribution:
         self._assert_warns_here(lambda: ck.binned_arrival_times(state, grid, scheme, lens))
 
 
+def _far(scheme):
+    """``scheme``'s frequency window moved a million bins off the record's grid."""
+    return dataclasses.replace(scheme, center=1e6)
+
+
+def _with_nan(values):
+    values = values.copy()
+    values.flat[values.size // 2] = np.nan
+    return values
+
+
+def _state(grid):
+    return _normalize(np.exp(-grid.points**2 / 2.0) + 0j, grid.spacing)
+
+
+# Each case: a call on (scheme, source, lens), and the basis its error names, or
+# None where a validator ahead of the binning refuses the input.
+REFUSED_WINDOWS = {
+    "binned_spectrum-far": (
+        lambda s, src, lens: ck.binned_spectrum(_state(src.grid), src.grid, _far(s)),
+        "frequency",
+    ),
+    "binned_spectrum-nan": (
+        lambda s, src, lens: ck.binned_spectrum(_with_nan(_state(src.grid)), src.grid, s),
+        "frequency",
+    ),
+    # Time bins sit on zero and the temporal amplitude is a Fourier sum whose
+    # roundoff reaches every node, so only a state without intensity leaves the
+    # time window exactly empty.
+    "binned_arrival_times-empty": (
+        lambda s, src, lens: ck.binned_arrival_times(
+            np.zeros(src.grid.points.size, complex), src.grid, s, lens
+        ),
+        "time",
+    ),
+    "binned_arrival_times-nan": (
+        lambda s, src, lens: ck.binned_arrival_times(
+            _with_nan(_state(src.grid)), src.grid, s, lens
+        ),
+        "time",
+    ),
+    "joint_outcome_distribution-far": (
+        lambda s, src, lens: ck.joint_outcome_distribution(src, _far(s), lens, "frequency"),
+        "frequency",
+    ),
+    "joint_outcome_distribution-nan": (
+        lambda s, src, lens: ck.joint_outcome_distribution(
+            ck.JointSpectralAmplitude("sampled", src.grid, _with_nan(src.amplitudes)),
+            s,
+            lens,
+            "frequency",
+        ),
+        None,
+    ),
+    "gaussian_outcome_distribution-far": (
+        lambda s, src, lens: ck.gaussian_outcome_distribution(
+            _far(s), lens, *s.matched_widths(), "frequency"
+        ),
+        "frequency",
+    ),
+    "gaussian_outcome_distribution-nan": (
+        lambda s, src, lens: ck.gaussian_outcome_distribution(
+            s, lens, math.nan, s.matched_widths()[1], "frequency"
+        ),
+        None,
+    ),
+}
+
+
+class TestEmptyOrNonFiniteWindow:
+    """Each binning entry point refuses a window that holds no finite,
+    positive intensity before it warns or divides."""
+
+    @pytest.mark.parametrize("case", sorted(REFUSED_WINDOWS))
+    def test_refused_without_runtime_warning(self, designed16, case):
+        call, basis = REFUSED_WINDOWS[case]
+        match = f"{basis}-basis window" if basis else None
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ck.ParameterError, match=match):
+                call(*designed16)
+
+
 def _closed_form(scheme, basis, lens=None):
     lens = lens or ck.design_time_lens(scheme)
     with warnings.catch_warnings():
@@ -377,7 +461,7 @@ class TestErfc:
         got = _erfc(x)
         expected = np.array([math.erfc(v) for v in x])
         normal = expected >= np.finfo(float).tiny
-        assert (np.abs(got[normal] - expected[normal]) <= 1e-14 * expected[normal]).all()
+        assert (got[normal] == expected[normal]).all()
         assert (~normal).sum() > 1000
         assert (got[~normal] == 0.0).all()
 
