@@ -108,13 +108,12 @@ class TimeGrid(_UniformGrid):
         return FrequencyGrid(self.n_points, span=math.pi / self.spacing)
 
 
-def _check_record(amplitudes: np.ndarray, grid: _UniformGrid, label: str) -> None:
+def _check_record(amplitudes: np.ndarray, grid: _UniformGrid, ndim: int, label: str) -> None:
+    """Refuse a record not sampled on ``grid`` along all ``ndim`` axes, or not of unit L2 mass."""
     n = grid.n_points
-    if amplitudes.shape != (n, n):
-        raise ParameterError(
-            f"amplitude matrix shape {amplitudes.shape} does not match grid size {n}"
-        )
-    mass = float(np.vdot(amplitudes, amplitudes).real) * grid.spacing * grid.spacing
+    if amplitudes.shape != (n,) * ndim:
+        raise ParameterError(f"{label} shape {amplitudes.shape} does not match grid size {n}")
+    mass = float(np.vdot(amplitudes, amplitudes).real) * grid.spacing**ndim
     if not (math.isfinite(mass) and abs(mass - 1.0) <= NORMALIZATION_ATOL):
         raise ParameterError(f"{label} is not L2-normalized: discrete mass {mass!r}")
 
@@ -143,26 +142,20 @@ class JointSpectralAmplitude:
         if self.kind == "parametric-gaussian":
             if self.delta_plus is None or self.delta_minus is None:
                 raise ParameterError("parametric-gaussian amplitudes need both widths")
-        _check_record(self.amplitudes, self.grid, "joint spectral amplitude")
+        _check_record(self.amplitudes, self.grid, 2, "joint spectral amplitude")
         self.amplitudes.setflags(write=False)
 
 
 @dataclass(frozen=True, eq=False)
 class JointTemporalAmplitude:
-    """Sampled two-photon amplitude over a square time grid.
-
-    Produced by :func:`to_temporal`.  ``t_plus`` (correlated direction, long)
-    and ``t_minus`` (anti-correlated direction, short) are the analytic
-    intensity widths when the spectral record was parametric, else ``None``.
-    """
+    """Sampled two-photon amplitude over a square time grid, produced by
+    :func:`to_temporal`."""
 
     grid: TimeGrid
     amplitudes: np.ndarray
-    t_plus: float | None = None
-    t_minus: float | None = None
 
     def __post_init__(self) -> None:
-        _check_record(self.amplitudes, self.grid, "joint temporal amplitude")
+        _check_record(self.amplitudes, self.grid, 2, "joint temporal amplitude")
         self.amplitudes.setflags(write=False)
 
 
@@ -211,6 +204,11 @@ class _DeferredSchmidtDecomposition(SchmidtDecomposition):
         return SchmidtDecomposition(lam, self.schmidt_number).singular_values
 
 
+def _refuse_bad_widths(delta_plus: float, delta_minus: float) -> None:
+    if not all(math.isfinite(x) and x > 0.0 for x in (delta_plus, delta_minus)):
+        raise ParameterError("widths must be positive and finite")
+
+
 def default_grid(delta_plus: float, delta_minus: float) -> FrequencyGrid:
     """Grid sized to hold a Gaussian amplitude with the given widths.
 
@@ -218,10 +216,13 @@ def default_grid(delta_plus: float, delta_minus: float) -> FrequencyGrid:
     smaller width with at least eight samples, rounded up to a power of two
     with a floor of 64 points.
     """
+    _refuse_bad_widths(delta_plus, delta_minus)
     wide = max(delta_plus, delta_minus)
     narrow = min(delta_plus, delta_minus)
     span = _SPAN_WIDTHS * wide
     needed = 2.0 * span * _SAMPLES_PER_WIDTH / narrow
+    if not needed < math.inf:
+        raise ParameterError(f"widths {delta_plus!r} and {delta_minus!r} need an unbounded grid")
     n = max(_MIN_POINTS, 1 << math.ceil(math.log2(needed)))
     return FrequencyGrid(n_points=n, span=span)
 
@@ -300,8 +301,7 @@ def make_gaussian_jsa(
     GridCoverageError
         If the supplied grid is too small or too coarse for the widths.
     """
-    if not all(math.isfinite(x) and x > 0.0 for x in (delta_plus, delta_minus)):
-        raise ParameterError("widths must be positive and finite")
+    _refuse_bad_widths(delta_plus, delta_minus)
     wide = max(delta_plus, delta_minus)
     narrow = min(delta_plus, delta_minus)
     if grid is None:
@@ -339,8 +339,7 @@ def make_gaussian_jsa(
 def analytic_schmidt_number(delta_plus: float, delta_minus: float) -> float:
     """Closed-form mode count of the Gaussian amplitude: ``(r + 1/r) / 2``
     with ``r`` the ratio of the two widths."""
-    if not all(math.isfinite(x) and x > 0.0 for x in (delta_plus, delta_minus)):
-        raise ParameterError("widths must be positive and finite")
+    _refuse_bad_widths(delta_plus, delta_minus)
     r = delta_plus / delta_minus
     if not (math.isfinite(r) and r > 0.0 and math.isfinite(1.0 / r)):
         raise ParameterError(f"width ratio {r!r} is out of range")
@@ -415,16 +414,12 @@ def to_temporal(jsa: JointSpectralAmplitude) -> JointTemporalAmplitude:
     """Two-dimensional transform of the spectral amplitude to arrival times.
 
     Both axes use the ``exp(-i*w*t)`` kernel, so a frequency anti-correlated
-    Gaussian becomes time correlated.  For a parametric record the analytic
-    intensity widths ``1/delta_minus`` (along the correlated diagonal) and
-    ``1/delta_plus`` (across it) are attached to the result.
+    Gaussian becomes time correlated.  A parametric record's temporal
+    intensity has the widths ``1/delta_minus`` along the correlated diagonal
+    and ``1/delta_plus`` across it.
     """
     tg, amplitudes = _dual_transform(jsa.amplitudes, jsa.grid, sign=-1, axes=(0, 1))
-    t_plus = t_minus = None
-    if jsa.kind == "parametric-gaussian":
-        t_plus = 1.0 / jsa.delta_minus
-        t_minus = 1.0 / jsa.delta_plus
-    return JointTemporalAmplitude(grid=tg, amplitudes=amplitudes, t_plus=t_plus, t_minus=t_minus)
+    return JointTemporalAmplitude(grid=tg, amplitudes=amplitudes)
 
 
 def from_temporal(jta: JointTemporalAmplitude) -> JointSpectralAmplitude:
@@ -469,7 +464,8 @@ def fitted_temporal_widths(jta: JointTemporalAmplitude) -> tuple[float, float]:
     """Moment-fitted intensity widths of a temporal amplitude.
 
     Returns ``(width_correlated, width_anticorrelated)``: the width along the
-    diagonal (matching ``t_plus``) and across it (matching ``t_minus``).
+    diagonal (matching ``1/delta_minus``) and across it (matching
+    ``1/delta_plus``).
     """
     w_sum, w_diff = _diagonal_widths(jta.amplitudes, jta.grid.points, jta.grid.spacing)
     return w_sum, w_diff

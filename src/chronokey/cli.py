@@ -262,21 +262,19 @@ def cmd_alphabet_scan(args) -> int:
         raise ParameterError(f"--max-bits must be at least 1, got {args.max_bits}")
     config = load_config(args.config)
     out = _resolve_out(args, config)
-    base_model = config.channel_model()
-    protocol = config.protocol
     rows = []
     records = []
     header = ["alphabet_bits", "m", "error_probability", "secret_key", "clamped"]
     for bits in range(1, args.max_bits + 1):
         m = 2**bits
-        p = error_probability(dataclasses.replace(base_model, m=m))
-        rate = simplified_key_rate(m, p, protocol.beta_plus, protocol.beta_minus)
+        protocol = dataclasses.replace(config.protocol, m=m)
+        rates = _closed_form_key_rates(dataclasses.replace(config, protocol=protocol))
         record = {
             "alphabet_bits": bits,
             "m": m,
-            "error_probability": p,
-            "secret_key": rate.secret_key,
-            "clamped": rate.clamped,
+            "error_probability": rates["error_probability"],
+            "secret_key": rates["entropy_route"]["secret_key"],
+            "clamped": rates["entropy_route"]["clamped"],
         }
         records.append(record)
         rows.append([_cell(record[key]) for key in header])

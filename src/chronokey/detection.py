@@ -24,6 +24,8 @@ from .chronocyclic import (
     FrequencyGrid,
     JointSpectralAmplitude,
     TimeGrid,
+    _check_record,
+    _refuse_bad_widths,
     make_gaussian_jsa,
     transform_1d,
 )
@@ -35,6 +37,8 @@ TIME_BASIS = "time"
 # Fraction of probability mass outside the binned window above which a
 # CoverageWarning is emitted by the binning routines.
 COVERAGE_WARN_THRESHOLD = 0.01
+# In-window share of a binned record's unit mass below which it is roundoff.
+_MIN_WINDOW_MASS = 1e-12
 # Time bins are integrated by 16-node Gauss-Legendre panels (Golub-Welsch
 # nodes on [-1, 1]) at most _PANEL_SPAN_WIDTH / span wide for a spectral grid
 # of half-span span: on its band-limited temporal intensity panels of 24, 32
@@ -44,8 +48,6 @@ _PANEL_SPAN_WIDTH = 24.0
 _k = np.arange(1.0, _NODES_PER_PANEL)
 _PANEL_NODES, _vectors = np.linalg.eigh(np.diag(_k / np.sqrt(4.0 * _k * _k - 1.0), -1))
 _PANEL_WEIGHTS = 2.0 * _vectors[0] ** 2
-# Relative tolerance tying a lens's focusing rate to depth * frequency**2.
-_LENS_CONSISTENCY_RTOL = 1e-12
 # The closed-form binning of a Gaussian source integrates each sender bin on
 # panels at most _PANEL_SIGMAS conditional standard deviations wide: over
 # designs with beta_minus from 0.01 to 0.98, panels of 6 / 8 / 12 deviations
@@ -111,41 +113,44 @@ class BinningScheme:
 
 @dataclass(frozen=True)
 class TimeLens:
-    """Quadratic-phase time lens and the modulator that approximates it.
+    """Quadratic-phase time lens: a sinusoidal phase modulator, whose depth
+    and frequency fix the whole lens.
 
     ``focusing_rate`` is the curvature of the temporal phase (the rate at
     which arrival time is chirped onto frequency), ``gvd`` the quadratic
-    spectral phase applied before the modulator, and ``aperture`` the
-    half-period scale ``1/mod_frequency`` inside which the sinusoidal phase
-    tracks the ideal parabola.
+    spectral phase applied before the modulator, its inverse by the imaging
+    condition (Kolner, IEEE J. Quantum Electron. 30, 1951 (1994)), and
+    ``aperture`` the half-period scale ``1/mod_frequency`` inside which the
+    sinusoidal phase tracks the ideal parabola.
     """
 
-    focusing_rate: float
     mod_frequency: float
     mod_depth: float
-    gvd: float
 
     def __post_init__(self) -> None:
         refuse_boolean_floats(self)
-        for name in ("focusing_rate", "mod_frequency", "mod_depth", "gvd"):
+        for name in ("mod_frequency", "mod_depth"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0.0):
                 raise ParameterError(f"{name} must be finite and positive")
-        implied = self.mod_depth * self.mod_frequency**2
-        if not abs(implied - self.focusing_rate) <= _LENS_CONSISTENCY_RTOL * self.focusing_rate:
-            raise ParameterError(
-                f"focusing_rate {self.focusing_rate!r} does not equal "
-                f"mod_depth * mod_frequency**2 = {implied!r}"
-            )
+        try:
+            rate = self.focusing_rate
+        except OverflowError:
+            rate = math.inf
+        if not (0.0 < rate < math.inf and 1.0 / rate < math.inf):
+            raise ParameterError(f"focusing rate {rate!r} must be finite, positive and invertible")
+
+    @property
+    def focusing_rate(self) -> float:
+        return self.mod_depth * self.mod_frequency**2
+
+    @property
+    def gvd(self) -> float:
+        return 1.0 / self.focusing_rate
 
     @property
     def aperture(self) -> float:
         return 1.0 / self.mod_frequency
-
-    @property
-    def fraunhofer_deviation(self) -> float:
-        """Distance of ``gvd * focusing_rate`` from the imaging condition 1."""
-        return abs(self.gvd * self.focusing_rate - 1.0)
 
 
 def design_binning(
@@ -170,17 +175,12 @@ def design_time_lens(binning: BinningScheme) -> TimeLens:
     """Lens whose resolution product saturates the design of ``binning``.
 
     The modulator frequency matches the narrow source width, the depth is
-    ``(beta_plus / beta_minus) * m``, and the dispersion satisfies the
-    imaging condition exactly.
+    ``(beta_plus / beta_minus) * m``; the lens derives the dispersion that
+    meets the imaging condition from them.
     """
-    mod_frequency = binning.beta_minus * binning.delta_omega
-    mod_depth = (binning.beta_plus / binning.beta_minus) * binning.m
-    focusing_rate = mod_depth * mod_frequency**2
     return TimeLens(
-        focusing_rate=focusing_rate,
-        mod_frequency=mod_frequency,
-        mod_depth=mod_depth,
-        gvd=1.0 / focusing_rate,
+        mod_frequency=binning.beta_minus * binning.delta_omega,
+        mod_depth=(binning.beta_plus / binning.beta_minus) * binning.m,
     )
 
 
@@ -259,8 +259,8 @@ def _renormalize(raw: np.ndarray, basis: str) -> tuple[np.ndarray, float]:
     at their caller.
     """
     in_mass = float(raw.sum())
-    if not (0.0 < in_mass < math.inf):
-        raise ParameterError(f"no finite positive intensity inside the {basis}-basis window")
+    if not (_MIN_WINDOW_MASS <= in_mass < math.inf):
+        raise ParameterError(f"no finite intensity above roundoff inside the {basis}-basis window")
     out_mass = max(0.0, 1.0 - in_mass)
     if out_mass > COVERAGE_WARN_THRESHOLD:
         warnings.warn(
@@ -433,8 +433,7 @@ def gaussian_outcome_distribution(
     :func:`joint_outcome_distribution` on a record centred at zero, without
     its grid's sampling error.
     """
-    if not all(math.isfinite(w) and w > 0.0 for w in (delta_plus, delta_minus)):
-        raise ParameterError("widths must be positive and finite")
+    _refuse_bad_widths(delta_plus, delta_minus)
     if basis == FREQUENCY_BASIS:
         width = binning.delta_omega
         low = float(binning.bin_edges[0])
@@ -468,6 +467,7 @@ def binned_spectrum(
     Returns the renormalized in-window probabilities and the discarded
     fraction, warning as in :func:`joint_outcome_distribution`.
     """
+    _check_record(np.asarray(state), grid, 1, "single-photon state")
     raw = _bin_masses(state, grid, binning, None, FREQUENCY_BASIS)
     return _renormalize(raw, FREQUENCY_BASIS)
 
@@ -484,6 +484,7 @@ def binned_arrival_times(
     as in the joint routine and integrated over time bins of width
     ``delta_omega / focusing_rate``.
     """
+    _check_record(np.asarray(state), grid, 1, "single-photon state")
     raw = _bin_masses(state, grid, binning, lens, TIME_BASIS)
     return _renormalize(raw, TIME_BASIS)
 

@@ -25,18 +25,30 @@ _RESOLUTION_KINDS = ("wavelength", "frequency")
 _CONVENTIONS = ("ordinary", "angular")
 
 
+def _converted(kind: str, width: float, center: float, convert) -> float:
+    """``convert(width, center)``, refused unless inputs and result are finite and positive."""
+    try:
+        ok = all(math.isfinite(x) and x > 0.0 for x in (width, center))
+        result = convert(width, center) if ok else math.nan
+    except (OverflowError, ZeroDivisionError):  # center**2 overflows, or underflows to 0
+        result = math.nan
+    if not (math.isfinite(result) and result > 0.0):
+        raise ParameterError(f"{kind} width, center and result must be finite and positive")
+    return result
+
+
 def wavelength_to_frequency(delta_lambda: float, center_wavelength: float) -> float:
     """Spectral width in hertz of a wavelength width around a center."""
-    if not (delta_lambda > 0.0 and center_wavelength > 0.0):
-        raise ParameterError("wavelength quantities must be positive")
-    return SPEED_OF_LIGHT * delta_lambda / center_wavelength**2
+    return _converted(
+        "wavelength", delta_lambda, center_wavelength, lambda w, c: SPEED_OF_LIGHT * w / c**2
+    )
 
 
 def frequency_to_wavelength(delta_nu: float, center_wavelength: float) -> float:
     """Inverse of :func:`wavelength_to_frequency` at the same center."""
-    if not (delta_nu > 0.0 and center_wavelength > 0.0):
-        raise ParameterError("frequency quantities must be positive")
-    return delta_nu * center_wavelength**2 / SPEED_OF_LIGHT
+    return _converted(
+        "frequency", delta_nu, center_wavelength, lambda f, c: f * c**2 / SPEED_OF_LIGHT
+    )
 
 
 @dataclass(frozen=True)

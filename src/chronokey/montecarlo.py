@@ -18,7 +18,7 @@ neither draws nor a tally code.  At a lossy channel with rare dark counts the co
 thus scales with the coincidences, not with the rounds.
 
 After the draws, each live round gets one tally code, and one ``bincount``
-of the codes is the shard's ledger.  A round that no dark count touched
+of the codes is the shard's tally.  A round that no dark count touched
 clicks once per side and registers the pair's symbols, so its code is the
 pair's joint cell plus its basis offset.  Only the rounds with a dark count
 on either side (every side without a photon has one) go through the
@@ -120,8 +120,7 @@ class RoundLedger:
     ``multi_click_discarded``, ``basis_mismatch``, or ``sifted``, and sifted
     rounds split into ``correct`` plus ``incorrect``; all of them are read
     off the tally.  The joint count matrices (rows receiver, columns sender)
-    are views of its sifted cells.  Ledgers merge associatively, so sharded
-    and threaded runs reassemble into the same totals.
+    are views of its sifted cells.
     """
 
     m: int
@@ -178,15 +177,6 @@ class RoundLedger:
     @property
     def coincidences(self) -> int:
         return self.basis_mismatch + self.sifted
-
-    @classmethod
-    def empty(cls, m: int) -> "RoundLedger":
-        return cls(m, 0, np.zeros(2 * m * m + 2, dtype=np.int64))
-
-    def merged(self, other: "RoundLedger") -> "RoundLedger":
-        if other.m != self.m:
-            raise ParameterError("cannot merge ledgers with different alphabet sizes")
-        return RoundLedger(self.m, self.rounds + other.rounds, self.tally + other.tally)
 
 
 def _shard_rng(seed: int, shard_index: int) -> np.random.Generator:
@@ -334,7 +324,8 @@ def _simulate_shard(
     channel: ChannelModel,
     guides: np.ndarray | None,
     cdfs: tuple[np.ndarray, np.ndarray] | None,
-) -> RoundLedger:
+) -> np.ndarray:
+    """The int64 tally of ``n`` rounds (laid out as in the module docstring)."""
     rng = _shard_rng(config.seed, shard_index)
     m = channel.m
     d = channel.dark_probability
@@ -403,7 +394,7 @@ def _simulate_shard(
     code *= ~mismatch
     code += mismatch * np.int32(2 * cells)
     code[discarded] = 2 * cells + 1
-    return RoundLedger(m, n, np.bincount(code, minlength=2 * cells + 2))
+    return np.bincount(code, minlength=2 * cells + 2)
 
 
 def _in_order(pool: ThreadPoolExecutor, fn, items, window: int):
@@ -426,7 +417,7 @@ def simulate_rounds(
     time_distribution: OutcomeDistribution | None = None,
     threads: int = 1,
 ) -> RoundLedger:
-    """Run the full round count and return the merged ledger.
+    """Run the full round count and return one ledger of all shard tallies.
 
     The ``sampled-jsa`` correlation model requires joint outcome
     distributions for both bases with the channel's alphabet size; the
@@ -458,7 +449,7 @@ def simulate_rounds(
     shards = [(i, min(config.shard_size, config.rounds - start)) for i, start in enumerate(starts)]
 
     def run(shard: tuple[int, int]) -> np.ndarray:
-        return _simulate_shard(shard[0], shard[1], config, channel, guides, cdfs).tally
+        return _simulate_shard(shard[0], shard[1], config, channel, guides, cdfs)
 
     # Shard tallies are added into one total in index order as they arrive,
     # so at most O(threads) shard tallies are alive at once.

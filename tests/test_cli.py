@@ -367,6 +367,18 @@ class TestErrorHandling:
         assert capsys.readouterr().err.startswith("error:")
         assert not (tmp_path / "montecarlo.json").exists()
 
+    @pytest.mark.parametrize("delta_omega", [1e200, 1e-200])
+    @pytest.mark.parametrize("command", ["analyze", "montecarlo"])
+    def test_unrepresentable_lens_exits_with_error_code(self, tmp_path, capsys, command, delta_omega):
+        # The modulator frequency squared overflows, or underflows to 0.
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"protocol": {"delta_omega": delta_omega}}))
+        assert _run(command, "--config", str(config), "--out", str(tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "focusing rate" in err
+        assert "Traceback" not in err
+        assert list(tmp_path.glob("*.json")) == [config]
+
     def test_alphabet_scan_past_the_float_range_exits_with_error_code(self, tmp_path, capsys):
         assert _run("alphabet-scan", "--out", str(tmp_path), "--max-bits", "1030") == 2
         err = capsys.readouterr().err

@@ -218,7 +218,7 @@ NON_FINITE_CASES = [
 class TestNonFiniteFields:
     def test_every_float_field_is_covered(self):
         fields = {(kind, name) for kind, name, _ in NON_FINITE_CASES}
-        assert len(fields) == 5 + 4 + 4 + 5 + 1
+        assert len(fields) == 5 + 4 + 2 + 5 + 1
         assert ("simulation", "basis_probability") in fields
 
     @pytest.mark.parametrize(

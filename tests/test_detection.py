@@ -83,17 +83,16 @@ class TestTimeLens:
         assert lens.focusing_rate == pytest.approx(2.4, rel=1e-12)
         assert lens.gvd == pytest.approx(1.0 / 2.4, rel=1e-12)
         assert lens.aperture == pytest.approx(5.0, rel=1e-12)
-        assert lens.fraunhofer_deviation <= 1e-12
-
-    def test_rejects_inconsistent_focusing_rate(self):
-        with pytest.raises(ck.ParameterError):
-            ck.TimeLens(focusing_rate=2.0, mod_frequency=0.2, mod_depth=60.0, gvd=0.5)
 
     @pytest.mark.parametrize(
         "fields",
         [
-            dict(focusing_rate=math.inf, mod_frequency=math.inf, mod_depth=1.0, gvd=1.0),
-            dict(focusing_rate=2.4, mod_frequency=0.2, mod_depth=60.0, gvd=math.inf),
+            dict(mod_frequency=math.inf, mod_depth=1.0),
+            # mod_frequency**2 overflows; it underflows to 0; the rate is
+            # subnormal and its inverse overflows.
+            dict(mod_frequency=1e200, mod_depth=60.0),
+            dict(mod_frequency=1e-200, mod_depth=60.0),
+            dict(mod_frequency=1e-160, mod_depth=1e-2),
         ],
     )
     def test_rejects_non_finite_parameters(self, fields):
@@ -382,14 +381,20 @@ REFUSED_WINDOWS = {
     ),
     "binned_spectrum-nan": (
         lambda s, src, lens: ck.binned_spectrum(_with_nan(_state(src.grid)), src.grid, s),
-        "frequency",
+        None,
     ),
-    # Time bins sit on zero and the temporal amplitude is a Fourier sum whose
-    # roundoff reaches every node, so only a state without intensity leaves the
-    # time window exactly empty.
     "binned_arrival_times-empty": (
         lambda s, src, lens: ck.binned_arrival_times(
             np.zeros(src.grid.points.size, complex), src.grid, s, lens
+        ),
+        None,
+    ),
+    # Time bins sit on zero and the temporal amplitude is a Fourier sum whose
+    # roundoff reaches every node: a state delayed 40 time units past the
+    # window (half-width 3.3) leaves about 5e-34 of its mass inside.
+    "binned_arrival_times-delayed": (
+        lambda s, src, lens: ck.binned_arrival_times(
+            _state(src.grid) * np.exp(40j * src.grid.points), src.grid, s, lens
         ),
         "time",
     ),
@@ -397,7 +402,7 @@ REFUSED_WINDOWS = {
         lambda s, src, lens: ck.binned_arrival_times(
             _with_nan(_state(src.grid)), src.grid, s, lens
         ),
-        "time",
+        None,
     ),
     "joint_outcome_distribution-far": (
         lambda s, src, lens: ck.joint_outcome_distribution(src, _far(s), lens, "frequency"),
@@ -428,8 +433,8 @@ REFUSED_WINDOWS = {
 
 
 class TestEmptyOrNonFiniteWindow:
-    """Each binning entry point refuses a window that holds no finite,
-    positive intensity before it warns or divides."""
+    """Each binning entry point refuses a window that holds no finite
+    intensity above roundoff before it warns or divides."""
 
     @pytest.mark.parametrize("case", sorted(REFUSED_WINDOWS))
     def test_refused_without_runtime_warning(self, designed16, case):
@@ -439,6 +444,27 @@ class TestEmptyOrNonFiniteWindow:
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(ck.ParameterError, match=match):
                 call(*designed16)
+
+
+class TestSinglePhotonRecord:
+    """The single-photon binning functions check their state as the joint
+    records check theirs: sampled on the grid, with unit discrete L2 mass."""
+
+    @staticmethod
+    def _call(name, state, grid, scheme):
+        if name == "binned_spectrum":
+            return ck.binned_spectrum(state, grid, scheme)
+        return ck.binned_arrival_times(state, grid, scheme, ck.design_time_lens(scheme))
+
+    @pytest.mark.parametrize("name", ["binned_spectrum", "binned_arrival_times"])
+    @pytest.mark.parametrize("fault", ["one-sample-short", "scaled-by-10"])
+    def test_refuses_a_state_that_is_not_a_record(self, name, fault):
+        scheme, source = ck.design_binning(8)
+        grid = source.grid
+        state = _normalize(np.exp(-grid.points**2 / (2 * 3.0**2)) + 0j, grid.spacing)
+        state = state[:-1] if fault == "one-sample-short" else 10.0 * state
+        with pytest.raises(ck.ParameterError, match="single-photon state"):
+            self._call(name, state, grid, scheme)
 
 
 def _closed_form(scheme, basis, lens=None):

@@ -51,6 +51,37 @@ class TestConversions:
         with pytest.raises(ck.ParameterError):
             ck.wavelength_to_frequency(delta, center)
 
+    @pytest.mark.parametrize("convert", [ck.wavelength_to_frequency, ck.frequency_to_wavelength])
+    @pytest.mark.parametrize(
+        "width,center",
+        [
+            (math.inf, 1.55e-6),
+            (2e-9, math.inf),
+            (math.nan, 1.55e-6),
+            (2e-9, -math.inf),
+            # The center's square overflows, or underflows to 0.
+            (2e-9, 1e200),
+            (2e-9, 1e-200),
+        ],
+    )
+    def test_refuses_non_finite_inputs(self, convert, width, center):
+        with pytest.raises(ck.ParameterError, match="finite and positive"):
+            convert(width, center)
+
+    @pytest.mark.parametrize(
+        "convert,width,center",
+        [
+            (ck.wavelength_to_frequency, 1e300, 1e-10),
+            (ck.wavelength_to_frequency, 1e-320, 1e10),
+            (ck.frequency_to_wavelength, 1e300, 1e10),
+            (ck.frequency_to_wavelength, 1e-320, 1e-10),
+        ],
+        ids=["to-frequency-overflow", "to-frequency-zero", "to-wavelength-overflow", "to-wavelength-zero"],
+    )
+    def test_refuses_results_that_overflow_or_vanish(self, convert, width, center):
+        with pytest.raises(ck.ParameterError, match="finite and positive"):
+            convert(width, center)
+
 
 class TestHardwareSpec:
     @pytest.mark.parametrize(

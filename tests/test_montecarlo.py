@@ -128,20 +128,10 @@ class TestLedgerAccounting:
         )
         assert diagonal == ledger.correct
 
-    def test_merge_is_consistent_with_field_sums(self, noisy_run):
-        ledger, _ = noisy_run
-        empty = ck.RoundLedger.empty(8)
-        again = empty.merged(ledger)
-        assert _ledgers_equal(again, ledger)
-        double = ledger.merged(ledger)
-        assert double.rounds == 2 * ledger.rounds
-        assert double.sifted == 2 * ledger.sifted
-        with pytest.raises(ck.ParameterError):
-            ledger.merged(ck.RoundLedger.empty(4))
-
     def test_shard_ledger_properties_obey_the_class_identities(self):
         config = ck.SimulationConfig(rounds=100_000, seed=23)
-        ledger = _simulate_shard(0, 100_000, config, _channel(8, dark_probability=5e-3), None, None)
+        tally = _simulate_shard(0, 100_000, config, _channel(8, dark_probability=5e-3), None, None)
+        ledger = ck.RoundLedger(8, 100_000, tally)
         assert ledger.multi_click_discarded > 0 and ledger.incorrect > 0
         assert ledger.no_click + ledger.multi_click_discarded + ledger.coincidences == ledger.rounds
         assert ledger.correct == (
@@ -438,22 +428,7 @@ class TestDrawSkip:
                 assert np.array_equal(*later)
 
 
-@st.composite
-def _ledgers(draw, m=3):
-    cells = draw(st.lists(st.integers(0, 20), min_size=2 * m * m, max_size=2 * m * m))
-    discards = draw(st.lists(st.integers(0, 1_000), min_size=2, max_size=2))
-    tally = np.array(cells + discards, dtype=np.int64)
-    return ck.RoundLedger(m=m, rounds=int(tally.sum()) + draw(st.integers(0, 1_000)), tally=tally)
-
-
 class TestProperties:
-    @given(_ledgers(), _ledgers(), _ledgers())
-    def test_merge_is_associative_with_the_empty_ledger_as_identity(self, a, b, c):
-        assert _ledgers_equal(a.merged(b).merged(c), a.merged(b.merged(c)))
-        empty = ck.RoundLedger.empty(a.m)
-        assert _ledgers_equal(empty.merged(a), a)
-        assert _ledgers_equal(a.merged(empty), a)
-
     @settings(max_examples=10, deadline=None)
     @given(window=st.integers(1, 4), items=st.integers(0, 40))
     def test_in_order_yields_in_order_with_few_results_pending(self, window, items):
@@ -728,7 +703,7 @@ class TestSparseBookkeeping:
             )
             guides = np.stack([_guide_table(cdf) for cdf in cdfs])
         shard = (3, config.rounds, config, channel, guides, cdfs)
-        assert _ledgers_equal(_simulate_shard(*shard), _dense_shard_oracle(*shard))
+        assert np.array_equal(_simulate_shard(*shard), _dense_shard_oracle(*shard).tally)
 
     @pytest.mark.parametrize("model", ["ideal-delta", "sampled-jsa"])
     @pytest.mark.parametrize("policy", ["discard", "random-assign"])
@@ -752,7 +727,7 @@ class TestSparseBookkeeping:
             )
             guides = np.stack([_guide_table(cdf) for cdf in cdfs])
         shard = (5, config.rounds, config, channel, guides, cdfs)
-        ledger = _simulate_shard(*shard)
+        ledger = ck.RoundLedger(m, config.rounds, _simulate_shard(*shard))
         assert ledger.sifted > 0 and ledger.no_click > 0
         assert _ledgers_equal(ledger, _dense_shard_oracle(*shard))
 

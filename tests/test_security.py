@@ -140,9 +140,7 @@ class TestUncertaintyBound:
 
 def _kernel_at(c):
     """Overlap kernel of unit-width bins whose lens makes ``delta_omega * delta_t = 4c``."""
-    lens = ck.TimeLens(
-        focusing_rate=1.0 / (4.0 * c), mod_frequency=1.0, mod_depth=1.0 / (4.0 * c), gvd=4.0 * c
-    )
+    lens = ck.TimeLens(mod_frequency=1.0, mod_depth=1.0 / (4.0 * c))
     return ck.overlap_kernel_sigma_max(ck.BinningScheme(m=2, delta_omega=1.0), lens)
 
 
