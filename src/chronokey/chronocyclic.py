@@ -15,14 +15,15 @@ discrete L2 mass exactly conserved (Parseval) on dual grids.
 
 The Gaussian record stores an exact 0 wherever its value would be subnormal
 (below ``numpy.finfo(float).tiny``); every other entry keeps the bits of the
-whole-matrix formula.  Most of a large record is the Gaussian's underflowed
-tail, and on x86 every subnormal operand or result of ``exp``, a GEMM, an FFT
-or an SVD takes a microcode assist.  With the subnormal cells zeroed, the
-time-basis binning's GEMM of the m = 8 source (2048 points, 37,652 subnormal
-cells) takes 57 ms instead of 136 ms, and of the m = 16 source (4096 points)
-185 ms instead of 360 ms, on a 2-vCPU Xeon with numpy 2.4; the binned
-distributions, Schmidt number and temporal amplitudes come out bit for bit
-the same.
+whole-matrix formula.  On x86 every subnormal operand or result of ``exp``,
+an FFT or an SVD takes a microcode assist; the binned distributions, Schmidt
+number and temporal amplitudes come out bit for bit as from the record with
+its subnormals kept.
+
+Most of a large record is the Gaussian's underflowed tail (61 % of the
+m = 8 matched source's 2048 x 2048 record, 79 % of the m = 16 source's
+4096 x 4096), so the Schmidt number and the binning read a record over its
+band (:func:`_row_bands`), and no product makes an n x n temporary.
 """
 
 from __future__ import annotations
@@ -51,10 +52,43 @@ _EXP_FLOOR = math.log(_TINY) - 2.0**-10
 # Cells per block of the Gaussian's exponent (two float64 work arrays of
 # 256 kB each, which stay in a core's L2 cache).
 _BLOCK_CELLS = 1 << 15
+# Largest grid sampled: its n x n float64 record takes 2 GiB at this size.
+_MAX_POINTS = 1 << 14
+# Rows per block of the banded products over a record: 128 timed faster than
+# 64 or 256 for time binning and the Schmidt number at 2048 and 4096 points.
+_BAND_ROWS = 128
 
 
 def _is_power_of_two(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
+
+
+def _refuse_oversized(n_points: int) -> None:
+    """Refuse a grid whose ``n x n`` float64 record would exceed 2 GiB."""
+    if n_points > _MAX_POINTS:
+        raise ParameterError(
+            f"grid of {n_points} points exceeds {_MAX_POINTS}: its n*n float64 record "
+            f"would take {8 * n_points**2:,} bytes, above the {8 * _MAX_POINTS**2:,} "
+            f"it takes at {_MAX_POINTS}"
+        )
+
+
+def _row_bands(amplitudes: np.ndarray) -> list[tuple[slice, slice]]:
+    """Row blocks of a 2-D record, each with the column range that holds its
+    entries of magnitude at least ``numpy.finfo(float).tiny``.
+
+    Blocks of :data:`_BAND_ROWS` rows are scanned one at a time, so no
+    whole-record mask is made, and a block with no such entry is left out.
+    Subnormal entries count as zeros: a product over the bands is the whole
+    record's to roundoff.
+    """
+    bands = []
+    for start in range(0, amplitudes.shape[0], _BAND_ROWS):
+        rows = slice(start, start + _BAND_ROWS)
+        cols = np.flatnonzero(np.abs(amplitudes[rows]).max(axis=0) >= _TINY)
+        if cols.size:
+            bands.append((rows, slice(int(cols[0]), int(cols[-1]) + 1)))
+    return bands
 
 
 @dataclass(frozen=True)
@@ -214,7 +248,8 @@ def default_grid(delta_plus: float, delta_minus: float) -> FrequencyGrid:
 
     The half-span is four times the larger width and the spacing resolves the
     smaller width with at least eight samples, rounded up to a power of two
-    with a floor of 64 points.
+    with a floor of 64 points.  Widths that need more than 2**14 points are
+    refused.
     """
     _refuse_bad_widths(delta_plus, delta_minus)
     wide = max(delta_plus, delta_minus)
@@ -224,6 +259,7 @@ def default_grid(delta_plus: float, delta_minus: float) -> FrequencyGrid:
     if not needed < math.inf:
         raise ParameterError(f"widths {delta_plus!r} and {delta_minus!r} need an unbounded grid")
     n = max(_MIN_POINTS, 1 << math.ceil(math.log2(needed)))
+    _refuse_oversized(n)
     return FrequencyGrid(n_points=n, span=span)
 
 
@@ -287,7 +323,7 @@ def make_gaussian_jsa(
     grid:
         Optional explicit grid.  It must span at least four times the larger
         width on each side of its center and resolve the smaller width with
-        at least two samples.
+        at least two samples, with at most 2**14 points.
 
     ``exp`` is evaluated only where its result is a normal double, and an
     entry that normalization takes below ``numpy.finfo(float).tiny`` is set
@@ -300,6 +336,8 @@ def make_gaussian_jsa(
     ------
     GridCoverageError
         If the supplied grid is too small or too coarse for the widths.
+    ParameterError
+        If the grid has more than 2**14 points; nothing is allocated first.
     """
     _refuse_bad_widths(delta_plus, delta_minus)
     wide = max(delta_plus, delta_minus)
@@ -307,6 +345,7 @@ def make_gaussian_jsa(
     if grid is None:
         grid = default_grid(delta_plus, delta_minus)
     else:
+        _refuse_oversized(grid.n_points)
         if grid.span < _SPAN_WIDTHS * wide * (1.0 - 1e-12):
             raise GridCoverageError(
                 f"grid half-span {grid.span} is below {_SPAN_WIDTHS} times the larger width {wide}"
@@ -351,13 +390,25 @@ def schmidt_decompose(jsa: JointSpectralAmplitude) -> SchmidtDecomposition:
 
     The Schmidt number is the inverse purity ``||M||_F**4 / ||M M^H||_F**2``
     of either reduced state (Law, Walmsley & Eberly, PRL 84, 5304 (2000)).
-    The singular values of ``M`` times the grid spacing, whose squares sum to
-    the unit discrete L2 mass, come from one SVD on first access.
+    The Gram matrix ``M M^H`` is never formed: its squared norm is summed
+    over the pairs of row blocks of :func:`_row_bands` whose bands overlap,
+    each block ``M[I, c] M[J, c]^H`` over the shared columns ``c``, the
+    pairs off the diagonal counted twice.  The singular values of ``M``
+    times the grid spacing, whose squares sum to the unit discrete L2 mass,
+    come from one SVD on first access.
     """
     amplitudes = jsa.amplitudes
-    gram = amplitudes @ amplitudes.conj().T
+    bands = _row_bands(amplitudes)
+    gram_sumsq = 0.0
+    for i, (rows_i, cols_i) in enumerate(bands):
+        for rows_j, cols_j in bands[i:]:
+            cols = slice(max(cols_i.start, cols_j.start), min(cols_i.stop, cols_j.stop))
+            if cols.start < cols.stop:
+                block = amplitudes[rows_i, cols] @ amplitudes[rows_j, cols].conj().T
+                weight = 1.0 if rows_i == rows_j else 2.0
+                gram_sumsq += weight * float(np.vdot(block, block).real)
     mass = float(np.vdot(amplitudes, amplitudes).real)
-    return _DeferredSchmidtDecomposition(jsa, mass**2 / float(np.vdot(gram, gram).real))
+    return _DeferredSchmidtDecomposition(jsa, mass**2 / gram_sumsq)
 
 
 def _dual_transform(

@@ -26,6 +26,7 @@ from .chronocyclic import (
     TimeGrid,
     _check_record,
     _refuse_bad_widths,
+    _row_bands,
     make_gaussian_jsa,
     transform_1d,
 )
@@ -335,12 +336,6 @@ def _gaussian_bin_masses(m: int, low: float, var_sum: float, var_diff: float) ->
     return raw
 
 
-def _on_every_axis(matrix: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Apply ``matrix`` to axis 0 of ``values`` and, for a 2-D record, to axis 1."""
-    out = matrix @ values
-    return out @ matrix.T if values.ndim == 2 else out
-
-
 def _bin_masses(
     amplitudes: np.ndarray,
     grid: FrequencyGrid,
@@ -355,30 +350,52 @@ def _bin_masses(
     In the time basis the kernel evaluates the temporal amplitude at the
     Gauss-Legendre nodes of each panel of each time bin, each row scaled by
     the square root of its quadrature weight, so the squared magnitudes
-    summed over a bin's nodes (on every axis) are its mass.
+    summed over a bin's nodes (on every axis) are its mass.  The kernel at
+    node ``c_p + s_q`` (panel centre plus node offset) is the product of
+    ``exp(-i*c_p*w)`` and ``exp(-i*s_q*w)``, so it takes one complex
+    exponential per panel and per node offset at each grid point.
+
+    A joint record is read over its band only (:func:`_row_bands`): each
+    row block ``r`` with its column range ``c`` adds ``W[:, r] @ |A[r, c]|**2
+    @ W[:, c].T`` to the frequency-basis masses, and in the time basis
+    ``A[r, c] @ K.T[c]`` (one real GEMM against the kernel's interleaved
+    (re, im) columns for a real record) fills rows ``r`` of ``A @ K.T``.
     """
     amplitudes = np.asarray(amplitudes)
     ndim = amplitudes.ndim
     if basis == FREQUENCY_BASIS:
         weights = bin_overlap_weights(grid.points, grid.spacing, binning.bin_edges)
-        raw = _on_every_axis(weights, np.abs(amplitudes) ** 2 * grid.spacing**ndim)
-        return raw[::-1, :] if ndim == 2 else raw
+        if ndim == 1:
+            return weights @ (np.abs(amplitudes) ** 2 * grid.spacing)
+        raw = np.zeros((binning.m, binning.m))
+        for rows, cols in _row_bands(amplitudes):
+            intensity = np.abs(amplitudes[rows, cols]) ** 2 * grid.spacing**2
+            raw += weights[:, rows] @ intensity @ weights[:, cols].T
+        return raw[::-1, :]
     elif basis == TIME_BASIS:
         dt_bin = time_resolution(binning, lens)
         per_bin = math.ceil(dt_bin * grid.span / _PANEL_SPAN_WIDTH)
         n_panels = binning.m * per_bin
         half = 0.5 * dt_bin / per_bin
-        t = (2.0 * (np.arange(n_panels)[:, None] - (n_panels - 1) / 2.0) + _PANEL_NODES) * half
-        row_scale = np.tile(np.sqrt(_PANEL_WEIGHTS * half), n_panels)
-        kernel = np.exp(-1j * np.outer(t, grid.points)) * (
-            row_scale[:, None] * (grid.spacing / math.sqrt(2.0 * math.pi))
+        w = grid.points
+        centres = (2.0 * half) * (np.arange(n_panels) - (n_panels - 1) / 2.0)
+        offsets = np.exp(-1j * np.outer(w, half * _PANEL_NODES)) * (
+            np.sqrt(_PANEL_WEIGHTS * half) * (grid.spacing / math.sqrt(2.0 * math.pi))
         )
-        if ndim == 2 and np.isrealobj(amplitudes):
-            # One real GEMM against the kernel's interleaved (re, im) columns.
-            rows = (amplitudes @ kernel.T.copy().view(np.float64)).view(np.complex128)
-            at_nodes = np.abs(kernel @ rows) ** 2
+        # kernel_t[k, p * 16 + q] is the kernel at node (p, q) and grid point k.
+        kernel_t = (np.exp(-1j * np.outer(w, centres))[:, :, None] * offsets[:, None, :]).reshape(
+            w.size, -1
+        )
+        if ndim == 1:
+            at_nodes = np.abs(amplitudes @ kernel_t) ** 2
         else:
-            at_nodes = np.abs(_on_every_axis(kernel, amplitudes)) ** 2
+            rows_at_nodes = np.zeros((w.size, kernel_t.shape[1]), np.complex128)
+            rhs, out = kernel_t, rows_at_nodes
+            if np.isrealobj(amplitudes):
+                rhs, out = rhs.view(np.float64), out.view(np.float64)
+            for rows, cols in _row_bands(amplitudes):
+                np.matmul(amplitudes[rows, cols], rhs[cols], out=out[rows])
+            at_nodes = np.abs(kernel_t.T @ rows_at_nodes) ** 2
         nodes_axes = tuple(range(1, 2 * ndim, 2))
         return at_nodes.reshape((binning.m, per_bin * _NODES_PER_PANEL) * ndim).sum(axis=nodes_axes)
     else:

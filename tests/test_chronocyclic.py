@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -191,6 +192,31 @@ class TestSource:
     def test_default_grid_refuses_widths_it_cannot_hold(self, widths):
         with pytest.raises(ck.ParameterError):
             ck.default_grid(*widths)
+
+    def test_largest_default_grid_is_allowed(self):
+        # the m = 64 matched design needs 15,360 points and gets 2**14
+        assert ck.default_grid(0.75 * 64, 0.2).n_points == 2**14
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: ck.make_gaussian_jsa(1e6, 1e-3),
+            lambda: ck.make_gaussian_jsa(1.0, 1.0, grid=ck.FrequencyGrid(2**15, span=8.0)),
+            lambda: ck.make_gaussian_jsa(1e150, 1e-150),
+            lambda: ck.design_binning(128),
+            lambda: ck.design_binning(8, grid=ck.FrequencyGrid(2**15, span=24.0)),
+        ],
+        ids=["default", "explicit", "astronomical", "design-default", "design-explicit"],
+    )
+    def test_refuses_records_above_two_gib_before_allocating(self, build):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ck.ParameterError, match=r"bytes, above the 2,147,483,648"):
+                build()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**16
 
     def test_rejects_grid_with_too_small_span(self):
         grid = ck.FrequencyGrid(1024, span=20.0)

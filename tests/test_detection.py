@@ -2,7 +2,9 @@
 
 import dataclasses
 import math
+import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,7 +12,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import chronokey as ck
-from chronokey.detection import _erfc
+from chronokey import chronocyclic
+from chronokey.detection import _PANEL_NODES, _PANEL_SPAN_WIDTH, _PANEL_WEIGHTS, _bin_masses, _erfc
 
 # frozen: 30-digit quadrature of the binned bivariate-normal intensity for the
 # designed 16-bin measurement (exact rectangle integrals, then renormalized
@@ -618,6 +621,126 @@ def pulse(designed16):
     field = np.exp(-grid.points**2 / (2 * width**2)) + 0j
     field = _normalize(field, grid.spacing)
     return grid, field, width
+
+
+def _whole_record_time_masses(amplitudes, grid, binning, lens):
+    """Reference time-basis masses: the whole record against a kernel that
+    takes one ``exp`` per node and grid point."""
+    dt_bin = ck.time_resolution(binning, lens)
+    per_bin = math.ceil(dt_bin * grid.span / _PANEL_SPAN_WIDTH)
+    n_panels = binning.m * per_bin
+    half = 0.5 * dt_bin / per_bin
+    t = (2.0 * (np.arange(n_panels)[:, None] - (n_panels - 1) / 2.0) + _PANEL_NODES) * half
+    row_scale = np.tile(np.sqrt(_PANEL_WEIGHTS * half), n_panels)
+    kernel = np.exp(-1j * np.outer(t, grid.points)) * (
+        row_scale[:, None] * (grid.spacing / math.sqrt(2.0 * math.pi))
+    )
+    at_nodes = kernel @ amplitudes
+    if amplitudes.ndim == 2:
+        at_nodes = at_nodes @ kernel.T
+    nodes_axes = tuple(range(1, 2 * amplitudes.ndim, 2))
+    shape = (binning.m, at_nodes.shape[0] // binning.m) * amplitudes.ndim
+    return (np.abs(at_nodes) ** 2).reshape(shape).sum(axis=nodes_axes)
+
+
+def _whole_record_frequency_masses(amplitudes, grid, binning):
+    """Reference frequency-basis masses: the whole n x n intensity."""
+    weights = ck.bin_overlap_weights(grid.points, grid.spacing, binning.bin_edges)
+    raw = weights @ (np.abs(amplitudes) ** 2 * grid.spacing**amplitudes.ndim)
+    return (raw @ weights.T)[::-1, :] if amplitudes.ndim == 2 else raw
+
+
+def _whole_gram_schmidt_number(amplitudes):
+    """Reference Schmidt number: inverse purity from the whole n x n Gram."""
+    gram = amplitudes @ amplitudes.conj().T
+    return float(np.vdot(amplitudes, amplitudes).real) ** 2 / float(np.vdot(gram, gram).real)
+
+
+def _random_record(rng, shape, layout, is_complex):
+    """A record of one of the layouts the banded products must handle."""
+    values = rng.standard_normal(shape)
+    if is_complex:
+        values = values + 1j * rng.standard_normal(shape)
+    n = shape[0]
+    if layout == "banded":
+        # anti-diagonal band of random half-width around a random offset
+        i = np.arange(n)
+        distance = np.abs(np.add.outer(i, i) - (n - 1) - rng.integers(-n // 4, n // 4 + 1))
+        values[(distance > rng.integers(1, n // 2)) if len(shape) == 2 else slice(n // 2)] = 0.0
+    elif layout == "zero-rows":
+        values[rng.random(n) < 0.6] = 0.0
+        values[: n // 3] = 0.0
+    elif layout == "single":
+        values = np.zeros(shape, values.dtype)
+        values[tuple(rng.integers(0, n, len(shape)))] = 1.0
+    elif layout == "subnormal":
+        # subnormal entries everywhere, a few normal entries among them
+        values = values * 1e-310
+        values[tuple(rng.integers(0, n, (len(shape), 5)))] = 1.0
+    return values
+
+
+class TestBandedRecordProducts:
+    """The banded products equal the whole-record formulas to roundoff, and
+    none of them holds a record-sized temporary."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        log2_n=st.integers(5, 9),
+        # blocks per record: 64 makes one-row blocks at 32 points, 3 a short last block
+        blocks=st.sampled_from([1, 3, 16, 64]),
+        layout=st.sampled_from(["banded", "dense", "zero-rows", "single", "subnormal"]),
+        is_complex=st.booleans(),
+        m=st.integers(2, 6),
+    )
+    @example(seed=0, log2_n=9, blocks=4, layout="banded", is_complex=False, m=4)
+    def test_matches_the_whole_record_formulas(self, seed, log2_n, blocks, layout, is_complex, m):
+        rng = np.random.default_rng(seed)
+        scheme = ck.BinningScheme(m=m)
+        lens = ck.design_time_lens(scheme)
+        grid = ck.FrequencyGrid(1 << log2_n, span=0.75 * m)
+        record = _random_record(rng, (grid.n_points,) * 2, layout, is_complex)
+        state = _random_record(rng, (grid.n_points,), layout, is_complex)
+        with mock.patch.object(chronocyclic, "_BAND_ROWS", -(-grid.n_points // blocks)):
+            for values in (record, state):
+                for ours, reference in (
+                    (
+                        _bin_masses(values, grid, scheme, lens, "time"),
+                        _whole_record_time_masses(values, grid, scheme, lens),
+                    ),
+                    (
+                        _bin_masses(values, grid, scheme, None, "frequency"),
+                        _whole_record_frequency_masses(values, grid, scheme),
+                    ),
+                ):
+                    assert ours.shape == reference.shape
+                    assert np.abs(ours - reference).max() <= 1e-12 * np.abs(reference).max()
+            mass = float(np.vdot(record, record).real) * grid.spacing**2
+            jsa = ck.JointSpectralAmplitude("sampled", grid, record / math.sqrt(mass))
+            assert ck.schmidt_decompose(jsa).schmidt_number == pytest.approx(
+                _whole_gram_schmidt_number(jsa.amplitudes), rel=1e-12
+            )
+
+    def test_no_record_sized_temporaries(self):
+        scheme, source = ck.design_binning(8)
+        lens = ck.design_time_lens(scheme)
+        calls = {
+            "frequency": lambda: ck.joint_outcome_distribution(source, scheme, lens, "frequency"),
+            "time": lambda: ck.joint_outcome_distribution(source, scheme, lens, "time"),
+            "schmidt": lambda: ck.schmidt_decompose(source),
+        }
+        bounds = {"frequency": 0.5, "time": 0.5, "schmidt": 0.25}
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ck.CoverageWarning)
+            for name, call in calls.items():
+                tracemalloc.start()
+                try:
+                    call()
+                    _, peak = tracemalloc.get_traced_memory()
+                finally:
+                    tracemalloc.stop()
+                assert peak <= bounds[name] * source.amplitudes.nbytes, name
 
 
 class TestTimeLensSimulation:
