@@ -179,6 +179,11 @@ class JointSpectralAmplitude:
         _check_record(self.amplitudes, self.grid, 2, "joint spectral amplitude")
         self.amplitudes.setflags(write=False)
 
+    @functools.cached_property
+    def _bands(self) -> tuple[tuple[slice, slice], ...]:
+        """:func:`_row_bands` of the read-only record, scanned on first use."""
+        return tuple(_row_bands(self.amplitudes))
+
 
 @dataclass(frozen=True, eq=False)
 class JointTemporalAmplitude:
@@ -398,7 +403,7 @@ def schmidt_decompose(jsa: JointSpectralAmplitude) -> SchmidtDecomposition:
     come from one SVD on first access.
     """
     amplitudes = jsa.amplitudes
-    bands = _row_bands(amplitudes)
+    bands = jsa._bands
     gram_sumsq = 0.0
     for i, (rows_i, cols_i) in enumerate(bands):
         for rows_j, cols_j in bands[i:]:

@@ -7,6 +7,14 @@ check), and ``alphabet-scan`` (closed-form key rate versus alphabet size).
 Every command reads one JSON configuration file and writes deterministic
 JSON (and CSV where tabular) into the output directory: reruns with the
 same inputs produce byte-identical files.
+
+Every artifact is one line of ``json.dumps(payload, sort_keys=True)``
+text.  ``montecarlo``'s joint count matrices go to the writer as the
+ledger's int64 arrays and come out as the text of ``json.dumps`` of their
+lists: a row with few non-zero cells is the all-zero row's text with
+their digits spliced in, so only those cells cost Python work, and a
+fuller row goes through ``json``'s C encoder.  The parser is built on the
+first call and kept for the process.
 """
 
 from __future__ import annotations
@@ -14,13 +22,16 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import json
 import math
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .chronocyclic import analytic_schmidt_number
-from .config import RunConfig, load_config, set_by_path
+from .config import RunConfig, _field_dict, load_config, set_by_path
 from .detection import (
     FREQUENCY_BASIS,
     TIME_BASIS,
@@ -40,9 +51,65 @@ from .noise import error_probability, pure_noise, transmission
 from .security import simplified_key_rate
 
 
+# A row with at most 1/_SPLICE_FILL of its cells non-zero is spliced into the
+# zero row's text; a fuller one costs less through the C encoder.
+_SPLICE_FILL = 4
+
+
+def _matrix_json(counts: np.ndarray) -> str:
+    """``json.dumps(counts.tolist())`` of a 2-D integer array, with Python
+    work only for the non-zero cells of its sparse rows.
+
+    Cell ``j`` of the all-zero row ``[0, 0, ..., 0]`` starts at character
+    ``1 + 3*j``, so a sparse row is that text with each non-zero cell's
+    digits put in place of its ``0``.
+    """
+    if counts.ndim != 2 or counts.dtype.kind not in "iu":
+        raise TypeError(f"cannot write a {counts.ndim}-d {counts.dtype} array as a count matrix")
+    n_cols = counts.shape[1]
+    zero_row = "[" + "0, " * (n_cols - 1) + "0]"
+    filled = np.count_nonzero(counts, axis=1)
+    spliced = (filled > 0) & (filled * _SPLICE_FILL <= n_cols)
+    starts = values = []  # the spliced rows' cells, row by row
+    if spliced.any():
+        rows, cols = np.nonzero(counts)
+        kept = spliced[rows]
+        starts = (1 + 3 * cols[kept]).tolist()
+        values = counts[rows[kept], cols[kept]].tolist()
+    text = []
+    cell = 0  # first entry of the row in ``starts`` and ``values``
+    for row, (count, splice) in enumerate(zip(filled.tolist(), spliced.tolist())):
+        if count == 0:
+            text.append(zero_row)
+        elif not splice:
+            text.append(json.dumps(counts[row].tolist()))
+        else:
+            pieces = []
+            end = 0
+            for start, value in zip(starts[cell : cell + count], values[cell : cell + count]):
+                pieces += (zero_row[end:start], str(value))
+                end = start + 1
+            pieces.append(zero_row[end:])
+            text.append("".join(pieces))
+            cell += count
+    return "[" + ", ".join(text) + "]"
+
+
+def _json_text(value) -> str:
+    """``json.dumps(value, sort_keys=True, allow_nan=False)``, where ``value``
+    may hold integer count matrices as arrays inside its (string-keyed)
+    dicts."""
+    if isinstance(value, np.ndarray):
+        return _matrix_json(value)
+    if isinstance(value, dict):
+        items = (f"{json.dumps(key)}: {_json_text(value[key])}" for key in sorted(value))
+        return "{" + ", ".join(items) + "}"
+    return json.dumps(value, sort_keys=True, allow_nan=False)
+
+
 def _write_json(path: Path, payload: dict) -> None:
-    # Without ``indent``, ``json`` takes its C encoder: one line per artifact.
-    path.write_text(json.dumps(payload, sort_keys=True, allow_nan=False) + "\n")
+    # One line per artifact, as ``json.dumps`` writes it without ``indent``.
+    path.write_text(_json_text(payload) + "\n")
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
@@ -71,7 +138,7 @@ def _closed_form_key_rates(config: RunConfig) -> dict:
         "error_probability": p,
         "pure_noise": pure_noise(model),
         "transmission": transmission(model),
-        "entropy_route": dataclasses.asdict(rate),
+        "entropy_route": _field_dict(rate),
     }
 
 
@@ -187,7 +254,7 @@ def cmd_montecarlo(args) -> int:
     ledger = simulate_rounds(sim, model, freq_dist, time_dist, threads=threads)
     closed_p = error_probability(model)
     payload = {
-        "simulation": dataclasses.asdict(sim),
+        "simulation": _field_dict(sim),
         "counts": {
             "rounds": ledger.rounds,
             "no_click": ledger.no_click,
@@ -205,7 +272,7 @@ def cmd_montecarlo(args) -> int:
         (TIME_BASIS, ledger.joint_counts_time, time_dist),
     ):
         payload[basis] = {
-            "counts": counts.tolist(),
+            "counts": counts,
             "out_of_window": None if sampled is None else sampled.out_of_window,
         }
     error_block = {"closed_form": closed_p, "pure_noise": pure_noise(model),
@@ -217,7 +284,7 @@ def cmd_montecarlo(args) -> int:
     payload["error_probability"] = error_block
     payload["key_rate"] = None
     if ledger.joint_counts_frequency.any() and ledger.joint_counts_time.any():
-        payload["key_rate"] = dataclasses.asdict(estimate_key_rate(ledger, scheme, lens))
+        payload["key_rate"] = _field_dict(estimate_key_rate(ledger, scheme, lens))
     _write_json(out / "montecarlo.json", payload)
     print(f"{ledger.sifted} sifted rounds out of {ledger.rounds}")
     if error_block["empirical"] is not None:
@@ -308,49 +375,45 @@ def cmd_alphabet_scan(args) -> int:
     return 0
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and kept for the process."""
     parser = argparse.ArgumentParser(
         prog="chronokey",
         description="Binned time-frequency entanglement: design, key rates, and simulation",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser) -> None:
+    commands = {
+        name: sub.add_parser(name, help=text)
+        for name, text in (
+            ("analyze", "closed-form design and key-rate summary"),
+            ("sweep", "sweep one config parameter over the closed forms"),
+            ("montecarlo", "simulate rounds and compare with closed forms"),
+            ("feasibility", "check the design against hardware limits"),
+            ("alphabet-scan", "closed-form key rate versus alphabet size"),
+        )
+    }
+    for p in commands.values():
         p.add_argument("--config", metavar="PATH", default=None,
                        help="JSON configuration file (defaults apply otherwise)")
         p.add_argument("--out", metavar="DIR", default=None,
                        help="output directory (overrides the config)")
-
-    p = sub.add_parser("analyze", help="closed-form design and key-rate summary")
-    common(p)
-    p.set_defaults(func=cmd_analyze)
-
-    p = sub.add_parser("sweep", help="sweep one config parameter over the closed forms")
-    common(p)
-    p.set_defaults(func=cmd_sweep)
-
-    p = sub.add_parser("montecarlo", help="simulate rounds and compare with closed forms")
-    common(p)
+    p = commands["montecarlo"]
     p.add_argument("--rounds", type=int, default=None, help="override the round count")
     p.add_argument("--seed", type=int, default=None, help="override the seed")
     p.add_argument("--threads", type=int, default=None, help="worker threads (no effect on results)")
-    p.set_defaults(func=cmd_montecarlo)
-
-    p = sub.add_parser("feasibility", help="check the design against hardware limits")
-    common(p)
-    p.set_defaults(func=cmd_feasibility)
-
-    p = sub.add_parser("alphabet-scan", help="closed-form key rate versus alphabet size")
-    common(p)
-    p.add_argument("--max-bits", type=int, default=16, help="largest alphabet, in bits")
-    p.set_defaults(func=cmd_alphabet_scan)
+    commands["alphabet-scan"].add_argument(
+        "--max-bits", type=int, default=16, help="largest alphabet, in bits"
+    )
     return parser
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
+    # Looked up per call, so a wrapper later installed on a ``cmd_*`` attribute runs.
+    handler = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
+        return handler(args)
     except (ChronokeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -99,6 +99,12 @@ class HardwareConfig:
     angular_convention: str = "ordinary"
 
 
+def _field_dict(instance) -> dict:
+    """A flat dataclass's fields by name, without the deep copy of
+    :func:`dataclasses.asdict`."""
+    return {f.name: getattr(instance, f.name) for f in dataclasses.fields(instance)}
+
+
 _SECTIONS = {
     "protocol": ProtocolConfig,
     "channel": ChannelConfig,
@@ -162,23 +168,23 @@ class RunConfig:
     # Domain-object constructors; these run the full parameter validation.
 
     def binning(self) -> BinningScheme:
-        return BinningScheme(**dataclasses.asdict(self.protocol))
+        return BinningScheme(**_field_dict(self.protocol))
 
     def matched_design(self):
         """Binning scheme, matched source, and designed lens as a triple."""
-        scheme, source = design_binning(**dataclasses.asdict(self.protocol))
+        scheme, source = design_binning(**_field_dict(self.protocol))
         return scheme, source, design_time_lens(scheme)
 
     def channel_model(self) -> ChannelModel:
-        return ChannelModel(m=self.protocol.m, **dataclasses.asdict(self.channel))
+        return ChannelModel(m=self.protocol.m, **_field_dict(self.channel))
 
     def simulation_config(self) -> SimulationConfig:
-        settings = dataclasses.asdict(self.simulation)
+        settings = _field_dict(self.simulation)
         del settings["threads"]  # how to run, not what to compute
         return SimulationConfig(**settings)
 
     def hardware_spec(self) -> HardwareSpec:
-        return HardwareSpec(**dataclasses.asdict(self.hardware))
+        return HardwareSpec(**_field_dict(self.hardware))
 
 
 def load_config(path: str | Path | None = None) -> RunConfig:

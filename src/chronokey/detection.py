@@ -342,6 +342,7 @@ def _bin_masses(
     binning: BinningScheme,
     lens: TimeLens | None,
     basis: str,
+    bands: tuple[tuple[slice, slice], ...] | None = None,
 ) -> np.ndarray:
     """Raw bin masses of a single-photon (1-D) or joint (2-D, receiver on
     axis 0) spectral amplitude, binned on every axis as described in
@@ -355,7 +356,8 @@ def _bin_masses(
     ``exp(-i*c_p*w)`` and ``exp(-i*s_q*w)``, so it takes one complex
     exponential per panel and per node offset at each grid point.
 
-    A joint record is read over its band only (:func:`_row_bands`): each
+    A joint record is read over its band only (``bands``, or
+    :func:`_row_bands` of the record when not given): each
     row block ``r`` with its column range ``c`` adds ``W[:, r] @ |A[r, c]|**2
     @ W[:, c].T`` to the frequency-basis masses, and in the time basis
     ``A[r, c] @ K.T[c]`` (one real GEMM against the kernel's interleaved
@@ -363,12 +365,14 @@ def _bin_masses(
     """
     amplitudes = np.asarray(amplitudes)
     ndim = amplitudes.ndim
+    if ndim == 2 and bands is None:
+        bands = _row_bands(amplitudes)
     if basis == FREQUENCY_BASIS:
         weights = bin_overlap_weights(grid.points, grid.spacing, binning.bin_edges)
         if ndim == 1:
             return weights @ (np.abs(amplitudes) ** 2 * grid.spacing)
         raw = np.zeros((binning.m, binning.m))
-        for rows, cols in _row_bands(amplitudes):
+        for rows, cols in bands:
             intensity = np.abs(amplitudes[rows, cols]) ** 2 * grid.spacing**2
             raw += weights[:, rows] @ intensity @ weights[:, cols].T
         return raw[::-1, :]
@@ -393,7 +397,7 @@ def _bin_masses(
             rhs, out = kernel_t, rows_at_nodes
             if np.isrealobj(amplitudes):
                 rhs, out = rhs.view(np.float64), out.view(np.float64)
-            for rows, cols in _row_bands(amplitudes):
+            for rows, cols in bands:
                 np.matmul(amplitudes[rows, cols], rhs[cols], out=out[rows])
             at_nodes = np.abs(kernel_t.T @ rows_at_nodes) ** 2
         nodes_axes = tuple(range(1, 2 * ndim, 2))
@@ -424,7 +428,7 @@ def joint_outcome_distribution(
     falls outside the window; the returned distribution is renormalized over
     the window either way.
     """
-    raw = _bin_masses(jsa.amplitudes, jsa.grid, binning, lens, basis)
+    raw = _bin_masses(jsa.amplitudes, jsa.grid, binning, lens, basis, jsa._bands)
     probabilities, out_mass = _renormalize(raw, basis)
     return OutcomeDistribution(basis=basis, probabilities=probabilities, out_of_window=out_mass)
 

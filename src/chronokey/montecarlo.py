@@ -53,6 +53,7 @@ order, so the ledger depends only on ``seed``, ``rounds``, and
 from __future__ import annotations
 
 import collections
+import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -158,11 +159,12 @@ class RoundLedger:
     def multi_click_discarded(self) -> int:
         return int(self.tally[-1])
 
-    @property
+    # Sums over the whole tally, taken once: the tally is read-only.
+    @functools.cached_property
     def sifted(self) -> int:
         return int(self.tally[:-2].sum())
 
-    @property
+    @functools.cached_property
     def correct(self) -> int:
         return int(np.trace(self.joint_counts_frequency) + np.trace(self.joint_counts_time))
 

@@ -1,9 +1,16 @@
 """Command-line entry points: artifacts, determinism, and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import chronokey as ck
 from chronokey import cli
@@ -390,3 +397,92 @@ class TestErrorHandling:
         missing = tmp_path / "nope.json"
         assert _run("analyze", "--config", str(missing)) == 2
         assert capsys.readouterr().err.startswith("error:")
+
+
+class TestParserCache:
+    """One parser serves every call in a process."""
+
+    def test_overrides_do_not_leak_into_the_next_call(self, tmp_path):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"simulation": {"rounds": 30000, "seed": 4}}))
+        overridden, plain, fresh = tmp_path / "overridden", tmp_path / "plain", tmp_path / "fresh"
+        assert _run("montecarlo", "--config", str(config), "--rounds", "20000", "--seed", "9",
+                    "--out", str(overridden)) == 0
+        assert _run("montecarlo", "--config", str(config), "--out", str(plain)) == 0
+        env = dict(os.environ, PYTHONPATH=str(Path(ck.__file__).parents[1]))
+        subprocess.run(
+            [sys.executable, "-m", "chronokey.cli", "montecarlo", "--config", str(config),
+             "--out", str(fresh)],
+            check=True, env=env, capture_output=True, timeout=120,
+        )
+        assert _read(plain / "montecarlo.json") == _read(fresh / "montecarlo.json")
+        assert _read(overridden / "montecarlo.json") != _read(plain / "montecarlo.json")
+
+    def test_a_call_after_an_argparse_error_succeeds(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            _run("no-such-command")
+        assert exit_info.value.code == 2
+        assert _run("analyze", "--out", str(tmp_path)) == 0
+        assert (tmp_path / "analyze.json").exists()
+
+    def test_handlers_are_looked_up_per_call(self, tmp_path, monkeypatch):
+        _run("analyze", "--out", str(tmp_path))
+        seen = []
+
+        def stand_in(args):
+            seen.append(args.out)
+            return 0
+
+        monkeypatch.setattr(cli, "cmd_feasibility", stand_in)
+        assert _run("feasibility", "--out", str(tmp_path)) == 0
+        assert seen == [str(tmp_path)]
+
+
+@st.composite
+def _count_matrices(draw):
+    shape = (draw(st.integers(1, 64)), draw(st.integers(1, 64)))
+    counts = st.integers(1, 2**63 - 1)
+    layout = draw(st.sampled_from(["zero", "single", "sparse", "full"]))
+    if layout == "full":
+        return draw(hnp.arrays(np.int64, shape, elements=counts))
+    matrix = np.zeros(shape, np.int64)
+    if layout == "single":
+        cell = (draw(st.integers(0, shape[0] - 1)), draw(st.integers(0, shape[1] - 1)))
+        matrix[cell] = draw(counts)
+    elif layout == "sparse":
+        matrix = draw(hnp.arrays(np.int64, shape, elements=counts, fill=st.just(0)))
+    return matrix
+
+
+class TestCountMatrixWriter:
+    @given(matrix=_count_matrices())
+    @example(matrix=np.full((64, 64), 2**63 - 1, np.int64))
+    @example(matrix=np.diag(np.arange(1, 65, dtype=np.int64)))
+    def test_writes_what_json_writes(self, matrix):
+        expected = json.dumps(matrix.tolist())
+        assert cli._matrix_json(matrix) == expected
+        payload = {"b": {"counts": matrix, "out_of_window": None}, "a": [1.5, "x"]}
+        reference = dict(payload, b={"counts": matrix.tolist(), "out_of_window": None})
+        assert cli._json_text(payload) == json.dumps(reference, sort_keys=True)
+
+    def test_refuses_what_is_not_an_integer_matrix(self):
+        for bad in (np.zeros((2, 2)), np.zeros(4, np.int64)):
+            with pytest.raises(TypeError):
+                cli._matrix_json(bad)
+
+    def test_montecarlo_artifact_parses_back_to_the_tally(self, tmp_path):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(
+            {"protocol": {"m": 256}, "simulation": {"rounds": 400000, "seed": 23}}
+        ))
+        assert _run("montecarlo", "--config", str(config), "--out", str(tmp_path)) == 0
+        payload = json.loads((tmp_path / "montecarlo.json").read_text())
+        run = ck.load_config(config)
+        ledger = ck.simulate_rounds(run.simulation_config(), run.channel_model())
+        tally = np.concatenate([
+            np.ravel(payload["frequency"]["counts"]),
+            np.ravel(payload["time"]["counts"]),
+            [payload["counts"]["basis_mismatch"], payload["counts"]["multi_click_discarded"]],
+        ])
+        assert ledger.sifted > 0
+        assert np.array_equal(tally, ledger.tally)

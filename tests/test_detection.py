@@ -742,6 +742,26 @@ class TestBandedRecordProducts:
                     tracemalloc.stop()
                 assert peak <= bounds[name] * source.amplitudes.nbytes, name
 
+    def test_one_record_is_scanned_once(self):
+        scheme, source = ck.design_binning(4)
+        lens = ck.design_time_lens(scheme)
+        jsa = ck.JointSpectralAmplitude("sampled", source.grid, source.amplitudes.copy())
+        scan = chronocyclic._row_bands
+        scans = []
+
+        def counted(amplitudes):
+            scans.append(amplitudes)
+            return scan(amplitudes)
+
+        with mock.patch("chronokey.chronocyclic._row_bands", counted), mock.patch(
+            "chronokey.detection._row_bands", counted
+        ), warnings.catch_warnings():
+            warnings.simplefilter("ignore", ck.CoverageWarning)
+            for basis in ("frequency", "time"):
+                ck.joint_outcome_distribution(jsa, scheme, lens, basis)
+            ck.schmidt_decompose(jsa)
+        assert len(scans) == 1 and scans[0] is jsa.amplitudes
+
 
 class TestTimeLensSimulation:
     def test_ideal_lens_rescales_the_envelope(self, designed16, pulse):
