@@ -19,8 +19,6 @@ from .chronocyclic import (
     TimeGrid,
     analytic_schmidt_number,
     default_grid,
-    fitted_spectral_widths,
-    fitted_temporal_widths,
     make_gaussian_jsa,
     schmidt_decompose,
     to_temporal,
@@ -44,7 +42,6 @@ from .detection import (
     overlap_fidelity,
     resolution_product,
     simulate_time_lens,
-    temporal_kernel,
     time_resolution,
 )
 from .errors import (

@@ -2,10 +2,9 @@
 
 The source model is a Gaussian two-photon amplitude that is narrow along the
 sum-frequency direction (strong anti-correlation of the photon detunings) and
-wide along the difference direction.  Everything downstream consumes either
-the sampled amplitude matrix or the analytic widths stored alongside it, so
-this module is the single place where grids, normalization, and the
-frequency/time transform convention are fixed.
+wide along the difference direction.  Everything downstream consumes the
+sampled amplitude matrix, so this module is the single place where grids,
+normalization, and the frequency/time transform convention are fixed.
 
 Transform convention: the time-domain amplitude is obtained with the
 ``exp(-i*w*t)`` kernel and prefactor ``1/sqrt(2*pi)`` per axis, and the
@@ -483,45 +482,3 @@ def from_temporal(jta: JointTemporalAmplitude) -> JointSpectralAmplitude:
     fg, amplitudes = _dual_transform(jta.amplitudes, jta.grid, sign=+1, axes=(0, 1))
     return JointSpectralAmplitude(kind="sampled", grid=fg, amplitudes=amplitudes)
 
-
-def _diagonal_widths(amplitudes: np.ndarray, points: np.ndarray, spacing: float) -> tuple[float, float]:
-    """Intensity widths along the +45 and -45 degree axes.
-
-    Returns ``sqrt(2)`` times the standard deviation of the intensity along
-    ``(u + v)/sqrt(2)`` and ``(u - v)/sqrt(2)``; for a Gaussian intensity
-    ``exp(-x**2 / W**2)`` that estimator recovers ``W`` exactly.
-    """
-    intensity = np.abs(amplitudes) ** 2 * spacing * spacing
-    total = float(intensity.sum())
-    row_mass = intensity.sum(axis=1)
-    col_mass = intensity.sum(axis=0)
-    mu_r = float(row_mass @ points) / total
-    mu_c = float(col_mass @ points) / total
-    var_r = float(row_mass @ (points - mu_r) ** 2) / total
-    var_c = float(col_mass @ (points - mu_c) ** 2) / total
-    cross = float((points - mu_r) @ intensity @ (points - mu_c)) / total
-    var_sum = 0.5 * (var_r + var_c + 2.0 * cross)
-    var_diff = 0.5 * (var_r + var_c - 2.0 * cross)
-    return math.sqrt(2.0 * var_sum), math.sqrt(2.0 * var_diff)
-
-
-def fitted_spectral_widths(jsa: JointSpectralAmplitude) -> tuple[float, float]:
-    """Moment-fitted intensity widths of a spectral amplitude.
-
-    Returns ``(width_difference, width_sum)``: the width across the
-    anti-diagonal (matching ``delta_plus``) and along the sum direction
-    (matching ``delta_minus``).
-    """
-    w_sum, w_diff = _diagonal_widths(jsa.amplitudes, jsa.grid.points, jsa.grid.spacing)
-    return w_diff, w_sum
-
-
-def fitted_temporal_widths(jta: JointTemporalAmplitude) -> tuple[float, float]:
-    """Moment-fitted intensity widths of a temporal amplitude.
-
-    Returns ``(width_correlated, width_anticorrelated)``: the width along the
-    diagonal (matching ``1/delta_minus``) and across it (matching
-    ``1/delta_plus``).
-    """
-    w_sum, w_diff = _diagonal_widths(jta.amplitudes, jta.grid.points, jta.grid.spacing)
-    return w_sum, w_diff

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import functools
 import json
 import math
@@ -31,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from .chronocyclic import analytic_schmidt_number
-from .config import RunConfig, _field_dict, load_config, set_by_path
+from .config import RunConfig, _field_dict, load_config
 from .detection import (
     FREQUENCY_BASIS,
     TIME_BASIS,
@@ -197,7 +196,6 @@ def cmd_sweep(args) -> int:
     out = _resolve_out(args, config)
     sweep = config.sweep
     values = sweep.resolved_values()
-    base = config.to_dict()
     header = [
         "parameter",
         "value",
@@ -209,9 +207,10 @@ def cmd_sweep(args) -> int:
     rows = []
     records = []
     for value in values:
-        data = json.loads(json.dumps(base))
-        value = set_by_path(data, sweep.parameter, value)
-        rates = _closed_form_key_rates(RunConfig.from_dict(data))
+        section, key = sweep.target()
+        point = config.with_section(section, **{key: value})
+        value = getattr(getattr(point, section), key)  # as set: an int for an integer key
+        rates = _closed_form_key_rates(point)
         record = {
             "parameter": sweep.parameter,
             "value": value,
@@ -232,15 +231,10 @@ def cmd_sweep(args) -> int:
 def cmd_montecarlo(args) -> int:
     config = load_config(args.config)
     out = _resolve_out(args, config)
-    sim_dict = {}
-    if args.rounds is not None:
-        sim_dict["rounds"] = args.rounds
-    if args.seed is not None:
-        sim_dict["seed"] = args.seed
-    if sim_dict:
-        data = config.to_dict()
-        data["simulation"].update(sim_dict)
-        config = RunConfig.from_dict(data)
+    overrides = {"rounds": args.rounds, "seed": args.seed}
+    config = config.with_section(
+        "simulation", **{key: value for key, value in overrides.items() if value is not None}
+    )
     threads = args.threads if args.threads is not None else config.simulation.threads
     sim = config.simulation_config()
     model = config.channel_model()
@@ -334,8 +328,7 @@ def cmd_alphabet_scan(args) -> int:
     header = ["alphabet_bits", "m", "error_probability", "secret_key", "clamped"]
     for bits in range(1, args.max_bits + 1):
         m = 2**bits
-        protocol = dataclasses.replace(config.protocol, m=m)
-        rates = _closed_form_key_rates(dataclasses.replace(config, protocol=protocol))
+        rates = _closed_form_key_rates(config.with_section("protocol", m=m))
         record = {
             "alphabet_bits": bits,
             "m": m,

@@ -67,6 +67,14 @@ class SweepSettings:
     num: int = 11
     spacing: str = "log"
 
+    def target(self) -> tuple[str, str]:
+        """The swept parameter's section and key."""
+        parts = self.parameter.split(".")
+        if len(parts) != 2:
+            raise ConfigError(f"sweep parameter {self.parameter!r} must look like 'section.key'")
+        section, key = parts
+        return section, key
+
     def resolved_values(self) -> list[float]:
         if self.values is not None:
             return [float(v) for v in self.values]
@@ -165,6 +173,22 @@ class RunConfig:
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
 
+    def with_section(self, name: str, **changes) -> "RunConfig":
+        """This configuration with section ``name`` rebuilt from its fields
+        and ``changes``, checked as a loaded section is.  A key with an
+        integer default takes an integral float as an ``int``; a fractional
+        one is refused."""
+        if name not in _SECTIONS:
+            raise ConfigError(f"unknown section {name!r}")
+        data = _field_dict(getattr(self, name))
+        for key, value in changes.items():
+            if type(data.get(key)) is int and isinstance(value, float):
+                if not value.is_integer():
+                    raise ConfigError(f"key {key!r} in section {name!r} takes integers, got {value!r}")
+                value = int(value)
+            data[key] = value
+        return dataclasses.replace(self, **{name: _build_section(name, _SECTIONS[name], data)})
+
     # Domain-object constructors; these run the full parameter validation.
 
     def binning(self) -> BinningScheme:
@@ -203,23 +227,3 @@ def load_config(path: str | Path | None = None) -> RunConfig:
 def save_config(config: RunConfig, path: str | Path) -> None:
     Path(path).write_text(json.dumps(config.to_dict(), indent=2, sort_keys=True) + "\n")
 
-
-def set_by_path(data: dict, dotted: str, value):
-    """Assign ``section.key`` inside a config dictionary, validating names,
-    and return the value assigned.  A key with an integer default takes an
-    integral float as an ``int``; a fractional one is refused."""
-    parts = dotted.split(".")
-    if len(parts) != 2:
-        raise ConfigError(f"sweep parameter {dotted!r} must look like 'section.key'")
-    section, key = parts
-    if section not in _SECTIONS:
-        raise ConfigError(f"unknown section {section!r}")
-    defaults = {f.name: f.default for f in dataclasses.fields(_SECTIONS[section])}
-    if key not in defaults:
-        raise ConfigError(f"unknown key {key!r} in section {section!r}")
-    if type(defaults[key]) is int and isinstance(value, float):
-        if not value.is_integer():
-            raise ConfigError(f"key {key!r} in section {section!r} takes integers, got {value!r}")
-        value = int(value)
-    data.setdefault(section, {})[key] = value
-    return value

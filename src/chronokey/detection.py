@@ -40,6 +40,8 @@ TIME_BASIS = "time"
 COVERAGE_WARN_THRESHOLD = 0.01
 # In-window share of a binned record's unit mass below which it is roundoff.
 _MIN_WINDOW_MASS = 1e-12
+# Roundoff below zero that a probability may carry before it is refused.
+_NEGATIVE_ATOL = 1e-12
 # Time bins are integrated by 16-node Gauss-Legendre panels (Golub-Welsch
 # nodes on [-1, 1]) at most _PANEL_SPAN_WIDTH / span wide for a spectral grid
 # of half-span span: on its band-limited temporal intensity panels of 24, 32
@@ -96,11 +98,6 @@ class BinningScheme:
     def span(self) -> float:
         """Full width of the binned window."""
         return self.m * self.delta_omega
-
-    @property
-    def bin_centers(self) -> np.ndarray:
-        b = np.arange(self.m)
-        return self.center + (b - (self.m - 1) / 2.0) * self.delta_omega
 
     @property
     def bin_edges(self) -> np.ndarray:
@@ -230,6 +227,7 @@ class OutcomeDistribution:
     def __post_init__(self) -> None:
         if self.basis not in (FREQUENCY_BASIS, TIME_BASIS):
             raise ParameterError(f"unknown basis {self.basis!r}")
+        refuse_boolean_floats(self)
         p = np.asarray(self.probabilities, dtype=float)
         if p.ndim != 2 or p.shape[0] != p.shape[1]:
             raise ParameterError("probabilities must be a square matrix")
@@ -237,7 +235,7 @@ class OutcomeDistribution:
         # A finite sum has finite terms, so only a non-finite one needs the scan.
         if not math.isfinite(total) and not np.isfinite(p).all():
             raise ParameterError("probabilities must be finite")
-        if not float(p.min()) >= -1e-12:
+        if not float(p.min()) >= -_NEGATIVE_ATOL:
             raise ParameterError("probabilities must be non-negative")
         if not abs(total - 1.0) <= 1e-9:
             raise ParameterError(f"probabilities sum to {total!r}, expected 1")
@@ -550,32 +548,11 @@ def overlap_fidelity(a: np.ndarray, b: np.ndarray) -> float:
     """Normalized squared overlap of two sampled wavefunctions."""
     a = np.asarray(a, dtype=np.complex128).ravel()
     b = np.asarray(b, dtype=np.complex128).ravel()
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ParameterError("fields must be finite")
     na = float(np.vdot(a, a).real)
     nb = float(np.vdot(b, b).real)
     if na == 0.0 or nb == 0.0:
         raise ParameterError("cannot compute fidelity with a zero field")
     return abs(np.vdot(a, b)) ** 2 / (na * nb)
 
-
-def temporal_kernel(
-    binning: BinningScheme,
-    lens: TimeLens,
-    index: int,
-    times: np.ndarray,
-) -> np.ndarray:
-    """Temporal response of one spectrometer bin read through the lens.
-
-    Detecting the lens output in frequency bin ``index`` acts on the input
-    temporal amplitude as projection onto this kernel: a carrier at the bin's
-    mapped arrival frequency under a ``sin(y)/y`` envelope whose first zero
-    sits at ``2 * pi * focusing_rate / delta_omega``.
-    """
-    if not 0 <= index < binning.m:
-        raise ParameterError(f"bin index {index} outside range(0, {binning.m})")
-    x = np.asarray(times, dtype=float)
-    rate = lens.focusing_rate
-    center = float(binning.bin_centers[index])
-    arg = x * binning.delta_omega / (2.0 * rate)
-    envelope = np.sinc(arg / math.pi)
-    prefactor = binning.delta_omega / math.sqrt(2.0 * math.pi * rate)
-    return prefactor * envelope * np.exp(-1j * center * x / rate)

@@ -132,12 +132,6 @@ class FeasibilityReport:
     def feasible(self) -> bool:
         return self.frequency_ok and self.depth_ok
 
-    @property
-    def selected(self) -> ConventionFigures:
-        if self.selected_convention == "ordinary":
-            return self.ordinary
-        return self.angular
-
 
 def _figures(convention: str, binning: BinningScheme, unit: float, gvd_per_meter: float) -> ConventionFigures:
     rate = binning.beta_plus * binning.beta_minus * binning.m * unit**2

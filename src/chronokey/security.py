@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .detection import _PANEL_NODES, _PANEL_WEIGHTS
+from .detection import _NEGATIVE_ATOL, _PANEL_NODES, _PANEL_WEIGHTS
 from .detection import BinningScheme, OutcomeDistribution, TimeLens, time_resolution
 from .errors import ParameterError, ResolutionWarning
 
@@ -32,18 +32,30 @@ def _entropy_bits(p: np.ndarray) -> float:
 
 def binary_entropy(x: float) -> float:
     """Entropy in bits of a coin with bias ``x``."""
-    if not 0.0 <= x <= 1.0:
+    if isinstance(x, bool) or not 0.0 <= x <= 1.0:
         raise ParameterError(f"binary entropy argument {x!r} outside [0, 1]")
     if x == 0.0 or x == 1.0:
         return 0.0
     return -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x)
 
 
-def mutual_information(probabilities: np.ndarray) -> float:
-    """Mutual information in bits of a joint outcome matrix."""
+def _joint_matrix(probabilities) -> np.ndarray:
+    """A joint outcome matrix as floats, refused unless it is finite and
+    non-negative to :class:`~chronokey.detection.OutcomeDistribution`'s
+    tolerance."""
     p = np.asarray(probabilities, dtype=float)
     if p.ndim != 2:
         raise ParameterError("joint probabilities must be a matrix")
+    if not np.isfinite(p).all():
+        raise ParameterError("joint probabilities must be finite")
+    if p.size and not float(p.min()) >= -_NEGATIVE_ATOL:
+        raise ParameterError("joint probabilities must be non-negative")
+    return p
+
+
+def mutual_information(probabilities: np.ndarray) -> float:
+    """Mutual information in bits of a joint outcome matrix."""
+    p = _joint_matrix(probabilities)
     return (
         _entropy_bits(p.sum(axis=1)) + _entropy_bits(p.sum(axis=0)) - _entropy_bits(p.ravel())
     )
@@ -56,9 +68,10 @@ def conditional_entropy(probabilities: np.ndarray, conditioned_on: str = "sender
     :class:`~chronokey.detection.OutcomeDistribution`.  The default gives the
     receiver's entropy conditioned on the sender's outcome.
     """
-    p = np.asarray(probabilities, dtype=float)
-    if p.ndim != 2:
-        raise ParameterError("joint probabilities must be a matrix")
+    return _conditional_bits(_joint_matrix(probabilities), conditioned_on)
+
+
+def _conditional_bits(p: np.ndarray, conditioned_on: str) -> float:
     joint = _entropy_bits(p.ravel())
     if conditioned_on == "sender":
         return joint - _entropy_bits(p.sum(axis=0))
@@ -94,7 +107,7 @@ def entropy_report(distribution: OutcomeDistribution) -> EntropyReport:
     return EntropyReport(
         basis=distribution.basis,
         marginal_bits=_entropy_bits(p.sum(axis=1)),
-        conditional_bits=conditional_entropy(p, conditioned_on="sender"),
+        conditional_bits=_conditional_bits(p, "sender"),
     )
 
 
@@ -102,7 +115,10 @@ def entropic_bound(delta_omega: float, delta_t: float) -> float:
     """Uncertainty-relation ceiling ``log2(2*pi / (delta_omega * delta_t))``
     on the information shared through conjugate binned measurements."""
     product = delta_omega * delta_t
-    positive = all(math.isfinite(x) and x > 0.0 for x in (delta_omega, delta_t, product))
+    positive = all(
+        not isinstance(x, bool) and math.isfinite(x) and x > 0.0
+        for x in (delta_omega, delta_t, product)
+    )
     if not (positive and math.isfinite(2.0 * math.pi / product)):
         raise ParameterError(f"bin widths {delta_omega!r} and {delta_t!r} are out of range")
     return math.log2(2.0 * math.pi / product)
@@ -172,8 +188,7 @@ class KeyRateBound:
     """Secret bits per sifted symbol pair and how they were limited.
 
     ``secret_key`` is reported raw and may be negative when the conditional
-    entropies eat the whole bound; consumers that need a rate floor use
-    :attr:`secret_key_floored`.  ``clamped`` is True when what error
+    entropies eat the whole bound.  ``clamped`` is True when what error
     correction leaves of the receiver's outcome entropy, not the uncertainty
     bound, was the binding limit.
     """
@@ -183,10 +198,6 @@ class KeyRateBound:
     secret_key: float
     clamped: bool
     deficit: float | None = None
-
-    @property
-    def secret_key_floored(self) -> float:
-        return max(0.0, self.secret_key)
 
 
 def secret_key_bound(
@@ -208,7 +219,7 @@ def secret_key_bound(
     """
     if frequency.basis != "frequency" or time.basis != "time":
         raise ParameterError("reports must come from the frequency and time bases")
-    if not 0.0 < reconciliation_efficiency <= 1.0:
+    if isinstance(reconciliation_efficiency, bool) or not 0.0 < reconciliation_efficiency <= 1.0:
         raise ParameterError("reconciliation efficiency must lie in (0, 1]")
     leak = frequency.conditional_bits / reconciliation_efficiency
     ceiling = frequency.marginal_bits - leak

@@ -434,13 +434,3 @@ class TestTemporal:
         cov_t = float((ti * np.outer(tf, tf)).sum()) / float(ti.sum())
         assert cov_f < 0.0
         assert cov_t > 0.0
-
-    def test_fitted_widths_recover_design(self, designed16):
-        _, source, _ = designed16
-        wide, narrow = ck.fitted_spectral_widths(source)
-        assert wide == pytest.approx(12.0, rel=1e-3)
-        assert narrow == pytest.approx(0.2, rel=1e-3)
-        jta = ck.to_temporal(source)
-        long_axis, short_axis = ck.fitted_temporal_widths(jta)
-        assert long_axis == pytest.approx(1.0 / 0.2, rel=1e-3)
-        assert short_axis == pytest.approx(1.0 / 12.0, rel=1e-3)

@@ -14,6 +14,23 @@ from hypothesis.extra import numpy as hnp
 
 import chronokey as ck
 from chronokey import cli
+from chronokey import config as config_module
+
+# frozen: the artifacts of a sweep over protocol.m at the values [4.0, 8.0]
+SWEEP_M_CSV = (
+    b"parameter,value,error_probability,mutual_information,secret_key,clamped\r\n"
+    b"protocol.m,4,5.924686354775264e-05,1.9989886254384719,1.9125077861830564,false\r\n"
+    b"protocol.m,8,0.0001382615731321401,2.997639838672673,2.9098102126514584,false\r\n"
+)
+SWEEP_M_JSON = (
+    b'{"parameter": "protocol.m", "rows": ['
+    b'{"clamped": false, "error_probability": 5.924686354775264e-05, '
+    b'"mutual_information": 1.9989886254384719, "parameter": "protocol.m", '
+    b'"secret_key": 1.9125077861830564, "value": 4}, '
+    b'{"clamped": false, "error_probability": 0.0001382615731321401, '
+    b'"mutual_information": 2.997639838672673, "parameter": "protocol.m", '
+    b'"secret_key": 2.9098102126514584, "value": 8}]}\n'
+)
 
 
 def _run(*args):
@@ -128,6 +145,25 @@ class TestSweep:
         lines = (tmp_path / "sweep.csv").read_text().strip().splitlines()
         assert [line.split(",")[1] for line in lines[1:]] == ["4", "8"]
 
+    def test_integral_floats_of_an_integer_key_are_written_as_ints(self, tmp_path):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"sweep": {"parameter": "protocol.m", "values": [4.0, 8.0]}}))
+        assert _run("sweep", "--config", str(config), "--out", str(tmp_path)) == 0
+        assert _read(tmp_path / "sweep.csv") == SWEEP_M_CSV
+        assert _read(tmp_path / "sweep.json") == SWEEP_M_JSON
+
+    def test_each_point_rebuilds_only_the_swept_section(self, tmp_path, monkeypatch):
+        built = []
+        original = config_module._build_section
+
+        def recording(name, cls, data):
+            built.append(name)
+            return original(name, cls, data)
+
+        monkeypatch.setattr(config_module, "_build_section", recording)
+        assert _run("sweep", "--out", str(tmp_path)) == 0
+        assert built == ["channel"] * 11
+
 
 class TestAlphabetScan:
     def test_summary_marks_peak_decline_and_crossing(self, tmp_path):
@@ -202,6 +238,16 @@ class TestMonteCarlo:
         assert _run(*base, "--out", str(c), "--threads", "4") == 0
         assert _read(a / "montecarlo.json") == _read(b / "montecarlo.json")
         assert _read(a / "montecarlo.json") == _read(c / "montecarlo.json")
+
+    def test_overrides_write_what_a_config_file_writes(self, tmp_path):
+        base, full = tmp_path / "base.json", tmp_path / "full.json"
+        base.write_text(json.dumps({"protocol": {"m": 8}, "simulation": {"rounds": 5000}}))
+        full.write_text(json.dumps({"protocol": {"m": 8}, "simulation": {"rounds": 30000, "seed": 21}}))
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert _run("montecarlo", "--config", str(base), "--rounds", "30000", "--seed", "21",
+                    "--out", str(a)) == 0
+        assert _run("montecarlo", "--config", str(full), "--out", str(b)) == 0
+        assert _read(a / "montecarlo.json") == _read(b / "montecarlo.json")
 
     def test_ledger_accounting_in_the_report(self, tmp_path):
         assert (
@@ -336,6 +382,22 @@ class TestErrorHandling:
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert repr(key) in err
+
+    @pytest.mark.parametrize(
+        "parameter,value,message",
+        [
+            ("protocol.m", 4.5, "key 'm' in section 'protocol' takes integers, got 4.5"),
+            ("protocol.mm", 4.0, "unknown key 'mm' in section 'protocol'"),
+            ("protocl.m", 4.0, "unknown section 'protocl'"),
+            ("protocol", 4.0, "sweep parameter 'protocol' must look like 'section.key'"),
+        ],
+    )
+    def test_bad_sweep_point_exits_with_its_message(self, tmp_path, capsys, parameter, value, message):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"sweep": {"parameter": parameter, "values": [value]}}))
+        assert _run("sweep", "--config", str(config), "--out", str(tmp_path)) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "sweep.json").exists()
 
     @pytest.mark.parametrize("bits", ["0", "-3"])
     def test_alphabet_scan_refuses_max_bits_below_one(self, tmp_path, capsys, bits):

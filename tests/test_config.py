@@ -7,7 +7,7 @@ import math
 import pytest
 
 import chronokey as ck
-from chronokey.config import set_by_path
+from chronokey.config import SweepSettings
 
 
 class TestRoundTrip:
@@ -139,28 +139,42 @@ class TestSweepValues:
         assert sweep.resolved_values() == []
 
 
-class TestSetByPath:
+def _sweep_point(dotted, value):
+    """The default configuration with one swept value set, as ``sweep`` sets it."""
+    section, key = SweepSettings(parameter=dotted).target()
+    return ck.RunConfig().with_section(section, **{key: value})
+
+
+class TestWithSection:
     def test_sets_nested_value(self):
-        data = ck.RunConfig().to_dict()
-        set_by_path(data, "channel.dark_probability", 1e-4)
-        assert ck.RunConfig.from_dict(data).channel.dark_probability == 1e-4
+        assert _sweep_point("channel.dark_probability", 1e-4).channel.dark_probability == 1e-4
 
     def test_integer_key_takes_integral_values_as_int(self):
-        data = ck.RunConfig().to_dict()
-        assert set_by_path(data, "protocol.m", 8.0) == 8
-        assert type(data["protocol"]["m"]) is int
-        assert ck.RunConfig.from_dict(data).protocol.m == 8
-        assert type(set_by_path(data, "channel.length", 2.0)) is float
+        config = _sweep_point("protocol.m", 8.0)
+        assert type(config.protocol.m) is int
+        assert config.protocol.m == 8
+        assert type(_sweep_point("channel.length", 2.0).channel.length) is float
 
     @pytest.mark.parametrize("value", [4.5, float("inf"), float("nan")])
     def test_integer_key_refuses_fractional_values(self, value):
         with pytest.raises(ck.ConfigError, match="'m'"):
-            set_by_path(ck.RunConfig().to_dict(), "protocol.m", value)
+            _sweep_point("protocol.m", value)
 
     @pytest.mark.parametrize("dotted", ["dark", "channel.dark.deep", "bogus.key"])
     def test_rejects_malformed_paths(self, dotted):
         with pytest.raises(ck.ConfigError):
-            set_by_path(ck.RunConfig().to_dict(), dotted, 1.0)
+            _sweep_point(dotted, 1.0)
+
+    def test_keeps_the_other_fields_and_sections(self):
+        config = ck.RunConfig.from_dict({"protocol": {"m": 32}, "simulation": {"seed": 9}})
+        changed = config.with_section("simulation", rounds=5)
+        assert changed.simulation == dataclasses.replace(config.simulation, rounds=5)
+        assert changed.protocol is config.protocol
+
+    @pytest.mark.parametrize("changes", [{"rounds": True}, {"rounds": "5"}, {"rounds": 5, "sede": 1}])
+    def test_checks_the_changes_as_a_loaded_section(self, changes):
+        with pytest.raises(ck.ConfigError, match="simulation"):
+            ck.RunConfig().with_section("simulation", **changes)
 
 
 class TestDomainBuilders:

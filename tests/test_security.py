@@ -35,7 +35,7 @@ class TestBinaryEntropy:
     def test_symmetry(self, p):
         assert ck.binary_entropy(p) == pytest.approx(ck.binary_entropy(1 - p), abs=1e-14)
 
-    @pytest.mark.parametrize("p", [-0.1, 1.1])
+    @pytest.mark.parametrize("p", [-0.1, 1.1, True])
     def test_rejects_out_of_range(self, p):
         with pytest.raises(ck.ParameterError):
             ck.binary_entropy(p)
@@ -98,6 +98,21 @@ class TestSharedInformation:
         coarse = fine.reshape(8, 2, 8, 2).sum(axis=(1, 3))
         assert ck.mutual_information(coarse) <= ck.mutual_information(fine) + 1e-12
 
+    @pytest.mark.parametrize(
+        "p",
+        [[[math.nan, 0.5], [0.5, 0.0]], [[math.inf, 0.5], [0.5, 0.0]], [[-0.5, 1.0], [0.5, 0.0]]],
+        ids=["nan", "inf", "negative"],
+    )
+    @pytest.mark.parametrize("entropy", [ck.mutual_information, ck.conditional_entropy])
+    def test_refuses_non_finite_and_negative_entries(self, entropy, p):
+        with pytest.raises(ck.ParameterError):
+            entropy(np.array(p))
+
+    def test_accepts_roundoff_below_zero(self):
+        p = np.array([[0.5, -1e-13], [0.0, 0.5 + 1e-13]])
+        assert ck.mutual_information(p) == pytest.approx(1.0, abs=1e-12)
+        assert ck.conditional_entropy(p) == pytest.approx(0.0, abs=1e-12)
+
 
 class TestUncertaintyBound:
     def test_designed_bound_frozen_value(self):
@@ -121,8 +136,9 @@ class TestUncertaintyBound:
 
     @pytest.mark.parametrize(
         "delta_omega,delta_t",
-        [(0.0, 1.0), (-1.0, 1.0), (math.inf, 1.0), (1e-200, 1e-200), (1e-160, 1e-150)],
-        ids=["0.0", "-1.0", "inf", "product-underflows", "inverse-overflows"],
+        [(0.0, 1.0), (-1.0, 1.0), (math.inf, 1.0), (1e-200, 1e-200), (1e-160, 1e-150),
+         (True, 1.0)],
+        ids=["0.0", "-1.0", "inf", "product-underflows", "inverse-overflows", "boolean"],
     )
     def test_rejects_non_positive_resolutions(self, delta_omega, delta_t):
         with pytest.raises(ck.ParameterError):
@@ -233,7 +249,6 @@ class TestSecretKeyBound:
         freq, time = self._reports(4, 0.45)
         result = ck.secret_key_bound(freq, time, math.log2(4) - DESIGN_DEFICIT)
         assert result.secret_key < 0.0
-        assert result.secret_key_floored == 0.0
 
     def test_imperfect_reconciliation_charges_more_for_errors(self):
         freq, time = self._reports(16, 0.05)
@@ -244,6 +259,8 @@ class TestSecretKeyBound:
         assert lossy.secret_key < ideal.secret_key
         with pytest.raises(ck.ParameterError):
             ck.secret_key_bound(freq, time, DESIGN_BOUND_16, reconciliation_efficiency=0.0)
+        with pytest.raises(ck.ParameterError):
+            ck.secret_key_bound(freq, time, DESIGN_BOUND_16, reconciliation_efficiency=True)
 
     @pytest.mark.parametrize("p_err", [0.0, 0.01, 0.1, 0.3])
     @pytest.mark.parametrize("m", [4, 16, 256])
