@@ -181,8 +181,9 @@ class RunConfig:
         if name not in _SECTIONS:
             raise ConfigError(f"unknown section {name!r}")
         data = _field_dict(getattr(self, name))
+        defaults = {f.name: f.default for f in dataclasses.fields(_SECTIONS[name])}
         for key, value in changes.items():
-            if type(data.get(key)) is int and isinstance(value, float):
+            if type(defaults.get(key)) is int and isinstance(value, float):
                 if not value.is_integer():
                     raise ConfigError(f"key {key!r} in section {name!r} takes integers, got {value!r}")
                 value = int(value)

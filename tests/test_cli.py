@@ -31,6 +31,20 @@ SWEEP_M_JSON = (
     b'"mutual_information": 2.997639838672673, "parameter": "protocol.m", '
     b'"secret_key": 2.9098102126514584, "value": 8}]}\n'
 )
+SWEEP_LENGTH_CSV = (
+    b"parameter,value,error_probability,mutual_information,secret_key,clamped\r\n"
+    b"channel.length,1.0,0.00029635571374747154,3.994941280767153,3.9044130968404183,false\r\n"
+    b"channel.length,2.0,0.0008577883109856142,3.986673351547213,3.887877238400538,false\r\n"
+)
+SWEEP_LENGTH_JSON = (
+    b'{"parameter": "channel.length", "rows": ['
+    b'{"clamped": false, "error_probability": 0.00029635571374747154, '
+    b'"mutual_information": 3.994941280767153, "parameter": "channel.length", '
+    b'"secret_key": 3.9044130968404183, "value": 1.0}, '
+    b'{"clamped": false, "error_probability": 0.0008577883109856142, '
+    b'"mutual_information": 3.986673351547213, "parameter": "channel.length", '
+    b'"secret_key": 3.887877238400538, "value": 2.0}]}\n'
+)
 
 
 def _run(*args):
@@ -151,6 +165,20 @@ class TestSweep:
         assert _run("sweep", "--config", str(config), "--out", str(tmp_path)) == 0
         assert _read(tmp_path / "sweep.csv") == SWEEP_M_CSV
         assert _read(tmp_path / "sweep.json") == SWEEP_M_JSON
+
+    def test_float_key_loaded_as_an_int_is_swept_as_floats(self, tmp_path):
+        config = tmp_path / "cfg.json"
+        document = {"channel": {"length": 1}, "sweep": {"parameter": "channel.length"}}
+        document["sweep"]["values"] = [0.5, 2.0]
+        config.write_text(json.dumps(document))
+        assert _run("sweep", "--config", str(config), "--out", str(tmp_path / "a")) == 0
+        rows = json.loads((tmp_path / "a" / "sweep.json").read_text())["rows"]
+        assert [row["value"] for row in rows] == [0.5, 2.0]
+        document["sweep"]["values"] = [1.0, 2.0]
+        config.write_text(json.dumps(document))
+        assert _run("sweep", "--config", str(config), "--out", str(tmp_path / "b")) == 0
+        assert _read(tmp_path / "b" / "sweep.csv") == SWEEP_LENGTH_CSV
+        assert _read(tmp_path / "b" / "sweep.json") == SWEEP_LENGTH_JSON
 
     def test_each_point_rebuilds_only_the_swept_section(self, tmp_path, monkeypatch):
         built = []

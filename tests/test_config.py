@@ -155,6 +155,11 @@ class TestWithSection:
         assert config.protocol.m == 8
         assert type(_sweep_point("channel.length", 2.0).channel.length) is float
 
+    def test_float_key_held_as_an_int_takes_floats(self):
+        config = ck.RunConfig.from_dict({"channel": {"length": 1}})
+        assert config.with_section("channel", length=0.5).channel.length == 0.5
+        assert type(config.with_section("channel", length=2.0).channel.length) is float
+
     @pytest.mark.parametrize("value", [4.5, float("inf"), float("nan")])
     def test_integer_key_refuses_fractional_values(self, value):
         with pytest.raises(ck.ConfigError, match="'m'"):
