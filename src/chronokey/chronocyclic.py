@@ -23,6 +23,13 @@ Most of a large record is the Gaussian's underflowed tail (61 % of the
 m = 8 matched source's 2048 x 2048 record, 79 % of the m = 16 source's
 4096 x 4096), so the Schmidt number and the binning read a record over its
 band (:func:`_row_bands`), and no product makes an n x n temporary.
+
+Every function that makes a record allocates one n x n array, its output.
+The Gaussian's norm sums squares over blocks of rows and adds the block
+sums in a binary tree, which is numpy's pairwise sum of the whole squared
+record, bit for bit (:func:`_sum_of_squares`).  The transforms write their
+first phase pass into the output and apply the other phases and each
+axis's FFT in place.
 """
 
 from __future__ import annotations
@@ -308,6 +315,22 @@ def _fill_exponentials(
     return blocks
 
 
+def _sum_of_squares(amps: np.ndarray) -> float:
+    """``np.sum(np.square(amps))`` of a C-ordered square record with a
+    power-of-two side, bit for bit, with no whole-record temporary.
+
+    numpy sums a contiguous array pairwise, halving it down to blocks of at
+    most 128 elements, so each :data:`_BAND_ROWS`-row block of the record is
+    a subtree of that sum; the block sums are combined in the same binary
+    tree.
+    """
+    rows = range(0, amps.shape[0], _BAND_ROWS)
+    sums = [float(np.sum(np.square(amps[r : r + _BAND_ROWS]))) for r in rows]
+    while len(sums) > 1:
+        sums = [a + b for a, b in zip(sums[::2], sums[1::2])]
+    return sums[0]
+
+
 def make_gaussian_jsa(
     delta_plus: float,
     delta_minus: float,
@@ -333,8 +356,9 @@ def make_gaussian_jsa(
     entry that normalization takes below ``numpy.finfo(float).tiny`` is set
     to 0, so the record holds no subnormal number.  The norm is the square
     root of ``np.sum(np.square(amps))`` over the whole matrix times the
-    spacing, as before, so every other entry has the bits of the
-    whole-matrix formula.
+    spacing, summed block by block in the same pairwise tree, so every other
+    entry has the bits of the whole-matrix formula and the record is the
+    only n x n array made.
 
     Raises
     ------
@@ -361,7 +385,7 @@ def make_gaussian_jsa(
     w = grid.points - grid.center
     amps = np.zeros((w.size, w.size))
     blocks = _fill_exponentials(amps, w, delta_plus, delta_minus, _EXP_FLOOR)
-    norm = math.sqrt(float(np.sum(np.square(amps)))) * grid.spacing
+    norm = math.sqrt(_sum_of_squares(amps)) * grid.spacing
     scale = 1.0 / norm
     if scale > 1.0:
         # Entries whose exponential is subnormal can scale up to normal ones.
@@ -425,8 +449,8 @@ def _dual_transform(
     the dual relation ``g*h = 2*pi/n``.
     """
     n = grid_in.n_points
-    work = np.array(values, dtype=np.complex128)  # one copy, phased in place before and after the FFT
-    if any(work.shape[axis] != n for axis in axes):
+    values = np.asarray(values)
+    if any(values.shape[axis] != n for axis in axes):
         raise ParameterError("transform grids must match the axis length")
     if sign not in (-1, +1):
         raise ParameterError("sign must be +1 or -1")
@@ -441,11 +465,15 @@ def _dual_transform(
         grid_in.spacing / math.sqrt(2.0 * math.pi)
     )
     # A length-n vector shaped (n, 1, ..., 1) broadcasts along its axis.
-    shapes = [(n,) + (1,) * (work.ndim - 1 - axis % work.ndim) for axis in axes]
-    for shape in shapes:
+    shapes = [(n,) + (1,) * (values.ndim - 1 - axis % values.ndim) for axis in axes]
+    # The output is the only array of the input's size: the first phase pass
+    # writes it (a real x times a phase has the bits of (x + 0j) times it),
+    # and every later pass and each axis's FFT works in place.
+    work = np.multiply(values, pre.reshape(shapes[0]), dtype=np.complex128)
+    for shape in shapes[1:]:
         work *= pre.reshape(shape)
     fft = np.fft.fftn if sign == -1 else functools.partial(np.fft.ifftn, norm="forward")
-    work = fft(work, axes=axes)
+    fft(work, axes=axes, out=work)
     for shape in shapes:
         work *= post.reshape(shape)
     return grid_out, work

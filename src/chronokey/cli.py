@@ -195,6 +195,7 @@ def cmd_sweep(args) -> int:
     config = load_config(args.config)
     out = _resolve_out(args, config)
     sweep = config.sweep
+    section, key = sweep.target()  # refuses a bad path before any point, even with no values
     values = sweep.resolved_values()
     header = [
         "parameter",
@@ -207,7 +208,6 @@ def cmd_sweep(args) -> int:
     rows = []
     records = []
     for value in values:
-        section, key = sweep.target()
         point = config.with_section(section, **{key: value})
         value = getattr(getattr(point, section), key)  # as set: an int for an integer key
         rates = _closed_form_key_rates(point)

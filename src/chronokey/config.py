@@ -68,11 +68,15 @@ class SweepSettings:
     spacing: str = "log"
 
     def target(self) -> tuple[str, str]:
-        """The swept parameter's section and key."""
+        """The swept parameter's section and key, refused unless both exist."""
         parts = self.parameter.split(".")
         if len(parts) != 2:
             raise ConfigError(f"sweep parameter {self.parameter!r} must look like 'section.key'")
         section, key = parts
+        if section not in _SECTIONS:
+            raise ConfigError(f"unknown section {section!r}")
+        if key not in {f.name for f in dataclasses.fields(_SECTIONS[section])}:
+            raise ConfigError(f"unknown key {key!r} in section {section!r}")
         return section, key
 
     def resolved_values(self) -> list[float]:

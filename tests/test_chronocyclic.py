@@ -434,3 +434,109 @@ class TestTemporal:
         cov_t = float((ti * np.outer(tf, tf)).sum()) / float(ti.sum())
         assert cov_f < 0.0
         assert cov_t > 0.0
+
+
+def _reference_dual_transform(values, grid_in, sign, axes):
+    """The transform taken out of place: a complex copy, the input phases,
+    ``fftn``/``ifftn`` returning a new array, then the output phases."""
+    n = grid_in.n_points
+    grid_out = grid_in.dual()
+    x0, y0 = float(grid_in.points[0]), float(grid_out.points[0])
+    spacing_out = float(grid_out.points[1] - grid_out.points[0])
+    j = np.arange(n)
+    pre = np.exp(sign * 1j * y0 * grid_in.spacing * j)
+    post = np.exp(sign * 1j * (x0 * y0 + x0 * spacing_out * j)) * (
+        grid_in.spacing / math.sqrt(2.0 * math.pi)
+    )
+    work = np.array(values, dtype=np.complex128)
+    shapes = [(n,) + (1,) * (work.ndim - 1 - axis % work.ndim) for axis in axes]
+    for shape in shapes:
+        work *= pre.reshape(shape)
+    if sign == -1:
+        work = np.fft.fftn(work, axes=axes)
+    else:
+        work = np.fft.ifftn(work, axes=axes, norm="forward")
+    for shape in shapes:
+        work *= post.reshape(shape)
+    return work
+
+
+def _traced_peak(build):
+    """What ``build()`` returns, and the peak of the memory traced while it ran."""
+    tracemalloc.start()
+    try:
+        result = build()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestInPlaceTransform:
+    """The transform allocates only its output, with the out-of-place
+    formulation's bits."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        log2_n=st.integers(1, 10),
+        two_d=st.booleans(),
+        is_complex=st.booleans(),
+        sign=st.sampled_from([-1, +1]),
+        center=st.sampled_from([0.0, 3.7]) | st.floats(-50.0, 50.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(log2_n=10, two_d=True, is_complex=False, sign=-1, center=3.7, seed=0)
+    @example(log2_n=10, two_d=True, is_complex=True, sign=+1, center=0.0, seed=1)
+    def test_bits_equal_the_out_of_place_transform(self, log2_n, two_d, is_complex, sign, center, seed):
+        n = 1 << log2_n
+        grid = ck.FrequencyGrid(n, span=5.0, center=center)
+        rng = np.random.default_rng(seed)
+        shape = (n, n) if two_d else (n,)
+        values = rng.normal(size=shape)
+        if is_complex:
+            values = values + 1j * rng.normal(size=shape)
+        axes = (0, 1) if two_d else (-1,)
+        grid_out, out = ck.chronocyclic._dual_transform(values, grid, sign, axes)
+        assert np.array_equal(grid_out.points, grid.dual().points)
+        assert np.array_equal(out, _reference_dual_transform(values, grid, sign, axes))
+
+    @pytest.mark.parametrize("sign,columns", [(2, 64), (-1, 32)], ids=["sign", "length"])
+    def test_refuses_before_allocating(self, sign, columns):
+        grid = ck.FrequencyGrid(64, span=4.0)
+        values = np.zeros((64, columns))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ck.ParameterError):
+                ck.chronocyclic._dual_transform(values, grid, sign, (0, 1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < values.nbytes / 4
+
+    def test_two_dimensional_transforms_make_only_their_output(self):
+        grid = ck.FrequencyGrid(1024, span=24.0)
+        jsa = ck.make_gaussian_jsa(6.0, 0.2, grid=grid)
+        jta, peak = _traced_peak(lambda: ck.to_temporal(jsa))
+        assert peak <= 1.1 * jta.amplitudes.nbytes  # 3.0 out of place
+        back, peak = _traced_peak(lambda: ck.from_temporal(jta))
+        assert peak <= 1.1 * back.amplitudes.nbytes
+
+
+class TestBlockedNorm:
+    """The Gaussian's norm sums its squares block by block, with the bits of
+    the whole-record sum and no whole-record temporary."""
+
+    @pytest.mark.parametrize("n_points", [64, 128, 256, 2048])
+    def test_block_tree_equals_the_whole_record_sum(self, n_points):
+        # 64 and 128 points are one block; 256 and 2048 are two and sixteen
+        rng = np.random.default_rng(n_points)
+        record = rng.lognormal(sigma=3.0, size=(n_points, n_points))
+        expected = float(np.sum(np.square(record)))
+        assert ck.chronocyclic._sum_of_squares(record) == expected
+        jsa = ck.make_gaussian_jsa(1.0, 0.25, grid=ck.FrequencyGrid(n_points, span=4.0))
+        reference = _reference_gaussian_amplitudes(1.0, 0.25, jsa.grid)
+        assert np.array_equal(jsa.amplitudes, np.where(reference >= TINY, reference, 0.0))
+
+    def test_build_makes_only_the_record(self):
+        grid = ck.FrequencyGrid(1024, span=24.0)
+        jsa, peak = _traced_peak(lambda: ck.make_gaussian_jsa(6.0, 0.2, grid=grid))
+        assert peak <= 1.3 * jsa.amplitudes.nbytes  # 2.0 with a whole-record square

@@ -427,6 +427,20 @@ class TestErrorHandling:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "sweep.json").exists()
 
+    @pytest.mark.parametrize(
+        "parameter,message",
+        [
+            ("bogus", "sweep parameter 'bogus' must look like 'section.key'"),
+            ("channel.nosuch", "unknown key 'nosuch' in section 'channel'"),
+        ],
+    )
+    def test_bad_sweep_target_is_refused_with_no_points(self, tmp_path, capsys, parameter, message):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"sweep": {"parameter": parameter, "values": []}}))
+        assert _run("sweep", "--config", str(config), "--out", str(tmp_path)) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "sweep.csv").exists()
+
     @pytest.mark.parametrize("bits", ["0", "-3"])
     def test_alphabet_scan_refuses_max_bits_below_one(self, tmp_path, capsys, bits):
         assert _run("alphabet-scan", "--out", str(tmp_path), "--max-bits", bits) == 2
