@@ -18,6 +18,11 @@
 # multi-click path, and no draw follows the pair's), and a noiseless m=7
 # ideal-delta random-assign run (the click positions over ranges 7 and 6, and
 # the assignment uniforms, are not drawn).
+# A dark-count-heavy m=8 sampled-JSA run (lossless, d = 0.05, discard) puts
+# 1e5 live rounds in each shard, about half of them touched by a dark count:
+# every shard spans four blocks of live rounds, so the per-block resolution
+# of those rounds, and the positioned draws it reads, are pinned at either
+# thread count.
 # An m=1024 run of 1e7 rounds on the default channel adds its ten shard
 # tallies into one total, in index order at either thread count.
 # analyze and sweep at m=65536 fail if the closed-form key chain ever builds
@@ -59,6 +64,13 @@ cat > "$configs/noiseless7.json" <<'EOF'
  "simulation": {"rounds": 200000, "seed": 5, "shard_size": 50000,
                 "correlation_model": "ideal-delta", "multi_click_policy": "random-assign"}}
 EOF
+cat > "$configs/dark.json" <<'EOF'
+{"protocol": {"m": 8},
+ "channel": {"pair_probability": 1.0, "detector_efficiency": 1.0, "length": 0.0,
+             "dark_probability": 0.05},
+ "simulation": {"rounds": 200000, "seed": 17, "shard_size": 100000,
+                "correlation_model": "sampled-jsa", "multi_click_policy": "discard"}}
+EOF
 cat > "$configs/sampled16.json" <<'EOF'
 {"protocol": {"m": 16},
  "channel": {"pair_probability": 1.0, "detector_efficiency": 1.0, "length": 0.0,
@@ -85,6 +97,7 @@ chronokey montecarlo --rounds 1000000 --seed 7 --threads "$threads" --out "$out"
 chronokey montecarlo --config "$configs/sampled.json" --threads "$threads" --out "$out/sampled"
 chronokey montecarlo --config "$configs/noiseless.json" --threads "$threads" --out "$out/noiseless"
 chronokey montecarlo --config "$configs/noiseless7.json" --threads "$threads" --out "$out/noiseless7"
+chronokey montecarlo --config "$configs/dark.json" --threads "$threads" --out "$out/dark"
 chronokey montecarlo --config "$configs/sampled16.json" --threads "$threads" --out "$out/sampled16"
 chronokey montecarlo --config "$configs/sampled1024.json" --threads "$threads" \
   --out "$out/sampled1024"

@@ -17,8 +17,8 @@ side has no photon), collisions, and click positions.  Dead rounds get
 neither draws nor a tally code.  At a lossy channel with rare dark counts the cost
 thus scales with the coincidences, not with the rounds.
 
-After the draws, each live round gets one tally code, and one ``bincount``
-of the codes is the shard's tally.  A round that no dark count touched
+Each live round gets one tally code, and the shard's tally counts the codes
+block by block (see below).  A round that no dark count touched
 clicks once per side and registers the pair's symbols, so its code is the
 pair's joint cell plus its basis offset.  Only the rounds with a dark count
 on either side (every side without a photon has one) go through the
@@ -42,6 +42,20 @@ the pair's draw, so a noiseless shard moves its Philox generator past them
 to the state drawing them leaves (``Philox.advance``, Salmon et al., SC'11).
 The draws after the pair's are the shard's last, so it does not make them.
 Every ledger is thus the one that drawing everything gives.
+
+A shard walks its live rounds in blocks of ``_BLOCK_ROUNDS``, so that a
+block's draws, flags and tally codes stay in cache instead of streaming
+through memory once per numpy pass.  Each fixed-length run of uniforms (the
+two bases, the two collision arrays, the pair's, and under random-assign
+the two assignment arrays) is drawn block by block into one reused buffer,
+by a copy of the shard's Philox generator positioned at the run's start.
+Philox is counter-based (Salmon et al., SC'11), so the shard's own
+generator passes over each run without drawing it (``_skip_doubles``) and
+draws, in the order it always has, only what varies in length: the
+multinomial, the dark counts and the bounded integers.  The draws, and so
+the ledger, are bit for bit those of drawing each run whole.
+A shard whose live rounds fit in one block draws each run whole and makes
+no copy.  ``special`` is sorted, so each block resolves its own slice of it.
 
 Determinism: rounds are processed in fixed-size shards, each driven by its
 own counter-based generator keyed on ``(seed, shard_index)``.  A shard's
@@ -70,6 +84,11 @@ _MODELS = ("ideal-delta", "sampled-jsa")
 # Largest alphabet simulated: a ledger's 2*m*m + 2 int64 tally takes 1 GiB
 # at this size.
 _MAX_ALPHABET = 8192
+# Largest round count and shard size: numpy's multinomial counts in int64.
+_MAX_ROUNDS = 2**63 - 1
+# Live rounds per block of a shard: a block's draws and tally codes stay in
+# cache (see the module docstring).
+_BLOCK_ROUNDS = 2**15
 
 
 def _is_int(value) -> bool:
@@ -98,8 +117,8 @@ class SimulationConfig:
 
     def __post_init__(self) -> None:
         refuse_boolean_floats(self)
-        if not _is_int(self.rounds) or self.rounds < 1:
-            raise ParameterError("rounds must be a positive integer")
+        if not _is_int(self.rounds) or not 1 <= self.rounds <= _MAX_ROUNDS:
+            raise ParameterError("rounds must be a positive integer up to 2**63 - 1")
         if not _is_int(self.seed) or self.seed < 0:
             raise ParameterError("seed must be a non-negative integer")
         if not 0.0 <= self.basis_probability <= 1.0:
@@ -108,8 +127,8 @@ class SimulationConfig:
             raise ParameterError(f"unknown multi-click policy {self.multi_click_policy!r}")
         if self.correlation_model not in _MODELS:
             raise ParameterError(f"unknown correlation model {self.correlation_model!r}")
-        if not _is_int(self.shard_size) or self.shard_size < 1:
-            raise ParameterError("shard size must be a positive integer")
+        if not _is_int(self.shard_size) or not 1 <= self.shard_size <= _MAX_ROUNDS:
+            raise ParameterError("shard size must be a positive integer up to 2**63 - 1")
 
 
 @dataclass(frozen=True, eq=False)
@@ -206,13 +225,18 @@ def _guide_table(cdf: np.ndarray) -> np.ndarray:
     return np.where(lo == hi, lo, -1).astype(np.int32)
 
 
-def _sample_cells(guides: np.ndarray, cdfs, u: np.ndarray, basis: np.ndarray) -> np.ndarray:
+def _sample_cells(
+    guides: np.ndarray, cdfs, u: np.ndarray, basis: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
     """``searchsorted(cdfs[basis], u, "right")`` per round, read from row
-    ``basis`` (0 or 1) of the stacked guide tables; ``K`` is a power of two,
-    so ``floor(u*K)`` is exact.  Only rounds in split buckets search."""
+    ``basis`` (0 or 1) of the stacked guide tables into ``out`` (int32, or
+    a new array); ``K`` is a power of two, so ``floor(u*K)`` is exact.  Only
+    rounds in split buckets search."""
     buckets = guides.shape[1]
-    index = (u * buckets).astype(np.int32) + basis * np.int32(buckets)
-    cells = guides.ravel()[index]
+    index = np.empty(u.size, dtype=np.intp)
+    np.multiply(u, buckets, out=index, casting="unsafe")  # several times faster than astype
+    index += basis * buckets
+    cells = guides.ravel().take(index, out=out)
     split = np.flatnonzero(cells < 0)
     for row, cdf in enumerate(cdfs):
         rounds = split[basis[split] == row]
@@ -278,9 +302,9 @@ def _resolve_side(
     dark_count: np.ndarray,
     collide_u: np.ndarray,
     dark_index: np.ndarray,
-    assign_u: np.ndarray | None,
-    alt_index: np.ndarray | None,
     m: int,
+    assign_u: np.ndarray | None = None,
+    alt_index: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Click counts and registered symbols of one party over the rounds a
     dark count touched; ``photon`` marks those where its photon clicked.
@@ -319,6 +343,23 @@ def _skip_doubles(rng: np.random.Generator, count: int) -> None:
     bits.state = state
 
 
+def _positioned_copy(rng: np.random.Generator) -> np.random.Generator:
+    """A generator on a copy of ``rng``'s Philox state: it draws what
+    ``rng`` would draw next."""
+    bits = np.random.Philox(0)  # the state set next replaces this seed's
+    bits.state = rng.bit_generator.state
+    return np.random.Generator(bits)
+
+
+def _add_codes(tally: np.ndarray, code: np.ndarray) -> None:
+    """Count a block's tally codes into ``tally``.  ``bincount`` costs the
+    tally's length, so a tally longer than the block is counted in place."""
+    if tally.size <= code.size:
+        tally += np.bincount(code, minlength=tally.size)
+    else:
+        np.add.at(tally, code, 1)
+
+
 def _simulate_shard(
     shard_index: int,
     n: int,
@@ -338,65 +379,103 @@ def _simulate_shard(
     pattern = rng.multinomial(n, _pattern_probabilities(channel))[:4]
     both, a_only, b_only, neither = (int(count) for count in pattern)
     live = both + a_only + b_only + neither
+    block = min(live, _BLOCK_ROUNDS)
+    streams = []
+
+    def segment() -> np.ndarray:
+        """A block buffer of ``rng``'s next ``live`` doubles.  One block
+        holds them all, drawn now; otherwise a copy of ``rng`` positioned at
+        their start draws them block by block, and ``rng`` skips them."""
+        buffer = np.empty(block)
+        if live == block:
+            rng.random(out=buffer)
+        else:
+            streams.append((_positioned_copy(rng), buffer))
+            _skip_doubles(rng, live)
+        return buffer
 
     # Fixed draw order over the live rounds.  Rounds no dark count touched
     # click once per side and register the pair's symbols, so every draw
     # after the dark counts is kept only at the ``special`` rounds.
-    basis_a = rng.random(live) < config.basis_probability
-    basis_b = rng.random(live) < config.basis_probability
+    uniform_a = segment()
+    uniform_b = segment()
     if d > 0.0:
         clicks_a = _dark_counts(rng, (both + a_only, b_only + neither, 0, 0), m, d)
         clicks_b = _dark_counts(rng, (both, a_only, b_only, neither), m, d)
         special = np.flatnonzero(clicks_a | clicks_b)
         clicks_a, clicks_b = clicks_a[special], clicks_b[special]
-        collide_a = rng.random(live)[special]
-        collide_b = rng.random(live)[special]
+        collide_a = segment()
+        collide_b = segment()
     else:  # every live round has both photons and no dark count
         _skip_doubles(rng, 2 * live)
-    both_time = ~(basis_a | basis_b)
-    pair_u = rng.random(live)
-    # The pair's joint cell ``receiver * m + sender``.
-    if guides is None:
-        code = np.minimum((pair_u * m).astype(np.int32), m - 1) * np.int32(m + 1)
-    else:
-        code = _sample_cells(guides, cdfs, pair_u, both_time)
-    del pair_u
+    pair_u = segment()
 
     # The click positions and assignment draws are the shard's last, so a
     # shard without dark counts does not make them.
-    cells = m * m
-    discarded = np.empty(0, dtype=np.intp)
     if d > 0.0:
         registered_a = rng.integers(0, m, live, dtype=np.int32)[special]
         registered_b = rng.integers(0, m, live, dtype=np.int32)[special]
-        assign_a = assign_b = alt_a = alt_b = None
         if random_assign:
-            assign_a = rng.random(live)[special]
-            assign_b = rng.random(live)[special]
+            assign_a = segment()
+            assign_b = segment()
             alt_a = rng.integers(0, m - 1, live, dtype=np.int32)[special]
             alt_b = rng.integers(0, m - 1, live, dtype=np.int32)[special]
-        photon_a = special < both + a_only
-        photon_b = (special < both) | ((special >= both + a_only) & (special < live - neither))
-        symbol_b, symbol_a = np.divmod(code[special], m)
-        clicks_a, registered_a = _resolve_side(
-            photon_a, symbol_a, clicks_a, collide_a, registered_a, assign_a, alt_a, m
-        )
-        clicks_b, registered_b = _resolve_side(
-            photon_b, symbol_b, clicks_b, collide_b, registered_b, assign_b, alt_b, m
-        )
-        code[special] = registered_b * m + registered_a
-        if not random_assign:
-            discarded = special[(clicks_a > 1) | (clicks_b > 1)]
 
-    # One tally code per live round (see the module docstring).
-    # Branch-free arithmetic: masked writes at random positions cost several
-    # times more than a multiply over the whole block.
-    code += both_time * np.int32(cells)
-    mismatch = basis_a != basis_b
-    code *= ~mismatch
-    code += mismatch * np.int32(2 * cells)
-    code[discarded] = 2 * cells + 1
-    return np.bincount(code, minlength=2 * cells + 2)
+    cells = m * m
+    tally = np.zeros(2 * cells + 2, dtype=np.int64)
+    codes = np.empty(block, dtype=np.int32)
+    flags = np.empty((4, block), dtype=bool)
+    discarded = np.empty(0, dtype=np.intp)
+    for start in range(0, live, _BLOCK_ROUNDS):
+        size = min(_BLOCK_ROUNDS, live - start)
+        for stream, buffer in streams:
+            stream.random(out=buffer[:size])
+        basis_a, basis_b, both_time, mismatch = flags[:, :size]
+        np.less(uniform_a[:size], config.basis_probability, out=basis_a)
+        np.less(uniform_b[:size], config.basis_probability, out=basis_b)
+        np.logical_not(np.logical_or(basis_a, basis_b, out=both_time), out=both_time)
+        # The pair's joint cell ``receiver * m + sender``.
+        code = codes[:size]
+        if guides is None:
+            np.multiply(pair_u[:size], m, out=code, casting="unsafe")
+            np.minimum(code, m - 1, out=code)
+            code *= np.int32(m + 1)
+        else:
+            _sample_cells(guides, cdfs, pair_u[:size], both_time, out=code)
+
+        if d > 0.0:  # the block's slice of the sorted ``special`` rounds
+            lo, hi = np.searchsorted(special, (start, start + size))
+            rounds = special[lo:hi]
+            at = rounds - start
+            photon_a = rounds < both + a_only
+            photon_b = (rounds < both) | ((rounds >= both + a_only) & (rounds < live - neither))
+            symbol_b, symbol_a = np.divmod(code[at], m)
+            choice_a = choice_b = ()
+            if random_assign:
+                choice_a = (assign_a[at], alt_a[lo:hi])
+                choice_b = (assign_b[at], alt_b[lo:hi])
+            clicks_at_a, cell_a = _resolve_side(
+                photon_a, symbol_a, clicks_a[lo:hi], collide_a[at], registered_a[lo:hi], m,
+                *choice_a,
+            )
+            clicks_at_b, cell_b = _resolve_side(
+                photon_b, symbol_b, clicks_b[lo:hi], collide_b[at], registered_b[lo:hi], m,
+                *choice_b,
+            )
+            code[at] = cell_b * m + cell_a
+            if not random_assign:
+                discarded = at[(clicks_at_a > 1) | (clicks_at_b > 1)]
+
+        # One tally code per live round (see the module docstring).
+        # Branch-free arithmetic: masked writes at random positions cost
+        # several times more than a multiply over the whole block.
+        code += both_time * np.int32(cells)
+        np.not_equal(basis_a, basis_b, out=mismatch)
+        code *= ~mismatch
+        code += mismatch * np.int32(2 * cells)
+        code[discarded] = 2 * cells + 1
+        _add_codes(tally, code)
+    return tally
 
 
 def _in_order(pool: ThreadPoolExecutor, fn, items, window: int):
@@ -448,7 +527,8 @@ def simulate_rounds(
         guides = np.stack([_guide_table(cdf) for cdf in cdfs])
 
     starts = range(0, config.rounds, config.shard_size)
-    shards = [(i, min(config.shard_size, config.rounds - start)) for i, start in enumerate(starts)]
+    # Lazy: a round count of 2**63 - 1 makes too many shards to list.
+    shards = ((i, min(config.shard_size, config.rounds - start)) for i, start in enumerate(starts))
 
     def run(shard: tuple[int, int]) -> np.ndarray:
         return _simulate_shard(shard[0], shard[1], config, channel, guides, cdfs)
@@ -456,7 +536,7 @@ def simulate_rounds(
     # Shard tallies are added into one total in index order as they arrive,
     # so at most O(threads) shard tallies are alive at once.
     total = np.zeros(2 * m * m + 2, dtype=np.int64)
-    if threads == 1 or len(shards) == 1:
+    if threads == 1 or config.rounds <= config.shard_size:
         for shard in shards:
             total += run(shard)
     else:

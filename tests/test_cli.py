@@ -478,6 +478,26 @@ class TestErrorHandling:
         assert capsys.readouterr().err.startswith("error:")
         assert not (tmp_path / "montecarlo.json").exists()
 
+    @pytest.mark.parametrize(
+        "document,override",
+        [
+            ({}, ["--rounds", str(2**70)]),
+            ({}, ["--rounds", str(2**63)]),
+            ({"simulation": {"shard_size": 2**63}}, []),
+        ],
+        ids=["rounds-2**70", "rounds-2**63", "shard-size-2**63"],
+    )
+    def test_round_counts_past_int64_exit_with_error_code(
+        self, tmp_path, capsys, document, override
+    ):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(document))
+        assert _run("montecarlo", "--config", str(config), *override, "--out", str(tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "up to 2**63 - 1" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "montecarlo.json").exists()
+
     @pytest.mark.parametrize("delta_omega", [1e200, 1e-200])
     @pytest.mark.parametrize("command", ["analyze", "montecarlo"])
     def test_unrepresentable_lens_exits_with_error_code(self, tmp_path, capsys, command, delta_omega):

@@ -7,6 +7,7 @@ import time
 import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,11 +15,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import chronokey as ck
+from chronokey import montecarlo
 from chronokey.montecarlo import (
     _guide_table,
     _in_order,
     _joint_cdf,
     _pattern_probabilities,
+    _positioned_copy,
     _sample_cells,
     _shard_rng,
     _simulate_shard,
@@ -784,3 +787,99 @@ class TestGuideTable:
             np.searchsorted(pair[0], u, side="right"),
         )
         assert np.array_equal(cells, expected)
+
+
+def _traced_peak(run):
+    """What ``run()`` returns, and the peak of the memory traced while it ran."""
+    tracemalloc.start()
+    try:
+        result = run()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestBlockedShard:
+    """A shard walks its live rounds in blocks drawn by positioned copies of
+    its generator; the tally must not depend on where the blocks fall."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        block=st.sampled_from([7, 64, 1000, 4096]),
+        m=st.sampled_from([2, 3, 7, 8, 33, 256]),
+        d=st.sampled_from([0.0, 1e-6, 1e-3, 0.05, 0.3, 0.7]),
+        policy=st.sampled_from(["discard", "random-assign"]),
+        model=st.sampled_from(["ideal-delta", "sampled-jsa"]),
+        basis_probability=st.floats(0.0, 1.0),
+        pair_probability=st.sampled_from([0.3, 1.0]),
+        detector_efficiency=st.sampled_from([0.4, 1.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_any_block_size_reproduces_the_dense_oracle(self, block, **case):
+        # 20,000-round shards span 5 to about 2,900 blocks, so special
+        # rounds fall on block edges and in partial last blocks.
+        oracle_test = TestSparseBookkeeping.test_shard_tally_equals_the_dense_oracle
+        with mock.patch.object(montecarlo, "_BLOCK_ROUNDS", block):
+            oracle_test.hypothesis.inner_test(self, **case)
+
+    @pytest.mark.parametrize("ahead", [*range(10), 2_000_001])
+    def test_positioned_copy_draws_the_stream_block_by_block(self, ahead):
+        blocks = (1, 7, 4, 1000, 3, 5)
+        for prefix_words in range(5):
+            for spare_half in (False, True):
+                rng = _primed_philox(prefix_words, spare_half)
+                before = _state_key(rng.bit_generator.state)
+                copy = _positioned_copy(rng)
+                assert _state_key(rng.bit_generator.state) == before
+                _skip_doubles(copy, ahead)
+                buffer = np.empty(max(blocks))
+                drawn = []
+                for size in blocks:
+                    copy.random(out=buffer[:size])
+                    drawn.append(buffer[:size].copy())
+                expected = rng.random(ahead + sum(blocks))[ahead:]
+                assert np.array_equal(np.concatenate(drawn), expected)
+
+    def test_noiseless_dense_shard_holds_blocks_not_rounds(self):
+        # Whole-round arrays of a million live rounds take 8 MB each.
+        pair = _banded_pair(8)
+        cdfs = tuple(
+            _joint_cdf(pair[key]) for key in ("frequency_distribution", "time_distribution")
+        )
+        guides = np.stack([_guide_table(cdf) for cdf in cdfs])
+        config = ck.SimulationConfig(rounds=10**6, seed=3, correlation_model="sampled-jsa")
+        shard = (0, config.rounds, config, _noiseless(8), guides, cdfs)
+        tally, peak = _traced_peak(lambda: _simulate_shard(*shard))
+        assert tally.sum() == config.rounds
+        assert peak < 4 * 2**20
+
+
+class TestRoundLimits:
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(rounds=2**63, seed=1),
+            dict(rounds=2**70, seed=1),
+            dict(rounds=10, seed=1, shard_size=2**63),
+        ],
+    )
+    def test_refuses_counts_numpy_cannot_draw(self, kwargs):
+        with pytest.raises(ck.ParameterError, match=r"up to 2\*\*63 - 1"):
+            ck.SimulationConfig(**kwargs)
+
+    def test_largest_counts_are_accepted(self):
+        ck.SimulationConfig(rounds=2**63 - 1, seed=1, shard_size=2**63 - 1)
+
+    def test_shards_are_made_as_they_run(self):
+        # 2e5 shards listed up front trace about 18 MB.
+        one_round = np.zeros(10, dtype=np.int64)
+        one_round[0] = 1
+
+        def stub(shard_index, n, config, channel, guides, cdfs):
+            return one_round
+
+        config = ck.SimulationConfig(rounds=200_000, seed=1, shard_size=1)
+        with mock.patch.object(montecarlo, "_simulate_shard", stub):
+            ledger, peak = _traced_peak(lambda: ck.simulate_rounds(config, _noiseless(2)))
+        assert ledger.joint_counts_frequency[0, 0] == config.rounds
+        assert peak < 2**20
