@@ -21,22 +21,29 @@ its subnormals kept.
 
 Most of a large record is the Gaussian's underflowed tail (61 % of the
 m = 8 matched source's 2048 x 2048 record, 79 % of the m = 16 source's
-4096 x 4096), so the Schmidt number and the binning read a record over its
-band (:func:`_row_bands`), and no product makes an n x n temporary.
+4096 x 4096), so a spectral record holds only its band: blocks of
+:data:`_BAND_ROWS` rows, each with the columns from its first to its last
+entry of magnitude at least ``tiny`` (:func:`_row_bands`).  The m = 8
+source's record takes 14 MiB instead of 32.  Binning, the Schmidt number
+and the transform to times read the blocks, so none of them makes an
+n x n temporary.
 
-Every function that makes a record allocates one n x n array, its output.
-The Gaussian's norm sums squares over blocks of rows and adds the block
-sums in a binary tree, which is numpy's pairwise sum of the whole squared
-record, bit for bit (:func:`_sum_of_squares`).  The transforms write their
-first phase pass into the output and apply the other phases and each
-axis's FFT in place.
+The Gaussian is built one block of rows at a time in a dense scratch of
+that many rows.  Its norm squares each dense block and adds the block sums
+in a binary tree, which is numpy's pairwise sum of the whole squared
+record, bit for bit (:func:`_tree_sum`); only each block's band is kept.
+The n x n arrays that remain are the transforms' outputs and the dense
+view ``JointSpectralAmplitude.amplitudes``, which the SVD reads.  The
+transforms write their first phase pass into the output (``to_temporal``
+scatters its phased blocks into a zeroed one) and apply the other phases
+and each axis's FFT in place.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -58,11 +65,16 @@ _EXP_FLOOR = math.log(_TINY) - 2.0**-10
 # Cells per block of the Gaussian's exponent (two float64 work arrays of
 # 256 kB each, which stay in a core's L2 cache).
 _BLOCK_CELLS = 1 << 15
-# Largest grid sampled: its n x n float64 record takes 2 GiB at this size.
+# Largest grid sampled: an n x n float64 array (a record's dense view, or
+# half of its temporal amplitude) takes 2 GiB at this size.
 _MAX_POINTS = 1 << 14
-# Rows per block of the banded products over a record: 128 timed faster than
-# 64 or 256 for time binning and the Schmidt number at 2048 and 4096 points.
+# Rows per block of a banded record: 128 timed faster than 64 or 256 for
+# time binning and the Schmidt number at 2048 and 4096 points.
 _BAND_ROWS = 128
+
+# One row block of a joint record: its rows, its band's columns and the
+# entries there.  Every entry outside a record's blocks is 0.
+_Block = tuple[slice, slice, np.ndarray]
 
 
 def _is_power_of_two(n: int) -> bool:
@@ -70,31 +82,39 @@ def _is_power_of_two(n: int) -> bool:
 
 
 def _refuse_oversized(n_points: int) -> None:
-    """Refuse a grid whose ``n x n`` float64 record would exceed 2 GiB."""
+    """Refuse a grid whose ``n x n`` float64 arrays would exceed 2 GiB: a
+    record's dense view and the real and imaginary halves of its transform."""
     if n_points > _MAX_POINTS:
         raise ParameterError(
-            f"grid of {n_points} points exceeds {_MAX_POINTS}: its n*n float64 record "
-            f"would take {8 * n_points**2:,} bytes, above the {8 * _MAX_POINTS**2:,} "
-            f"it takes at {_MAX_POINTS}"
+            f"grid of {n_points} points exceeds {_MAX_POINTS}: an n*n float64 array "
+            f"(the record's dense view, or half of its temporal amplitude) would take "
+            f"{8 * n_points**2:,} bytes, above the {8 * _MAX_POINTS**2:,} it takes at {_MAX_POINTS}"
         )
 
 
-def _row_bands(amplitudes: np.ndarray) -> list[tuple[slice, slice]]:
-    """Row blocks of a 2-D record, each with the column range that holds its
-    entries of magnitude at least ``numpy.finfo(float).tiny``.
+def _band(block: np.ndarray) -> slice | None:
+    """Columns of a block of rows from its first to its last with an entry
+    of magnitude at least ``numpy.finfo(float).tiny``; None if it has none."""
+    cols = np.flatnonzero(np.abs(block).max(axis=0) >= _TINY)
+    return slice(int(cols[0]), int(cols[-1]) + 1) if cols.size else None
 
-    Blocks of :data:`_BAND_ROWS` rows are scanned one at a time, so no
-    whole-record mask is made, and a block with no such entry is left out.
-    Subnormal entries count as zeros: a product over the bands is the whole
-    record's to roundoff.
+
+def _row_bands(amplitudes: np.ndarray) -> list[_Block]:
+    """Blocks of :data:`_BAND_ROWS` rows of a 2-D record, each with its band
+    (:func:`_band`) and a view of the record there.
+
+    The blocks are scanned one at a time, so no whole-record mask is made,
+    and a block with no entry in its band is left out.  Subnormal entries
+    count as zeros: a product over the blocks is the whole record's to
+    roundoff.
     """
-    bands = []
+    blocks = []
     for start in range(0, amplitudes.shape[0], _BAND_ROWS):
         rows = slice(start, start + _BAND_ROWS)
-        cols = np.flatnonzero(np.abs(amplitudes[rows]).max(axis=0) >= _TINY)
-        if cols.size:
-            bands.append((rows, slice(int(cols[0]), int(cols[-1]) + 1)))
-    return bands
+        cols = _band(amplitudes[rows])
+        if cols is not None:
+            blocks.append((rows, cols, amplitudes[rows, cols]))
+    return blocks
 
 
 @dataclass(frozen=True)
@@ -148,23 +168,30 @@ class TimeGrid(_UniformGrid):
         return FrequencyGrid(self.n_points, span=math.pi / self.spacing)
 
 
+def _check_mass(mass: float, label: str) -> None:
+    if not (math.isfinite(mass) and abs(mass - 1.0) <= NORMALIZATION_ATOL):
+        raise ParameterError(f"{label} is not L2-normalized: discrete mass {mass!r}")
+
+
 def _check_record(amplitudes: np.ndarray, grid: _UniformGrid, ndim: int, label: str) -> None:
     """Refuse a record not sampled on ``grid`` along all ``ndim`` axes, or not of unit L2 mass."""
     n = grid.n_points
     if amplitudes.shape != (n,) * ndim:
         raise ParameterError(f"{label} shape {amplitudes.shape} does not match grid size {n}")
-    mass = float(np.vdot(amplitudes, amplitudes).real) * grid.spacing**ndim
-    if not (math.isfinite(mass) and abs(mass - 1.0) <= NORMALIZATION_ATOL):
-        raise ParameterError(f"{label} is not L2-normalized: discrete mass {mass!r}")
+    _check_mass(float(np.vdot(amplitudes, amplitudes).real) * grid.spacing**ndim, label)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class JointSpectralAmplitude:
     """Sampled two-photon amplitude over a square frequency grid.
 
     ``amplitudes[i, j]`` is the value at ``(grid.points[i], grid.points[j])``;
     axis 0 is the receiver-side photon and axis 1 the sender-side photon.
-    The matrix is treated as read-only and carries unit discrete L2 mass.
+    The record carries unit discrete L2 mass and is held as its band: the
+    blocks of :func:`_row_bands`, read-only.  One made from an n x n array
+    holds views into that array, which ``amplitudes`` returns.  A Gaussian
+    record from :func:`make_gaussian_jsa` holds only its blocks, and
+    ``amplitudes`` builds the n x n matrix from them on each read.
     ``kind`` is ``"parametric-gaussian"`` when the analytic widths
     ``delta_plus`` (difference direction, wide) and ``delta_minus`` (sum
     direction, narrow) are meaningful, ``"sampled"`` otherwise.
@@ -172,23 +199,56 @@ class JointSpectralAmplitude:
 
     kind: str
     grid: FrequencyGrid
-    amplitudes: np.ndarray
     delta_plus: float | None = None
     delta_minus: float | None = None
+    _blocks: tuple[_Block, ...] = field(default=(), repr=False)
+    _dense: np.ndarray | None = field(default=None, repr=False)
 
-    def __post_init__(self) -> None:
-        if self.kind not in ("parametric-gaussian", "sampled"):
-            raise ParameterError(f"unknown amplitude kind {self.kind!r}")
-        if self.kind == "parametric-gaussian":
-            if self.delta_plus is None or self.delta_minus is None:
-                raise ParameterError("parametric-gaussian amplitudes need both widths")
-        _check_record(self.amplitudes, self.grid, 2, "joint spectral amplitude")
-        self.amplitudes.setflags(write=False)
+    def __init__(
+        self,
+        kind: str,
+        grid: FrequencyGrid,
+        amplitudes: np.ndarray,
+        delta_plus: float | None = None,
+        delta_minus: float | None = None,
+    ) -> None:
+        _check_record(amplitudes, grid, 2, "joint spectral amplitude")
+        amplitudes.setflags(write=False)
+        self._hold(kind, grid, delta_plus, delta_minus, tuple(_row_bands(amplitudes)), amplitudes)
 
-    @functools.cached_property
-    def _bands(self) -> tuple[tuple[slice, slice], ...]:
-        """:func:`_row_bands` of the read-only record, scanned on first use."""
-        return tuple(_row_bands(self.amplitudes))
+    @classmethod
+    def _from_blocks(
+        cls, kind: str, grid: FrequencyGrid, delta_plus: float, delta_minus: float, blocks: tuple
+    ) -> "JointSpectralAmplitude":
+        """A record held as real ``blocks``, refused unless of unit mass."""
+        mass = sum(float(np.einsum("ij,ij->", values, values)) for _, _, values in blocks)
+        _check_mass(mass * grid.spacing**2, "joint spectral amplitude")
+        record = cls.__new__(cls)
+        record._hold(kind, grid, delta_plus, delta_minus, blocks, None)
+        return record
+
+    def _hold(self, kind, grid, delta_plus, delta_minus, blocks, dense) -> None:
+        if kind not in ("parametric-gaussian", "sampled"):
+            raise ParameterError(f"unknown amplitude kind {kind!r}")
+        if kind == "parametric-gaussian" and (delta_plus is None or delta_minus is None):
+            raise ParameterError("parametric-gaussian amplitudes need both widths")
+        for _, _, values in blocks:
+            values.setflags(write=False)
+        vars(self).update(kind=kind, grid=grid, delta_plus=delta_plus, delta_minus=delta_minus)
+        vars(self).update(_blocks=blocks, _dense=dense)
+
+    @property
+    def amplitudes(self) -> np.ndarray:
+        """The read-only n x n record: the array it was made from, or one
+        built from its blocks, zero elsewhere."""
+        if self._dense is not None:
+            return self._dense
+        n = self.grid.n_points
+        dense = np.zeros((n, n), self._blocks[0][2].dtype)
+        for rows, cols, values in self._blocks:
+            dense[rows, cols] = values
+        dense.setflags(write=False)
+        return dense
 
 
 @dataclass(frozen=True, eq=False)
@@ -275,10 +335,11 @@ def default_grid(delta_plus: float, delta_minus: float) -> FrequencyGrid:
 
 
 def _fill_exponentials(
-    amps: np.ndarray, w: np.ndarray, delta_plus: float, delta_minus: float, floor: float
-) -> list[tuple[slice, slice]]:
-    """Write ``exp`` of the Gaussian exponent into ``amps`` wherever the
-    exponent is at least ``floor``; return the blocks it was evaluated on.
+    out: np.ndarray, wi: np.ndarray, w: np.ndarray, delta_plus: float, delta_minus: float, floor: float
+) -> slice | None:
+    """Write ``exp`` of the Gaussian exponent at rows ``wi`` and columns
+    ``w`` into ``out`` wherever the exponent is at least ``floor``; return
+    the columns it was evaluated on, None if none.
 
     The exponent of cell ``(i, j)`` is ``((w_i - w_j)/sqrt(2))**2 /
     (-2*delta_plus**2) + ((w_i + w_j)/sqrt(2))**2 / (-2*delta_minus**2)``,
@@ -294,38 +355,35 @@ def _fill_exponentials(
     reach_sum = 2.0 * delta_minus * math.sqrt(-floor) + step
     reach_diff = 2.0 * delta_plus * math.sqrt(-floor) + step
     rows = max(1, _BLOCK_CELLS // min(w.size, int(2.0 * reach_sum / step) + 1))
-    blocks = []
-    for start in range(0, w.size, rows):
-        wi = w[start : start + rows, None]
-        first, last = float(wi[0, 0]), float(wi[-1, 0])
+    first_col, stop_col = w.size, 0
+    for start in range(0, wi.size, rows):
+        wr = wi[start : start + rows, None]
+        first, last = float(wr[0, 0]), float(wr[-1, 0])
         low = max(-reach_sum - last, first - reach_diff)
         high = min(reach_sum - first, last + reach_diff)
         cols = slice(int(np.searchsorted(w, low, "left")), int(np.searchsorted(w, high, "right")))
         if cols.start >= cols.stop:
             continue
-        x, y = wi - w[cols], wi + w[cols]
+        x, y = wr - w[cols], wr + w[cols]
         for values, width in ((x, delta_plus), (y, delta_minus)):
             values /= math.sqrt(2.0)
             values **= 2
             values /= -2.0 * width**2
         x += y
-        block = (slice(start, start + rows), cols)
-        np.exp(x, out=amps[block], where=x >= floor)
-        blocks.append(block)
-    return blocks
+        np.exp(x, out=out[start : start + rows, cols], where=x >= floor)
+        first_col, stop_col = min(first_col, cols.start), max(stop_col, cols.stop)
+    return slice(first_col, stop_col) if first_col < stop_col else None
 
 
-def _sum_of_squares(amps: np.ndarray) -> float:
-    """``np.sum(np.square(amps))`` of a C-ordered square record with a
-    power-of-two side, bit for bit, with no whole-record temporary.
+def _tree_sum(sums: list[float]) -> float:
+    """Add the sums of squares of a record's consecutive
+    :data:`_BAND_ROWS`-row blocks in a binary tree.
 
-    numpy sums a contiguous array pairwise, halving it down to blocks of at
-    most 128 elements, so each :data:`_BAND_ROWS`-row block of the record is
-    a subtree of that sum; the block sums are combined in the same binary
-    tree.
+    For a C-ordered square record with a power-of-two side this is
+    ``np.sum(np.square(record))`` bit for bit: numpy sums a contiguous array
+    pairwise, halving it down to blocks of at most 128 elements, so each
+    block of rows is a subtree of that sum.
     """
-    rows = range(0, amps.shape[0], _BAND_ROWS)
-    sums = [float(np.sum(np.square(amps[r : r + _BAND_ROWS]))) for r in rows]
     while len(sums) > 1:
         sums = [a + b for a, b in zip(sums[::2], sums[1::2])]
     return sums[0]
@@ -356,9 +414,11 @@ def make_gaussian_jsa(
     entry that normalization takes below ``numpy.finfo(float).tiny`` is set
     to 0, so the record holds no subnormal number.  The norm is the square
     root of ``np.sum(np.square(amps))`` over the whole matrix times the
-    spacing, summed block by block in the same pairwise tree, so every other
-    entry has the bits of the whole-matrix formula and the record is the
-    only n x n array made.
+    spacing, so every other entry has the bits of the whole-matrix formula.
+    The matrix is evaluated :data:`_BAND_ROWS` rows at a time into one
+    dense scratch, whose squares are summed in numpy's pairwise tree
+    (:func:`_tree_sum`); of each block only its band is kept, so the record
+    takes the band's bytes and no n x n array is made.
 
     Raises
     ------
@@ -383,23 +443,43 @@ def make_gaussian_jsa(
                 f"grid spacing {grid.spacing} does not resolve the smaller width {narrow}"
             )
     w = grid.points - grid.center
-    amps = np.zeros((w.size, w.size))
-    blocks = _fill_exponentials(amps, w, delta_plus, delta_minus, _EXP_FLOOR)
-    norm = math.sqrt(_sum_of_squares(amps)) * grid.spacing
-    scale = 1.0 / norm
-    if scale > 1.0:
-        # Entries whose exponential is subnormal can scale up to normal ones.
-        blocks = _fill_exponentials(amps, w, delta_plus, delta_minus, _EXP_FLOOR - math.log(scale))
-    for block in blocks:
-        values = amps[block]
+    height = min(_BAND_ROWS, w.size)
+    scratch, squares = np.empty((2, height, w.size))
+    starts = range(0, w.size, height)
+
+    def evaluate(start: int, floor: float) -> tuple[int, np.ndarray] | None:
+        """Leave rows ``start ...`` of the unnormalized Gaussian in the
+        scratch; return the index of the first column they were evaluated
+        on and a copy of those columns, or None."""
+        scratch.fill(0.0)
+        wi = w[start : start + height]
+        cols = _fill_exponentials(scratch, wi, w, delta_plus, delta_minus, floor)
+        return None if cols is None else (cols.start, scratch[:, cols].copy())
+
+    held, sums = [], []
+    for start in starts:
+        held.append(evaluate(start, _EXP_FLOOR))
+        sums.append(float(np.sum(np.square(scratch, out=squares))))
+    scale = 1.0 / (math.sqrt(_tree_sum(sums)) * grid.spacing)
+    blocks = []
+    for k, start in enumerate(starts):
+        # Each first-pass copy is dropped as its block is finished, so at
+        # most one block is held twice.
+        block, held[k] = held[k], None
+        if scale > 1.0:
+            # Entries whose exponential is subnormal can scale up to normal ones.
+            block = evaluate(start, _EXP_FLOOR - math.log(scale))
+        if block is None:
+            continue
+        first, values = block
         values *= scale
         values[values < _TINY] = 0.0
-    return JointSpectralAmplitude(
-        kind="parametric-gaussian",
-        grid=grid,
-        amplitudes=amps,
-        delta_plus=float(delta_plus),
-        delta_minus=float(delta_minus),
+        cols = _band(values)
+        if cols is not None:
+            rows, band = slice(start, start + height), slice(first + cols.start, first + cols.stop)
+            blocks.append((rows, band, np.ascontiguousarray(values[:, cols])))
+    return JointSpectralAmplitude._from_blocks(
+        "parametric-gaussian", grid, float(delta_plus), float(delta_minus), tuple(blocks)
     )
 
 
@@ -419,38 +499,45 @@ def schmidt_decompose(jsa: JointSpectralAmplitude) -> SchmidtDecomposition:
     The Schmidt number is the inverse purity ``||M||_F**4 / ||M M^H||_F**2``
     of either reduced state (Law, Walmsley & Eberly, PRL 84, 5304 (2000)).
     The Gram matrix ``M M^H`` is never formed: its squared norm is summed
-    over the pairs of row blocks of :func:`_row_bands` whose bands overlap,
-    each block ``M[I, c] M[J, c]^H`` over the shared columns ``c``, the
-    pairs off the diagonal counted twice.  The singular values of ``M``
-    times the grid spacing, whose squares sum to the unit discrete L2 mass,
-    come from one SVD on first access.
+    over the pairs of the record's row blocks whose bands overlap, each
+    block ``M[I, c] M[J, c]^H`` over the shared columns ``c``, the pairs off
+    the diagonal counted twice, and ``||M||_F**2`` is the sum of the
+    diagonal blocks' traces.  The singular values of ``M`` times the grid
+    spacing, whose squares sum to the unit discrete L2 mass, come from one
+    SVD of the dense view on first access.
     """
-    amplitudes = jsa.amplitudes
-    bands = jsa._bands
-    gram_sumsq = 0.0
-    for i, (rows_i, cols_i) in enumerate(bands):
-        for rows_j, cols_j in bands[i:]:
-            cols = slice(max(cols_i.start, cols_j.start), min(cols_i.stop, cols_j.stop))
-            if cols.start < cols.stop:
-                block = amplitudes[rows_i, cols] @ amplitudes[rows_j, cols].conj().T
+    blocks = jsa._blocks
+    mass = gram_sumsq = 0.0
+    for i, (rows_i, cols_i, values_i) in enumerate(blocks):
+        for rows_j, cols_j, values_j in blocks[i:]:
+            low, high = max(cols_i.start, cols_j.start), min(cols_i.stop, cols_j.stop)
+            if low < high:
+                left = values_i[:, low - cols_i.start : high - cols_i.start]
+                right = values_j[:, low - cols_j.start : high - cols_j.start]
+                block = left @ right.conj().T
+                if rows_i == rows_j:
+                    mass += float(np.trace(block).real)
                 weight = 1.0 if rows_i == rows_j else 2.0
                 gram_sumsq += weight * float(np.vdot(block, block).real)
-    mass = float(np.vdot(amplitudes, amplitudes).real)
     return _DeferredSchmidtDecomposition(jsa, mass**2 / gram_sumsq)
 
 
 def _dual_transform(
-    values: np.ndarray, grid_in: FrequencyGrid | TimeGrid, sign: int, axes: tuple[int, ...]
+    values: np.ndarray | tuple[_Block, ...],
+    grid_in: FrequencyGrid | TimeGrid,
+    sign: int,
+    axes: tuple[int, ...],
 ) -> tuple[TimeGrid | FrequencyGrid, np.ndarray]:
     """Exact uniform-grid Fourier sum along ``axes`` via a phase-decorated FFT.
 
     Computes ``sum_j f_j exp(sign*i*x_j*y_k) * h / sqrt(2*pi)`` on each axis,
     from the midpoint grid ``grid_in`` to its dual, whose spacings satisfy
-    the dual relation ``g*h = 2*pi/n``.
+    the dual relation ``g*h = 2*pi/n``.  ``values`` is an array, or the row
+    blocks of a joint spectral record, transformed along ``axes = (0, 1)``.
     """
     n = grid_in.n_points
-    values = np.asarray(values)
-    if any(values.shape[axis] != n for axis in axes):
+    banded = not isinstance(values, np.ndarray)
+    if not banded and any(values.shape[axis] != n for axis in axes):
         raise ParameterError("transform grids must match the axis length")
     if sign not in (-1, +1):
         raise ParameterError("sign must be +1 or -1")
@@ -465,11 +552,18 @@ def _dual_transform(
         grid_in.spacing / math.sqrt(2.0 * math.pi)
     )
     # A length-n vector shaped (n, 1, ..., 1) broadcasts along its axis.
-    shapes = [(n,) + (1,) * (values.ndim - 1 - axis % values.ndim) for axis in axes]
+    ndim = 2 if banded else values.ndim
+    shapes = [(n,) + (1,) * (ndim - 1 - axis % ndim) for axis in axes]
     # The output is the only array of the input's size: the first phase pass
-    # writes it (a real x times a phase has the bits of (x + 0j) times it),
-    # and every later pass and each axis's FFT works in place.
-    work = np.multiply(values, pre.reshape(shapes[0]), dtype=np.complex128)
+    # writes it (a real x times a phase has the bits of (x + 0j) times it;
+    # blocks are phased into a zeroed output), and every later pass and each
+    # axis's FFT works in place.
+    if banded:
+        work = np.zeros((n, n), np.complex128)
+        for rows, cols, block in values:
+            np.multiply(block, pre[rows, None], out=work[rows, cols])
+    else:
+        work = np.multiply(values, pre.reshape(shapes[0]), dtype=np.complex128)
     for shape in shapes[1:]:
         work *= pre.reshape(shape)
     fft = np.fft.fftn if sign == -1 else functools.partial(np.fft.ifftn, norm="forward")
@@ -490,7 +584,7 @@ def transform_1d(
     convention and ``sign=+1`` the time-to-frequency direction; either sign
     is accepted on either grid kind so round trips are expressible.
     """
-    return _dual_transform(values, grid_in, sign, axes=(-1,))
+    return _dual_transform(np.asarray(values), grid_in, sign, axes=(-1,))
 
 
 def to_temporal(jsa: JointSpectralAmplitude) -> JointTemporalAmplitude:
@@ -499,9 +593,10 @@ def to_temporal(jsa: JointSpectralAmplitude) -> JointTemporalAmplitude:
     Both axes use the ``exp(-i*w*t)`` kernel, so a frequency anti-correlated
     Gaussian becomes time correlated.  A parametric record's temporal
     intensity has the widths ``1/delta_minus`` along the correlated diagonal
-    and ``1/delta_plus`` across it.
+    and ``1/delta_plus`` across it.  The record's blocks are phased into the
+    output, which has the bits of the dense record's transform.
     """
-    tg, amplitudes = _dual_transform(jsa.amplitudes, jsa.grid, sign=-1, axes=(0, 1))
+    tg, amplitudes = _dual_transform(jsa._blocks, jsa.grid, sign=-1, axes=(0, 1))
     return JointTemporalAmplitude(grid=tg, amplitudes=amplitudes)
 
 

@@ -25,8 +25,8 @@ from .chronocyclic import (
     JointSpectralAmplitude,
     TimeGrid,
     _check_record,
+    _Block,
     _refuse_bad_widths,
-    _row_bands,
     make_gaussian_jsa,
     transform_1d,
 )
@@ -335,16 +335,16 @@ def _gaussian_bin_masses(m: int, low: float, var_sum: float, var_diff: float) ->
 
 
 def _bin_masses(
-    amplitudes: np.ndarray,
+    amplitudes: np.ndarray | tuple[_Block, ...],
     grid: FrequencyGrid,
     binning: BinningScheme,
     lens: TimeLens | None,
     basis: str,
-    bands: tuple[tuple[slice, slice], ...] | None = None,
 ) -> np.ndarray:
-    """Raw bin masses of a single-photon (1-D) or joint (2-D, receiver on
-    axis 0) spectral amplitude, binned on every axis as described in
-    :func:`joint_outcome_distribution`.
+    """Raw bin masses of a single-photon spectral amplitude (a 1-D array) or
+    of a joint one given as its row blocks ``(rows, cols, values)``
+    (receiver on axis 0, zero outside the blocks), binned on every axis as
+    described in :func:`joint_outcome_distribution`.
 
     In the time basis the kernel evaluates the temporal amplitude at the
     Gauss-Legendre nodes of each panel of each time bin, each row scaled by
@@ -354,24 +354,20 @@ def _bin_masses(
     ``exp(-i*c_p*w)`` and ``exp(-i*s_q*w)``, so it takes one complex
     exponential per panel and per node offset at each grid point.
 
-    A joint record is read over its band only (``bands``, or
-    :func:`_row_bands` of the record when not given): each
-    row block ``r`` with its column range ``c`` adds ``W[:, r] @ |A[r, c]|**2
-    @ W[:, c].T`` to the frequency-basis masses, and in the time basis
-    ``A[r, c] @ K.T[c]`` (one real GEMM against the kernel's interleaved
-    (re, im) columns for a real record) fills rows ``r`` of ``A @ K.T``.
+    A joint record is read over its blocks only: each block ``A[r, c]``
+    adds ``W[:, r] @ |A[r, c]|**2 @ W[:, c].T`` to the frequency-basis
+    masses, and in the time basis ``A[r, c] @ K.T[c]`` (one real GEMM against
+    the kernel's interleaved (re, im) columns for a real block) fills rows
+    ``r`` of ``A @ K.T``.
     """
-    amplitudes = np.asarray(amplitudes)
-    ndim = amplitudes.ndim
-    if ndim == 2 and bands is None:
-        bands = _row_bands(amplitudes)
+    ndim = 1 if isinstance(amplitudes, np.ndarray) else 2
     if basis == FREQUENCY_BASIS:
         weights = bin_overlap_weights(grid.points, grid.spacing, binning.bin_edges)
         if ndim == 1:
             return weights @ (np.abs(amplitudes) ** 2 * grid.spacing)
         raw = np.zeros((binning.m, binning.m))
-        for rows, cols in bands:
-            intensity = np.abs(amplitudes[rows, cols]) ** 2 * grid.spacing**2
+        for rows, cols, values in amplitudes:
+            intensity = np.abs(values) ** 2 * grid.spacing**2
             raw += weights[:, rows] @ intensity @ weights[:, cols].T
         return raw[::-1, :]
     elif basis == TIME_BASIS:
@@ -392,11 +388,11 @@ def _bin_masses(
             at_nodes = np.abs(amplitudes @ kernel_t) ** 2
         else:
             rows_at_nodes = np.zeros((w.size, kernel_t.shape[1]), np.complex128)
-            rhs, out = kernel_t, rows_at_nodes
-            if np.isrealobj(amplitudes):
-                rhs, out = rhs.view(np.float64), out.view(np.float64)
-            for rows, cols in bands:
-                np.matmul(amplitudes[rows, cols], rhs[cols], out=out[rows])
+            for rows, cols, values in amplitudes:
+                rhs, out = kernel_t, rows_at_nodes
+                if np.isrealobj(values):
+                    rhs, out = rhs.view(np.float64), out.view(np.float64)
+                np.matmul(values, rhs[cols], out=out[rows])
             at_nodes = np.abs(kernel_t.T @ rows_at_nodes) ** 2
         nodes_axes = tuple(range(1, 2 * ndim, 2))
         return at_nodes.reshape((binning.m, per_bin * _NODES_PER_PANEL) * ndim).sum(axis=nodes_axes)
@@ -426,7 +422,7 @@ def joint_outcome_distribution(
     falls outside the window; the returned distribution is renormalized over
     the window either way.
     """
-    raw = _bin_masses(jsa.amplitudes, jsa.grid, binning, lens, basis, jsa._bands)
+    raw = _bin_masses(jsa._blocks, jsa.grid, binning, lens, basis)
     probabilities, out_mass = _renormalize(raw, basis)
     return OutcomeDistribution(basis=basis, probabilities=probabilities, out_of_window=out_mass)
 
@@ -486,7 +482,8 @@ def binned_spectrum(
     Returns the renormalized in-window probabilities and the discarded
     fraction, warning as in :func:`joint_outcome_distribution`.
     """
-    _check_record(np.asarray(state), grid, 1, "single-photon state")
+    state = np.asarray(state)
+    _check_record(state, grid, 1, "single-photon state")
     raw = _bin_masses(state, grid, binning, None, FREQUENCY_BASIS)
     return _renormalize(raw, FREQUENCY_BASIS)
 
@@ -503,7 +500,8 @@ def binned_arrival_times(
     as in the joint routine and integrated over time bins of width
     ``delta_omega / focusing_rate``.
     """
-    _check_record(np.asarray(state), grid, 1, "single-photon state")
+    state = np.asarray(state)
+    _check_record(state, grid, 1, "single-photon state")
     raw = _bin_masses(state, grid, binning, lens, TIME_BASIS)
     return _renormalize(raw, TIME_BASIS)
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .detection import _NEGATIVE_ATOL, _PANEL_NODES, _PANEL_WEIGHTS
 from .detection import BinningScheme, OutcomeDistribution, TimeLens, time_resolution
-from .errors import ParameterError, ResolutionWarning
+from .errors import ParameterError, ResolutionWarning, refuse_boolean_floats
 
 # Resolution product over 2*pi from which the paper's bound parts from the
 # exact one: by 0.004 bits at the threshold, 0.108 bits at the designed m = 2.
@@ -89,6 +89,7 @@ class EntropyReport:
     conditional_bits: float
 
     def __post_init__(self) -> None:
+        refuse_boolean_floats(self)
         if not (math.isfinite(self.marginal_bits) and math.isfinite(self.conditional_bits)):
             raise ParameterError("entropies must be finite")
         if not self.conditional_bits >= -_ENTROPY_SLACK:
@@ -131,7 +132,10 @@ def binning_deficit(beta_plus: float, beta_minus: float) -> float:
     design whose resolution product is ``1 / (beta_plus * beta_minus * m)``.
     """
     product = 2.0 * math.pi * beta_plus * beta_minus
-    if not all(math.isfinite(x) and x > 0.0 for x in (beta_plus, beta_minus, product)):
+    if not all(
+        not isinstance(x, bool) and math.isfinite(x) and x > 0.0
+        for x in (beta_plus, beta_minus, product)
+    ):
         raise ParameterError(f"design ratios {beta_plus!r} and {beta_minus!r} are out of range")
     return -math.log2(product)
 
@@ -219,6 +223,11 @@ def secret_key_bound(
     """
     if frequency.basis != "frequency" or time.basis != "time":
         raise ParameterError("reports must come from the frequency and time bases")
+    given = (uncertainty_bound,) if deficit is None else (uncertainty_bound, deficit)
+    if any(isinstance(x, bool) or not math.isfinite(x) for x in given):
+        raise ParameterError(
+            f"uncertainty bound {uncertainty_bound!r} and deficit {deficit!r} must be finite numbers"
+        )
     if isinstance(reconciliation_efficiency, bool) or not 0.0 < reconciliation_efficiency <= 1.0:
         raise ParameterError("reconciliation efficiency must lie in (0, 1]")
     leak = frequency.conditional_bits / reconciliation_efficiency
@@ -267,7 +276,7 @@ def error_model_report(m: int, error_probability: float, basis: str) -> EntropyR
     """
     if not isinstance(m, int) or m < 2:
         raise ParameterError("alphabet size must be an integer >= 2")
-    if not 0.0 <= error_probability <= (m - 1) / m + 1e-12:
+    if isinstance(error_probability, bool) or not 0.0 <= error_probability <= (m - 1) / m + 1e-12:
         raise ParameterError(
             f"error probability {error_probability!r} outside [0, {(m - 1) / m}]"
         )

@@ -1,6 +1,7 @@
 """Grids, the two-photon source model, Fourier transforms, and Schmidt analysis."""
 
 import dataclasses
+import hashlib
 import math
 import tracemalloc
 import warnings
@@ -531,7 +532,9 @@ class TestBlockedNorm:
         rng = np.random.default_rng(n_points)
         record = rng.lognormal(sigma=3.0, size=(n_points, n_points))
         expected = float(np.sum(np.square(record)))
-        assert ck.chronocyclic._sum_of_squares(record) == expected
+        rows = range(0, n_points, ck.chronocyclic._BAND_ROWS)
+        sums = [float(np.sum(np.square(record[r : r + ck.chronocyclic._BAND_ROWS]))) for r in rows]
+        assert ck.chronocyclic._tree_sum(sums) == expected
         jsa = ck.make_gaussian_jsa(1.0, 0.25, grid=ck.FrequencyGrid(n_points, span=4.0))
         reference = _reference_gaussian_amplitudes(1.0, 0.25, jsa.grid)
         assert np.array_equal(jsa.amplitudes, np.where(reference >= TINY, reference, 0.0))
@@ -540,3 +543,59 @@ class TestBlockedNorm:
         grid = ck.FrequencyGrid(1024, span=24.0)
         jsa, peak = _traced_peak(lambda: ck.make_gaussian_jsa(6.0, 0.2, grid=grid))
         assert peak <= 1.3 * jsa.amplitudes.nbytes  # 2.0 with a whole-record square
+
+
+class TestBandRecord:
+    """A Gaussian record holds only its band, and every product of it has
+    the bits of the same record made from its dense view."""
+
+    @pytest.mark.parametrize("center", [0.0, 3.7])
+    @pytest.mark.parametrize("n_points", [None, 1024], ids=["default", "1024"])
+    @pytest.mark.parametrize("m", [4, 8, 16])
+    def test_products_equal_those_of_the_dense_record(self, m, n_points, center):
+        scheme = ck.BinningScheme(m=m, center=center)
+        lens = ck.design_time_lens(scheme)
+        wide, narrow = scheme.matched_widths()
+        default = ck.default_grid(wide, narrow)
+        grid = ck.FrequencyGrid(n_points or default.n_points, span=default.span, center=center)
+        jsa = ck.make_gaussian_jsa(wide, narrow, grid=grid)
+        dense = ck.JointSpectralAmplitude("sampled", grid, jsa.amplitudes)
+        assert [(r, c) for r, c, _ in jsa._blocks] == [(r, c) for r, c, _ in dense._blocks]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ck.CoverageWarning)
+            for basis in ("frequency", "time"):
+                ours = ck.joint_outcome_distribution(jsa, scheme, lens, basis)
+                theirs = ck.joint_outcome_distribution(dense, scheme, lens, basis)
+                assert ours.probabilities.tobytes() == theirs.probabilities.tobytes()
+                assert ours.out_of_window == theirs.out_of_window
+        assert ck.schmidt_decompose(jsa).schmidt_number == pytest.approx(
+            ck.schmidt_decompose(dense).schmidt_number, rel=1e-13, abs=0.0
+        )
+        # One n x n complex output at a time: the m = 16 default grid's is 256 MiB.
+        ours = hashlib.sha256(ck.to_temporal(jsa).amplitudes).digest()
+        assert hashlib.sha256(ck.to_temporal(dense).amplitudes).digest() == ours
+
+    def test_temporal_amplitude_is_the_dense_transform(self):
+        scheme, jsa = ck.design_binning(8, grid=ck.FrequencyGrid(1024, span=24.0, center=3.7))
+        _, expected = ck.chronocyclic._dual_transform(jsa.amplitudes, jsa.grid, -1, (0, 1))
+        assert ck.to_temporal(jsa).amplitudes.tobytes() == expected.tobytes()
+
+    def test_build_takes_a_third_of_the_dense_record(self):
+        # the m = 16 matched source on its default 4096-point grid, whose
+        # band is 24 % of the 128 MiB dense record
+        jsa, peak = _traced_peak(lambda: ck.make_gaussian_jsa(12.0, 0.2))
+        dense_bytes = 8 * jsa.grid.n_points**2
+        assert jsa.grid.n_points == 4096
+        assert peak <= 0.35 * dense_bytes
+        assert sum(values.nbytes for _, _, values in jsa._blocks) <= 0.25 * dense_bytes
+
+    def test_dense_view_is_built_on_read_and_read_only(self):
+        jsa = ck.make_gaussian_jsa(6.0, 1.0)
+        one, other = jsa.amplitudes, jsa.amplitudes
+        assert one is not other and np.array_equal(one, other)
+        assert not one.flags.writeable
+        assert all(not values.flags.writeable for _, _, values in jsa._blocks)
+        record = np.array(one)
+        sampled = ck.JointSpectralAmplitude("sampled", jsa.grid, record)
+        assert sampled.amplitudes is record
+        assert all(values.base is record for _, _, values in sampled._blocks)

@@ -694,14 +694,15 @@ class TestBandedRecordProducts:
         record = _random_record(rng, (grid.n_points,) * 2, layout, is_complex)
         state = _random_record(rng, (grid.n_points,), layout, is_complex)
         with mock.patch.object(chronocyclic, "_BAND_ROWS", -(-grid.n_points // blocks)):
-            for values in (record, state):
+            blocks_of_record = tuple(chronocyclic._row_bands(record))
+            for values, binned in ((record, blocks_of_record), (state, state)):
                 for ours, reference in (
                     (
-                        _bin_masses(values, grid, scheme, lens, "time"),
+                        _bin_masses(binned, grid, scheme, lens, "time"),
                         _whole_record_time_masses(values, grid, scheme, lens),
                     ),
                     (
-                        _bin_masses(values, grid, scheme, None, "frequency"),
+                        _bin_masses(binned, grid, scheme, None, "frequency"),
                         _whole_record_frequency_masses(values, grid, scheme),
                     ),
                 ):
@@ -733,10 +734,9 @@ class TestBandedRecordProducts:
                     tracemalloc.stop()
                 assert peak <= bounds[name] * source.amplitudes.nbytes, name
 
-    def test_one_record_is_scanned_once(self):
-        scheme, source = ck.design_binning(4)
+    def test_a_gaussian_record_is_never_scanned_and_a_dense_one_once(self):
+        scheme = ck.BinningScheme(4)
         lens = ck.design_time_lens(scheme)
-        jsa = ck.JointSpectralAmplitude("sampled", source.grid, source.amplitudes.copy())
         scan = chronocyclic._row_bands
         scans = []
 
@@ -744,14 +744,17 @@ class TestBandedRecordProducts:
             scans.append(amplitudes)
             return scan(amplitudes)
 
-        with mock.patch("chronokey.chronocyclic._row_bands", counted), mock.patch(
-            "chronokey.detection._row_bands", counted
-        ), warnings.catch_warnings():
+        with mock.patch("chronokey.chronocyclic._row_bands", counted), warnings.catch_warnings():
             warnings.simplefilter("ignore", ck.CoverageWarning)
-            for basis in ("frequency", "time"):
-                ck.joint_outcome_distribution(jsa, scheme, lens, basis)
-            ck.schmidt_decompose(jsa)
-        assert len(scans) == 1 and scans[0] is jsa.amplitudes
+            source = ck.make_gaussian_jsa(*scheme.matched_widths())
+            record = np.array(source.amplitudes)
+            jsa = ck.JointSpectralAmplitude("sampled", source.grid, record)
+            for built in (source, jsa):
+                for basis in ("frequency", "time"):
+                    ck.joint_outcome_distribution(built, scheme, lens, basis)
+                ck.schmidt_decompose(built)
+                ck.to_temporal(built)
+        assert len(scans) == 1 and scans[0] is record
 
 
 class TestTimeLensSimulation:

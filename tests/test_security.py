@@ -307,6 +307,53 @@ class TestSecretKeyBound:
         with pytest.raises(ck.ParameterError):
             ck.simplified_key_rate(16, 1.2)
 
+    @pytest.mark.parametrize(
+        "bound,deficit",
+        [
+            (math.nan, None),
+            (math.inf, None),
+            (True, None),
+            (3.0, math.inf),
+            (3.0, math.nan),
+            (3.0, False),
+        ],
+        ids=["nan-bound", "inf-bound", "boolean-bound", "inf-deficit", "nan-deficit", "bool-deficit"],
+    )
+    def test_non_finite_or_boolean_bounds_rejected(self, bound, deficit):
+        # a NaN bound used to lose to min() and give a finite 2.2503-bit key
+        freq = ck.error_model_report(8, 0.1, "frequency")
+        time = ck.error_model_report(8, 0.1, "time")
+        with pytest.raises(ck.ParameterError):
+            ck.secret_key_bound(freq, time, bound, deficit=deficit)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: ck.error_model_report(8, False, "frequency"),
+        lambda: ck.error_model_report(8, True, "time"),
+        lambda: ck.simplified_key_rate(8, False),
+        lambda: ck.binning_deficit(True, 0.2),
+        lambda: ck.binning_deficit(0.75, True),
+        lambda: ck.simplified_key_rate(8, 0.1, beta_plus=True),
+        lambda: ck.EntropyReport("frequency", True, 0.0),
+        lambda: ck.EntropyReport("frequency", 1.0, False),
+    ],
+    ids=[
+        "error-model-false",
+        "error-model-true",
+        "simplified-false",
+        "deficit-beta-plus",
+        "deficit-beta-minus",
+        "simplified-beta-plus",
+        "report-marginal",
+        "report-conditional",
+    ],
+)
+def test_booleans_are_not_numbers(call):
+    with pytest.raises(ck.ParameterError):
+        call()
+
 
 class TestMeasuredKeyRate:
     def test_matched_source_rate_is_positive_but_below_bound(self, outcomes16):
