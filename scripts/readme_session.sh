@@ -23,8 +23,9 @@
 # every shard spans four blocks of live rounds, so the per-block resolution
 # of those rounds, and the positioned draws it reads, are pinned at either
 # thread count.
-# An m=1024 run of 1e7 rounds on the default channel adds its ten shard
-# tallies into one total, in index order at either thread count.
+# An m=1024 run of 1e7 rounds on the default channel counts its ten shards,
+# about 830 live rounds each, straight into one tally on the calling thread
+# at either thread count.
 # analyze and sweep at m=65536 fail if the closed-form key chain ever builds
 # the m x m error matrix again (34 GB).
 # sampled-JSA runs read the source's closed-form binned statistics; a

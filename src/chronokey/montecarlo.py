@@ -59,9 +59,14 @@ no copy.  ``special`` is sorted, so each block resolves its own slice of it.
 
 Determinism: rounds are processed in fixed-size shards, each driven by its
 own counter-based generator keyed on ``(seed, shard_index)``.  A shard's
-draws depend only on that generator, and shard tallies are added in index
-order, so the ledger depends only on ``seed``, ``rounds``, and
-``shard_size``, never on the thread count.
+draws depend only on that generator, and integer counts add exactly, so the
+ledger depends only on ``seed``, ``rounds``, and ``shard_size``, never on
+the thread count or on which thread counts a shard.  A run whose shards
+expect at most one block of live rounds each (the default channel's 1e6-round
+shards hold about 830) counts every shard on the calling thread, straight
+into the ledger's one tally, whatever the thread count.  Larger shards go to
+a pool of at most one worker per core, each counting into its own tally,
+added into the total in index order.
 """
 
 from __future__ import annotations
@@ -69,6 +74,7 @@ from __future__ import annotations
 import collections
 import functools
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -367,8 +373,10 @@ def _simulate_shard(
     channel: ChannelModel,
     guides: np.ndarray | None,
     cdfs: tuple[np.ndarray, np.ndarray] | None,
+    tally: np.ndarray | None = None,
 ) -> np.ndarray:
-    """The int64 tally of ``n`` rounds (laid out as in the module docstring)."""
+    """Count ``n`` rounds into the int64 ``tally`` (laid out as in the
+    module docstring, a new zero one when not given) and return it."""
     rng = _shard_rng(config.seed, shard_index)
     m = channel.m
     d = channel.dark_probability
@@ -422,7 +430,8 @@ def _simulate_shard(
             alt_b = rng.integers(0, m - 1, live, dtype=np.int32)[special]
 
     cells = m * m
-    tally = np.zeros(2 * cells + 2, dtype=np.int64)
+    if tally is None:
+        tally = np.zeros(2 * cells + 2, dtype=np.int64)
     codes = np.empty(block, dtype=np.int32)
     flags = np.empty((4, block), dtype=bool)
     discarded = np.empty(0, dtype=np.intp)
@@ -498,7 +507,7 @@ def simulate_rounds(
     time_distribution: OutcomeDistribution | None = None,
     threads: int = 1,
 ) -> RoundLedger:
-    """Run the full round count and return one ledger of all shard tallies.
+    """Run the full round count and return the ledger of all its shards.
 
     The ``sampled-jsa`` correlation model requires joint outcome
     distributions for both bases with the channel's alphabet size; the
@@ -530,18 +539,23 @@ def simulate_rounds(
     # Lazy: a round count of 2**63 - 1 makes too many shards to list.
     shards = ((i, min(config.shard_size, config.rounds - start)) for i, start in enumerate(starts))
 
-    def run(shard: tuple[int, int]) -> np.ndarray:
-        return _simulate_shard(shard[0], shard[1], config, channel, guides, cdfs)
+    def run(shard: tuple[int, int], tally: np.ndarray | None = None) -> np.ndarray:
+        return _simulate_shard(shard[0], shard[1], config, channel, guides, cdfs, tally)
 
-    # Shard tallies are added into one total in index order as they arrive,
-    # so at most O(threads) shard tallies are alive at once.
+    # A shard whose expected live rounds fit in one block is too little work
+    # to hand to a thread, so such runs count every shard on this thread,
+    # straight into the one total.  Otherwise each worker's shard counts into
+    # its own tally, added into the total in index order as it arrives, so at
+    # most O(workers) shard tallies are alive at once.
     total = np.zeros(2 * m * m + 2, dtype=np.int64)
-    if threads == 1 or config.rounds <= config.shard_size:
+    workers = min(threads, os.cpu_count() or 1)
+    live = config.shard_size * (1.0 - _pattern_probabilities(channel)[-1])
+    if workers == 1 or config.rounds <= config.shard_size or live <= _BLOCK_ROUNDS:
         for shard in shards:
-            total += run(shard)
+            run(shard, total)
     else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for tally in _in_order(pool, run, shards, threads):
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            for tally in _in_order(pool, run, shards, workers):
                 total += tally
                 del tally  # not kept alive while the next shard is awaited
     return RoundLedger(m, config.rounds, total)

@@ -1,12 +1,14 @@
 """Round-by-round channel simulation against the closed-form expectations."""
 
+import functools
 import hashlib
 import math
+import os
 import threading
 import time
 import tracemalloc
 import warnings
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from unittest import mock
 
 import numpy as np
@@ -92,6 +94,17 @@ class TestDeterminism:
         parallel = ck.simulate_rounds(config, model, threads=4)
         assert _ledgers_equal(serial, parallel)
 
+    @pytest.mark.parametrize("threads", [2, 3])
+    @pytest.mark.parametrize("case", ["ideal-delta", "sampled-jsa", "random-assign"])
+    def test_thread_count_does_not_change_dense_results(self, case, threads):
+        # Noiseless shards of 40k-60k live rounds each exceed one block, so
+        # these runs go to the pool, whatever the host's core count.
+        config, model, distributions = _dense_case(case)
+        serial = ck.simulate_rounds(config, model, threads=1, **distributions)
+        with mock.patch("os.cpu_count", return_value=threads):
+            parallel = ck.simulate_rounds(config, model, threads=threads, **distributions)
+        assert _ledgers_equal(serial, parallel)
+
     @pytest.mark.parametrize("threads", [True, 2.5, 0])
     def test_threads_must_be_a_positive_integer(self, threads):
         config = ck.SimulationConfig(rounds=30, seed=1, shard_size=10)
@@ -103,6 +116,88 @@ class TestDeterminism:
         a = ck.simulate_rounds(ck.SimulationConfig(rounds=100_000, seed=1), model)
         b = ck.simulate_rounds(ck.SimulationConfig(rounds=100_000, seed=2), model)
         assert not _ledgers_equal(a, b)
+
+
+def _dense_case(name):
+    """A noiseless multi-shard run whose every round is live."""
+    if name == "ideal-delta":
+        return ck.SimulationConfig(rounds=200_000, seed=8, shard_size=50_000), _noiseless(16), {}
+    if name == "sampled-jsa":
+        config = ck.SimulationConfig(
+            rounds=170_000, seed=9, shard_size=60_000, correlation_model="sampled-jsa"
+        )
+        return config, _noiseless(8), _banded_pair(8)
+    config = ck.SimulationConfig(
+        rounds=130_000, seed=10, shard_size=40_000, multi_click_policy="random-assign"
+    )
+    return config, _noiseless(7), {}
+
+
+class _InlinePool:
+    """Stands in for ``ThreadPoolExecutor``: runs each task as it is
+    submitted, on the calling thread, and records the ``max_workers`` it
+    was asked for in ``made``."""
+
+    def __init__(self, made, max_workers):
+        made.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        return False
+
+    def submit(self, fn, *args):
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+
+def _inline_pools(made):
+    return mock.patch.object(montecarlo, "ThreadPoolExecutor", functools.partial(_InlinePool, made))
+
+
+class TestWhereShardsRun:
+    """Shards whose expected live rounds fit in one block run on the calling
+    thread; larger ones go to a pool of at most one worker per core."""
+
+    def test_sub_block_shards_never_start_a_pool(self):
+        # About 830 live rounds in each 1e6-round shard of the default channel.
+        config = ck.SimulationConfig(rounds=3_000_000, seed=4)
+        serial = ck.simulate_rounds(config, _channel(16), threads=1)
+        refuse = mock.patch.object(montecarlo, "ThreadPoolExecutor", side_effect=AssertionError)
+        with refuse, mock.patch("os.cpu_count", return_value=2):
+            threaded = ck.simulate_rounds(config, _channel(16), threads=2)
+        assert _ledgers_equal(serial, threaded)
+
+    def test_dense_shards_go_to_the_pool(self):
+        config, model, distributions = _dense_case("ideal-delta")
+        made = []
+        with _inline_pools(made), mock.patch("os.cpu_count", return_value=2):
+            ck.simulate_rounds(config, model, threads=2, **distributions)
+        assert made == [2]
+
+    def test_pool_never_asks_for_more_workers_than_cores(self):
+        # Never starts a thread: the pool runs each shard inline.  This
+        # host's core count first, then counts patched in.
+        config, model, distributions = _dense_case("sampled-jsa")
+        serial = ck.simulate_rounds(config, model, threads=1, **distributions)
+        for cpus in (os.cpu_count(), None, 1, 3):
+            made = []
+            with _inline_pools(made), mock.patch("os.cpu_count", return_value=cpus):
+                ledger = ck.simulate_rounds(config, model, threads=10**6, **distributions)
+            assert made == ([] if (cpus or 1) == 1 else [cpus])
+            assert _ledgers_equal(serial, ledger)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_sub_block_run_counts_into_one_tally(self, threads):
+        # Four 1e6-round shards at m = 512: a tally per shard would trace
+        # about twice the ledger's bytes at one thread and four times at two.
+        config = ck.SimulationConfig(rounds=4_000_000, seed=31)
+        ck.simulate_rounds(ck.SimulationConfig(rounds=1, seed=0), _channel(2))  # imports np.random
+        run = functools.partial(ck.simulate_rounds, config, _channel(512), threads=threads)
+        ledger, peak = _traced_peak(run)
+        assert peak <= 1.2 * ledger.tally.nbytes
 
 
 @pytest.fixture(scope="module")
@@ -144,7 +239,7 @@ class TestLedgerAccounting:
         assert not ledger.tally.flags.writeable
 
     def test_shard_tallies_add_into_one_total(self):
-        # At the peak only the running total and one shard's tally are alive.
+        # At the peak at most the running total and one shard's tally are alive.
         config = ck.SimulationConfig(rounds=400_000, seed=29, shard_size=50_000)
         tracemalloc.start()
         try:
@@ -875,8 +970,9 @@ class TestRoundLimits:
         one_round = np.zeros(10, dtype=np.int64)
         one_round[0] = 1
 
-        def stub(shard_index, n, config, channel, guides, cdfs):
-            return one_round
+        def stub(shard_index, n, config, channel, guides, cdfs, tally):
+            tally += one_round
+            return tally
 
         config = ck.SimulationConfig(rounds=200_000, seed=1, shard_size=1)
         with mock.patch.object(montecarlo, "_simulate_shard", stub):
