@@ -187,62 +187,35 @@ class JointSpectralAmplitude:
 
     ``amplitudes[i, j]`` is the value at ``(grid.points[i], grid.points[j])``;
     axis 0 is the receiver-side photon and axis 1 the sender-side photon.
-    The record carries unit discrete L2 mass and is held as its band: the
-    blocks of :func:`_row_bands`, read-only.  One made from an n x n array
-    holds views into that array, which ``amplitudes`` returns.  A Gaussian
-    record from :func:`make_gaussian_jsa` holds only its blocks, and
-    ``amplitudes`` builds the n x n matrix from them on each read.
-    ``kind`` is ``"parametric-gaussian"`` when the analytic widths
-    ``delta_plus`` (difference direction, wide) and ``delta_minus`` (sum
-    direction, narrow) are meaningful, ``"sampled"`` otherwise.
+    The record carries unit discrete L2 mass and is held as its band only:
+    the read-only blocks of :func:`_row_bands`.  One made from an n x n
+    array holds views into that array, which it sets read-only; a Gaussian
+    record from :func:`make_gaussian_jsa` holds blocks of its own.
     """
 
-    kind: str
     grid: FrequencyGrid
-    delta_plus: float | None = None
-    delta_minus: float | None = None
-    _blocks: tuple[_Block, ...] = field(default=(), repr=False)
-    _dense: np.ndarray | None = field(default=None, repr=False)
+    _blocks: tuple[_Block, ...] = field(repr=False)
 
-    def __init__(
-        self,
-        kind: str,
-        grid: FrequencyGrid,
-        amplitudes: np.ndarray,
-        delta_plus: float | None = None,
-        delta_minus: float | None = None,
-    ) -> None:
+    def __init__(self, grid: FrequencyGrid, amplitudes: np.ndarray) -> None:
+        # The whole array is checked: a NaN outside the band is in no block.
         _check_record(amplitudes, grid, 2, "joint spectral amplitude")
-        amplitudes.setflags(write=False)
-        self._hold(kind, grid, delta_plus, delta_minus, tuple(_row_bands(amplitudes)), amplitudes)
+        amplitudes.setflags(write=False)  # and so every view of it
+        vars(self).update(grid=grid, _blocks=tuple(_row_bands(amplitudes)))
 
     @classmethod
-    def _from_blocks(
-        cls, kind: str, grid: FrequencyGrid, delta_plus: float, delta_minus: float, blocks: tuple
-    ) -> "JointSpectralAmplitude":
+    def _from_blocks(cls, grid: FrequencyGrid, blocks: tuple) -> "JointSpectralAmplitude":
         """A record held as real ``blocks``, refused unless of unit mass."""
         mass = sum(float(np.einsum("ij,ij->", values, values)) for _, _, values in blocks)
         _check_mass(mass * grid.spacing**2, "joint spectral amplitude")
-        record = cls.__new__(cls)
-        record._hold(kind, grid, delta_plus, delta_minus, blocks, None)
-        return record
-
-    def _hold(self, kind, grid, delta_plus, delta_minus, blocks, dense) -> None:
-        if kind not in ("parametric-gaussian", "sampled"):
-            raise ParameterError(f"unknown amplitude kind {kind!r}")
-        if kind == "parametric-gaussian" and (delta_plus is None or delta_minus is None):
-            raise ParameterError("parametric-gaussian amplitudes need both widths")
         for _, _, values in blocks:
             values.setflags(write=False)
-        vars(self).update(kind=kind, grid=grid, delta_plus=delta_plus, delta_minus=delta_minus)
-        vars(self).update(_blocks=blocks, _dense=dense)
+        record = cls.__new__(cls)
+        vars(record).update(grid=grid, _blocks=blocks)
+        return record
 
     @property
     def amplitudes(self) -> np.ndarray:
-        """The read-only n x n record: the array it was made from, or one
-        built from its blocks, zero elsewhere."""
-        if self._dense is not None:
-            return self._dense
+        """A new read-only n x n record built from the blocks, zero elsewhere."""
         n = self.grid.n_points
         dense = np.zeros((n, n), self._blocks[0][2].dtype)
         for rows, cols, values in self._blocks:
@@ -478,9 +451,7 @@ def make_gaussian_jsa(
         if cols is not None:
             rows, band = slice(start, start + height), slice(first + cols.start, first + cols.stop)
             blocks.append((rows, band, np.ascontiguousarray(values[:, cols])))
-    return JointSpectralAmplitude._from_blocks(
-        "parametric-gaussian", grid, float(delta_plus), float(delta_minus), tuple(blocks)
-    )
+    return JointSpectralAmplitude._from_blocks(grid, tuple(blocks))
 
 
 def analytic_schmidt_number(delta_plus: float, delta_minus: float) -> float:
@@ -518,7 +489,9 @@ def schmidt_decompose(jsa: JointSpectralAmplitude) -> SchmidtDecomposition:
                 if rows_i == rows_j:
                     mass += float(np.trace(block).real)
                 weight = 1.0 if rows_i == rows_j else 2.0
-                gram_sumsq += weight * float(np.vdot(block, block).real)
+                # Not np.vdot: a threaded BLAS can take milliseconds to
+                # start each level-1 call, and this makes one per pair.
+                gram_sumsq += weight * float(np.einsum("ij,ij->", block, block.conj()).real)
     return _DeferredSchmidtDecomposition(jsa, mass**2 / gram_sumsq)
 
 
@@ -591,17 +564,19 @@ def to_temporal(jsa: JointSpectralAmplitude) -> JointTemporalAmplitude:
     """Two-dimensional transform of the spectral amplitude to arrival times.
 
     Both axes use the ``exp(-i*w*t)`` kernel, so a frequency anti-correlated
-    Gaussian becomes time correlated.  A parametric record's temporal
-    intensity has the widths ``1/delta_minus`` along the correlated diagonal
-    and ``1/delta_plus`` across it.  The record's blocks are phased into the
-    output, which has the bits of the dense record's transform.
+    Gaussian becomes time correlated: the temporal intensity of
+    ``make_gaussian_jsa(delta_plus, delta_minus)`` has the widths
+    ``1/delta_minus`` along the correlated diagonal and ``1/delta_plus``
+    across it.  The record's blocks are phased into the output, which has
+    the bits of the dense record's transform.
     """
     tg, amplitudes = _dual_transform(jsa._blocks, jsa.grid, sign=-1, axes=(0, 1))
     return JointTemporalAmplitude(grid=tg, amplitudes=amplitudes)
 
 
 def from_temporal(jta: JointTemporalAmplitude) -> JointSpectralAmplitude:
-    """Inverse of :func:`to_temporal`; returns a sampled spectral record."""
+    """Inverse of :func:`to_temporal`; the record holds views of the
+    transform's output, so it makes no second n x n array."""
     fg, amplitudes = _dual_transform(jta.amplitudes, jta.grid, sign=+1, axes=(0, 1))
-    return JointSpectralAmplitude(kind="sampled", grid=fg, amplitudes=amplitudes)
+    return JointSpectralAmplitude(fg, amplitudes)
 

@@ -396,8 +396,8 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None, help="override the seed")
     p.add_argument(
         "--threads", type=int, default=None,
-        help="worker threads, at most one per core, used only when each shard expects over "
-        "2**15 live rounds (no effect on results)",
+        help="worker threads, at most one per core and one per shard, used only when each "
+        "shard expects over 2**15 live rounds (no effect on results)",
     )
     commands["alphabet-scan"].add_argument(
         "--max-bits", type=int, default=16, help="largest alphabet, in bits"

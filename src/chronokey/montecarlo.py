@@ -63,19 +63,20 @@ draws depend only on that generator, and integer counts add exactly, so the
 ledger depends only on ``seed``, ``rounds``, and ``shard_size``, never on
 the thread count or on which thread counts a shard.  A run whose shards
 expect at most one block of live rounds each (the default channel's 1e6-round
-shards hold about 830) counts every shard on the calling thread, straight
-into the ledger's one tally, whatever the thread count.  Larger shards go to
-a pool of at most one worker per core, each counting into its own tally,
-added into the total in index order.
+shards hold about 830), or that has one shard, counts every shard on the
+calling thread, straight into the ledger's one tally, whatever the thread
+count.  Otherwise a pool of at most one worker per core (and per shard)
+takes the shards one at a time as each worker comes free; each worker counts
+into its own tally, and the tallies are added once the pool has joined.
 """
 
 from __future__ import annotations
 
-import collections
 import functools
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
+import threading
+from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -373,10 +374,10 @@ def _simulate_shard(
     channel: ChannelModel,
     guides: np.ndarray | None,
     cdfs: tuple[np.ndarray, np.ndarray] | None,
-    tally: np.ndarray | None = None,
+    tally: np.ndarray,
 ) -> np.ndarray:
     """Count ``n`` rounds into the int64 ``tally`` (laid out as in the
-    module docstring, a new zero one when not given) and return it."""
+    module docstring) and return it."""
     rng = _shard_rng(config.seed, shard_index)
     m = channel.m
     d = channel.dark_probability
@@ -430,8 +431,6 @@ def _simulate_shard(
             alt_b = rng.integers(0, m - 1, live, dtype=np.int32)[special]
 
     cells = m * m
-    if tally is None:
-        tally = np.zeros(2 * cells + 2, dtype=np.int64)
     codes = np.empty(block, dtype=np.int32)
     flags = np.empty((4, block), dtype=bool)
     discarded = np.empty(0, dtype=np.intp)
@@ -487,19 +486,6 @@ def _simulate_shard(
     return tally
 
 
-def _in_order(pool: ThreadPoolExecutor, fn, items, window: int):
-    """``pool.map(fn, items)`` with at most ``window + 1`` calls submitted
-    and not yet yielded, so that a slow consumer holds O(window) results,
-    not all of them."""
-    pending: collections.deque = collections.deque()
-    for item in items:
-        pending.append(pool.submit(fn, item))
-        if len(pending) > window:
-            yield pending.popleft().result()
-    while pending:
-        yield pending.popleft().result()
-
-
 def simulate_rounds(
     config: SimulationConfig,
     channel: ChannelModel,
@@ -539,25 +525,38 @@ def simulate_rounds(
     # Lazy: a round count of 2**63 - 1 makes too many shards to list.
     shards = ((i, min(config.shard_size, config.rounds - start)) for i, start in enumerate(starts))
 
-    def run(shard: tuple[int, int], tally: np.ndarray | None = None) -> np.ndarray:
-        return _simulate_shard(shard[0], shard[1], config, channel, guides, cdfs, tally)
+    take = threading.Lock()
 
-    # A shard whose expected live rounds fit in one block is too little work
-    # to hand to a thread, so such runs count every shard on this thread,
-    # straight into the one total.  Otherwise each worker's shard counts into
-    # its own tally, added into the total in index order as it arrives, so at
-    # most O(workers) shard tallies are alive at once.
-    total = np.zeros(2 * m * m + 2, dtype=np.int64)
-    workers = min(threads, os.cpu_count() or 1)
+    def count() -> np.ndarray:
+        """Count shards into a new tally, taking the next one not yet taken
+        until none is left."""
+        tally = np.zeros(2 * m * m + 2, dtype=np.int64)
+        while True:
+            with take:
+                shard = next(shards, None)
+            if shard is None:
+                return tally
+            _simulate_shard(*shard, config, channel, guides, cdfs, tally)
+
+    # A run of one shard, or of shards whose expected live rounds fit in one
+    # block (too little work to hand to a thread), counts every shard on
+    # this thread, into the ledger's one tally.  Otherwise each pool worker
+    # counts the shards it takes into its own tally, and the tallies are
+    # added once the pool has joined: at most one tally per worker is alive.
     live = config.shard_size * (1.0 - _pattern_probabilities(channel)[-1])
-    if workers == 1 or config.rounds <= config.shard_size or live <= _BLOCK_ROUNDS:
-        for shard in shards:
-            run(shard, total)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for tally in _in_order(pool, run, shards, workers):
-                total += tally
-                del tally  # not kept alive while the next shard is awaited
+    workers = min(threads, os.cpu_count() or 1, len(starts)) if live > _BLOCK_ROUNDS else 1
+    if workers == 1:
+        return RoundLedger(m, config.rounds, count())
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        futures = [pool.submit(count) for _ in range(workers)]
+        try:
+            wait(futures, return_when=FIRST_EXCEPTION)
+        finally:
+            with take:
+                shards.close()  # a failed or interrupted run takes no further shard
+    total = futures[0].result()
+    for future in futures[1:]:
+        total += future.result()
     return RoundLedger(m, config.rounds, total)
 
 

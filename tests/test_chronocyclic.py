@@ -95,7 +95,7 @@ class TestTransform:
         if is_complex:
             values = values + 1j * rng.normal(size=(n, n))
         values = values / math.sqrt(float(np.vdot(values, values).real)) / grid.spacing
-        jsa = ck.JointSpectralAmplitude("sampled", grid, values)
+        jsa = ck.JointSpectralAmplitude(grid, values)
         # the transform's phase arguments grow like n radians, so does roundoff
         tolerance = 1e-12 * n * float(np.abs(values).max())
         back = ck.from_temporal(ck.to_temporal(jsa))
@@ -153,7 +153,7 @@ class TestTransform:
             assert np.abs(out - expected).max() <= 1e-12 * np.abs(expected).max()
         values = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
         values /= math.sqrt(float(np.vdot(values, values).real)) * grid.spacing
-        jta = ck.to_temporal(ck.JointSpectralAmplitude("sampled", grid, values))
+        jta = ck.to_temporal(ck.JointSpectralAmplitude(grid, values))
         expected = kernel(-1).T @ values @ kernel(-1)
         assert np.abs(jta.amplitudes - expected).max() <= 1e-12 * np.abs(expected).max()
 
@@ -172,12 +172,6 @@ class TestSource:
         jsa = ck.make_gaussian_jsa(delta_plus=6.0, delta_minus=1.0)
         mass = float((np.abs(jsa.amplitudes) ** 2).sum() * jsa.grid.spacing**2)
         assert mass == pytest.approx(1.0, abs=1e-9)
-
-    def test_parametric_record_keeps_design_widths(self):
-        jsa = ck.make_gaussian_jsa(delta_plus=6.0, delta_minus=1.0)
-        assert jsa.kind == "parametric-gaussian"
-        assert jsa.delta_plus == 6.0
-        assert jsa.delta_minus == 1.0
 
     def test_default_grid_covers_and_resolves(self):
         for wide, narrow in [(12.0, 0.2), (6.0, 1.0), (1.0, 1.0)]:
@@ -243,7 +237,7 @@ class TestSource:
     def test_rejects_non_finite_amplitudes(self, bad):
         grid = ck.FrequencyGrid(64, span=8.0)
         with pytest.raises(ck.ParameterError):
-            ck.JointSpectralAmplitude("sampled", grid, np.full((64, 64), bad, dtype=complex))
+            ck.JointSpectralAmplitude(grid, np.full((64, 64), bad, dtype=complex))
 
 
 class TestSubnormalFreeSource:
@@ -286,11 +280,7 @@ class TestSubnormalFreeSource:
         scheme, jsa = ck.design_binning(m, grid=ck.FrequencyGrid(n_points, span=3.0 * m))
         lens = ck.design_time_lens(scheme)
         reference = ck.JointSpectralAmplitude(
-            "parametric-gaussian",
-            jsa.grid,
-            _reference_gaussian_amplitudes(jsa.delta_plus, jsa.delta_minus, jsa.grid),
-            jsa.delta_plus,
-            jsa.delta_minus,
+            jsa.grid, _reference_gaussian_amplitudes(*scheme.matched_widths(), jsa.grid)
         )
         assert np.any((reference.amplitudes > 0.0) & (reference.amplitudes < TINY))
         with warnings.catch_warnings():
@@ -386,7 +376,7 @@ class TestSchmidt:
         jsa = ck.make_gaussian_jsa(delta_plus=5.2, delta_minus=1.0)
         w = jsa.grid.points
         phased = jsa.amplitudes * np.exp(1j * chirp * np.outer(w, w))
-        dec = ck.schmidt_decompose(ck.JointSpectralAmplitude("sampled", jsa.grid, phased))
+        dec = ck.schmidt_decompose(ck.JointSpectralAmplitude(jsa.grid, phased))
         assert dec.schmidt_number == pytest.approx(_svd_mode_count(dec), rel=1e-12)
         assert dec.schmidt_number > ck.analytic_schmidt_number(5.2, 1.0) + 1e-3
 
@@ -421,7 +411,6 @@ class TestTemporal:
     def test_round_trip_through_time_domain(self, pair):
         jsa, jta = pair
         back = ck.from_temporal(jta)
-        assert back.kind == "sampled"
         assert np.abs(back.amplitudes - jsa.amplitudes).max() < 1e-9
 
     def test_correlation_sign_flips_between_domains(self, pair):
@@ -559,7 +548,7 @@ class TestBandRecord:
         default = ck.default_grid(wide, narrow)
         grid = ck.FrequencyGrid(n_points or default.n_points, span=default.span, center=center)
         jsa = ck.make_gaussian_jsa(wide, narrow, grid=grid)
-        dense = ck.JointSpectralAmplitude("sampled", grid, jsa.amplitudes)
+        dense = ck.JointSpectralAmplitude(grid, jsa.amplitudes)
         assert [(r, c) for r, c, _ in jsa._blocks] == [(r, c) for r, c, _ in dense._blocks]
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", ck.CoverageWarning)
@@ -595,7 +584,14 @@ class TestBandRecord:
         assert one is not other and np.array_equal(one, other)
         assert not one.flags.writeable
         assert all(not values.flags.writeable for _, _, values in jsa._blocks)
+        # A record made from an array holds views of it, which it makes
+        # read-only, and builds its dense view anew on each read too.
         record = np.array(one)
-        sampled = ck.JointSpectralAmplitude("sampled", jsa.grid, record)
-        assert sampled.amplitudes is record
-        assert all(values.base is record for _, _, values in sampled._blocks)
+        sampled = ck.JointSpectralAmplitude(jsa.grid, record)
+        assert not record.flags.writeable
+        assert all(np.shares_memory(values, record) for _, _, values in sampled._blocks)
+        assert all(not values.flags.writeable for _, _, values in sampled._blocks)
+        dense = sampled.amplitudes
+        assert dense is not sampled.amplitudes and not np.shares_memory(dense, record)
+        assert np.array_equal(dense, record) and not dense.flags.writeable
+        assert [field.name for field in dataclasses.fields(sampled)] == ["grid", "_blocks"]

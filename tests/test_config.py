@@ -200,7 +200,10 @@ class TestDomainBuilders:
         config = ck.RunConfig.from_dict({"protocol": {"m": 4}})
         scheme, source, lens = config.matched_design()
         assert scheme.m == 4
-        assert source.delta_plus == pytest.approx(0.75 * 4)
+        assert scheme.matched_widths()[0] == pytest.approx(0.75 * 4)
+        matched = ck.make_gaussian_jsa(*scheme.matched_widths(), grid=source.grid)
+        blocks = [[(r, c, v.tobytes()) for r, c, v in jsa._blocks] for jsa in (source, matched)]
+        assert blocks[0] == blocks[1]
         assert lens.mod_depth == pytest.approx(15.0)
 
     def test_invalid_domain_values_surface_as_parameter_errors(self):

@@ -63,8 +63,10 @@ class TestBinningScheme:
     def test_design_returns_matched_source(self):
         scheme, source = ck.design_binning(8, delta_omega=0.5)
         assert scheme.m == 8
-        assert source.delta_plus == pytest.approx(0.75 * 8 * 0.5)
-        assert source.delta_minus == pytest.approx(0.2 * 0.5)
+        assert scheme.matched_widths() == pytest.approx((0.75 * 8 * 0.5, 0.2 * 0.5))
+        matched = ck.make_gaussian_jsa(*scheme.matched_widths(), grid=source.grid)
+        blocks = [[(r, c, v.tobytes()) for r, c, v in jsa._blocks] for jsa in (source, matched)]
+        assert blocks[0] == blocks[1]
 
 
 class TestTimeLens:
@@ -222,7 +224,7 @@ class TestTimeBinning:
         # interleaved (re, im) columns; a complex one the general product
         scheme, source = ck.design_binning(m, grid=ck.FrequencyGrid(n_points, span=3.0 * m))
         lens = ck.design_time_lens(scheme)
-        as_complex = ck.JointSpectralAmplitude("sampled", source.grid, source.amplitudes + 0j)
+        as_complex = ck.JointSpectralAmplitude(source.grid, source.amplitudes + 0j)
         grid = source.grid
         state = _normalize(np.exp(-((grid.points - 0.3) ** 2) / (2 * 1.5**2)), grid.spacing)
         with warnings.catch_warnings():
@@ -404,7 +406,7 @@ REFUSED_WINDOWS = {
     ),
     "joint_outcome_distribution-nan": (
         lambda s, src, lens: ck.joint_outcome_distribution(
-            ck.JointSpectralAmplitude("sampled", src.grid, _with_nan(src.amplitudes)),
+            ck.JointSpectralAmplitude(src.grid, _with_nan(src.amplitudes)),
             s,
             lens,
             "frequency",
@@ -709,7 +711,7 @@ class TestBandedRecordProducts:
                     assert ours.shape == reference.shape
                     assert np.abs(ours - reference).max() <= 1e-12 * np.abs(reference).max()
             mass = float(np.vdot(record, record).real) * grid.spacing**2
-            jsa = ck.JointSpectralAmplitude("sampled", grid, record / math.sqrt(mass))
+            jsa = ck.JointSpectralAmplitude(grid, record / math.sqrt(mass))
             assert ck.schmidt_decompose(jsa).schmidt_number == pytest.approx(
                 _whole_gram_schmidt_number(jsa.amplitudes), rel=1e-12
             )
@@ -748,7 +750,7 @@ class TestBandedRecordProducts:
             warnings.simplefilter("ignore", ck.CoverageWarning)
             source = ck.make_gaussian_jsa(*scheme.matched_widths())
             record = np.array(source.amplitudes)
-            jsa = ck.JointSpectralAmplitude("sampled", source.grid, record)
+            jsa = ck.JointSpectralAmplitude(source.grid, record)
             for built in (source, jsa):
                 for basis in ("frequency", "time"):
                     ck.joint_outcome_distribution(built, scheme, lens, basis)

@@ -4,11 +4,12 @@ import functools
 import hashlib
 import math
 import os
+import sys
 import threading
 import time
 import tracemalloc
 import warnings
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import Future
 from unittest import mock
 
 import numpy as np
@@ -20,7 +21,6 @@ import chronokey as ck
 from chronokey import montecarlo
 from chronokey.montecarlo import (
     _guide_table,
-    _in_order,
     _joint_cdf,
     _pattern_probabilities,
     _positioned_copy,
@@ -199,6 +199,57 @@ class TestWhereShardsRun:
         ledger, peak = _traced_peak(run)
         assert peak <= 1.2 * ledger.tally.nbytes
 
+    def test_pooled_run_keeps_one_tally_per_worker(self):
+        # Four noiseless 60,000-round shards at m = 512 on two workers: the
+        # two workers' tallies, no third total and no tally per shard.
+        config = ck.SimulationConfig(rounds=240_000, seed=37, shard_size=60_000)
+        ck.simulate_rounds(ck.SimulationConfig(rounds=1, seed=0), _channel(2))  # imports np.random
+        run = functools.partial(ck.simulate_rounds, config, _noiseless(512), threads=2)
+        with mock.patch("os.cpu_count", return_value=2):
+            ledger, peak = _traced_peak(run)
+        assert ledger.sifted > 0
+        assert peak <= 3.0 * ledger.tally.nbytes
+
+    def test_workers_take_every_shard_once(self):
+        # 400 shards, more workers than cores, threads switched every
+        # microsecond: a shard lost or taken twice changes the ledger.
+        config = ck.SimulationConfig(rounds=40_000, seed=41, shard_size=100)
+        serial = ck.simulate_rounds(config, _noiseless(4), threads=1)
+        ledgers = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            pooled = mock.patch.object(montecarlo, "_BLOCK_ROUNDS", 64)
+            with pooled, mock.patch("os.cpu_count", return_value=8):
+                threaded = functools.partial(ck.simulate_rounds, config, _noiseless(4), threads=8)
+                run = threading.Thread(target=lambda: ledgers.append(threaded()), daemon=True)
+                run.start()
+                run.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not run.is_alive()
+        assert _ledgers_equal(serial, ledgers[0])
+
+    def test_a_failing_shard_stops_every_worker(self):
+        # Shard 0 fails at once; the other worker must stop after the shard
+        # it holds, not count the 1,999 others (2 s of sleeps).
+        counted = []
+
+        def stub(shard_index, n, config, channel, guides, cdfs, tally):
+            if shard_index == 0:
+                raise MemoryError("shard 0")
+            time.sleep(1e-3)
+            counted.append(shard_index)
+            return tally
+
+        config = ck.SimulationConfig(rounds=2_000, seed=1, shard_size=1)
+        pooled = mock.patch.object(montecarlo, "_BLOCK_ROUNDS", 0)
+        with mock.patch.object(montecarlo, "_simulate_shard", stub), pooled:
+            with mock.patch("os.cpu_count", return_value=2):
+                with pytest.raises(MemoryError, match="shard 0"):
+                    ck.simulate_rounds(config, _noiseless(2), threads=2)
+        assert len(counted) < 1_000
+
 
 @pytest.fixture(scope="module")
 def noisy_run():
@@ -228,7 +279,8 @@ class TestLedgerAccounting:
 
     def test_shard_ledger_properties_obey_the_class_identities(self):
         config = ck.SimulationConfig(rounds=100_000, seed=23)
-        tally = _simulate_shard(0, 100_000, config, _channel(8, dark_probability=5e-3), None, None)
+        channel = _channel(8, dark_probability=5e-3)
+        tally = _simulate_shard(0, 100_000, config, channel, None, None, np.zeros(130, np.int64))
         ledger = ck.RoundLedger(8, 100_000, tally)
         assert ledger.multi_click_discarded > 0 and ledger.incorrect > 0
         assert ledger.no_click + ledger.multi_click_discarded + ledger.coincidences == ledger.rounds
@@ -527,26 +579,6 @@ class TestDrawSkip:
 
 
 class TestProperties:
-    @settings(max_examples=10, deadline=None)
-    @given(window=st.integers(1, 4), items=st.integers(0, 40))
-    def test_in_order_yields_in_order_with_few_results_pending(self, window, items):
-        lock = threading.Lock()
-        started = []
-
-        def work(item):
-            with lock:
-                started.append(item)
-            return item
-
-        results = []
-        with ThreadPoolExecutor(max_workers=window) as pool:
-            for result in _in_order(pool, work, range(items), window):
-                time.sleep(0.002)  # a consumer slower than the workers
-                with lock:
-                    assert len(started) - len(results) <= window + 1
-                results.append(result)
-        assert results == list(range(items))
-
     @settings(max_examples=25, deadline=None)
     @given(
         rounds=st.integers(1, 60_000),
@@ -801,7 +833,8 @@ class TestSparseBookkeeping:
             )
             guides = np.stack([_guide_table(cdf) for cdf in cdfs])
         shard = (3, config.rounds, config, channel, guides, cdfs)
-        assert np.array_equal(_simulate_shard(*shard), _dense_shard_oracle(*shard).tally)
+        tally = _simulate_shard(*shard, np.zeros(2 * m * m + 2, np.int64))
+        assert np.array_equal(tally, _dense_shard_oracle(*shard).tally)
 
     @pytest.mark.parametrize("model", ["ideal-delta", "sampled-jsa"])
     @pytest.mark.parametrize("policy", ["discard", "random-assign"])
@@ -825,7 +858,8 @@ class TestSparseBookkeeping:
             )
             guides = np.stack([_guide_table(cdf) for cdf in cdfs])
         shard = (5, config.rounds, config, channel, guides, cdfs)
-        ledger = ck.RoundLedger(m, config.rounds, _simulate_shard(*shard))
+        tally = _simulate_shard(*shard, np.zeros(2 * m * m + 2, np.int64))
+        ledger = ck.RoundLedger(m, config.rounds, tally)
         assert ledger.sifted > 0 and ledger.no_click > 0
         assert _ledgers_equal(ledger, _dense_shard_oracle(*shard))
 
@@ -944,7 +978,8 @@ class TestBlockedShard:
         guides = np.stack([_guide_table(cdf) for cdf in cdfs])
         config = ck.SimulationConfig(rounds=10**6, seed=3, correlation_model="sampled-jsa")
         shard = (0, config.rounds, config, _noiseless(8), guides, cdfs)
-        tally, peak = _traced_peak(lambda: _simulate_shard(*shard))
+        tally = np.zeros(2 * 8 * 8 + 2, np.int64)
+        tally, peak = _traced_peak(lambda: _simulate_shard(*shard, tally))
         assert tally.sum() == config.rounds
         assert peak < 4 * 2**20
 
