@@ -159,7 +159,8 @@ def _inline_pools(made):
 
 class TestWhereShardsRun:
     """Shards whose expected live rounds fit in one block run on the calling
-    thread; larger ones go to a pool of at most one worker per core."""
+    thread; larger ones go to a pool of at most one worker per core and per
+    shard."""
 
     def test_sub_block_shards_never_start_a_pool(self):
         # About 830 live rounds in each 1e6-round shard of the default channel.
@@ -179,14 +180,18 @@ class TestWhereShardsRun:
 
     def test_pool_never_asks_for_more_workers_than_cores(self):
         # Never starts a thread: the pool runs each shard inline.  This
-        # host's core count first, then counts patched in.
+        # host's core count first, then counts patched in; the run has three
+        # shards, so eight cores still ask for three workers.
         config, model, distributions = _dense_case("sampled-jsa")
+        shards = -(-config.rounds // config.shard_size)
+        assert shards == 3
         serial = ck.simulate_rounds(config, model, threads=1, **distributions)
-        for cpus in (os.cpu_count(), None, 1, 3):
+        for cpus in (os.cpu_count(), None, 1, 2, 3, 8):
             made = []
             with _inline_pools(made), mock.patch("os.cpu_count", return_value=cpus):
                 ledger = ck.simulate_rounds(config, model, threads=10**6, **distributions)
-            assert made == ([] if (cpus or 1) == 1 else [cpus])
+            workers = min(cpus or 1, shards)
+            assert made == ([] if workers == 1 else [workers])
             assert _ledgers_equal(serial, ledger)
 
     @pytest.mark.parametrize("threads", [1, 2])
