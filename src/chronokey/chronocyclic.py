@@ -217,11 +217,9 @@ class JointSpectralAmplitude:
     def amplitudes(self) -> np.ndarray:
         """A new read-only n x n record built from the blocks, zero elsewhere.
 
-        For a record made from an array this is a second n x n array beside
-        the one its blocks view, so its SVD (``singular_values``) peaks one
-        n x n array higher than an SVD of that array would; and it equals
-        that array but for subnormal entries outside the bands, which read 0.
-        """
+        For a record made from an array, a second n x n array beside the one
+        its blocks view; it reads 0 where that array is subnormal outside the
+        bands."""
         n = self.grid.n_points
         dense = np.zeros((n, n), self._blocks[0][2].dtype)
         for rows, cols, values in self._blocks:
