@@ -12,12 +12,17 @@ inverse direction uses ``exp(+i*w*t)``.  Discrete sums approximate the
 integrals with the grid spacing as the quadrature weight, which keeps the
 discrete L2 mass exactly conserved (Parseval) on dual grids.
 
-The Gaussian record stores an exact 0 wherever its value would be subnormal
-(below ``numpy.finfo(float).tiny``); every other entry keeps the bits of the
-whole-matrix formula.  On x86 every subnormal operand or result of ``exp``,
-an FFT or an SVD takes a microcode assist; the binned distributions, Schmidt
-number and temporal amplitudes come out bit for bit as from the record with
-its subnormals kept.
+The Gaussian source is one factor of the detuning difference times one of
+the sum; on a uniform grid that is a Toeplitz matrix times a Hankel matrix
+of two 1-D tables, so ``exp`` is taken on ``2n - 1`` entries per factor and
+each cell is one product (:func:`make_gaussian_jsa`).  Its entries are
+within 4 ulp of the record's largest entry of the whole-matrix formula,
+``exp`` of the summed exponent, whose own rounding of that sum is the
+larger error in the tail.  The record stores an exact 0 wherever its value
+would be subnormal (below ``numpy.finfo(float).tiny``).  On x86 every
+subnormal operand or result of ``exp``, an FFT or an SVD takes a microcode
+assist; the binned distributions, Schmidt number and temporal amplitudes
+come out bit for bit as from the tables' product with its subnormals kept.
 
 Most of a large record is the Gaussian's underflowed tail (61 % of the
 m = 8 matched source's 2048 x 2048 record, 79 % of the m = 16 source's
@@ -28,10 +33,6 @@ source's record takes 14 MiB instead of 32.  Binning, the Schmidt number
 and the transform to times read the blocks, so none of them makes an
 n x n temporary.
 
-The Gaussian is built one block of rows at a time in a dense scratch of
-that many rows.  Its norm squares each dense block and adds the block sums
-in a binary tree, which is numpy's pairwise sum of the whole squared
-record, bit for bit (:func:`_tree_sum`); only each block's band is kept.
 The n x n arrays that remain are the transforms' outputs and the dense
 view ``JointSpectralAmplitude.amplitudes``, which the SVD reads.  The
 transforms write their first phase pass into the output (``to_temporal``
@@ -57,14 +58,9 @@ SINGULAR_SUMSQ_ATOL = 1e-6
 _SPAN_WIDTHS = 4.0
 _SAMPLES_PER_WIDTH = 8
 _MIN_POINTS = 64
-# Smallest normal double.  exp(x) is normal from x = log(tiny) ~ -708.40 up;
-# the Gaussian is evaluated from a hair below that, so rounding in exp cannot
-# drop a normal value, and the record stores 0 wherever it would be subnormal.
+# Smallest normal double: the Gaussian record stores 0 wherever it would be
+# subnormal.
 _TINY = float(np.finfo(np.float64).tiny)
-_EXP_FLOOR = math.log(_TINY) - 2.0**-10
-# Cells per block of the Gaussian's exponent (two float64 work arrays of
-# 256 kB each, which stay in a core's L2 cache).
-_BLOCK_CELLS = 1 << 15
 # Largest grid sampled: an n x n float64 array (a record's dense view, or
 # half of its temporal amplitude) takes 2 GiB at this size.
 _MAX_POINTS = 1 << 14
@@ -92,10 +88,11 @@ def _refuse_oversized(n_points: int) -> None:
         )
 
 
-def _band(block: np.ndarray) -> slice | None:
+def _band(small: np.ndarray) -> slice | None:
     """Columns of a block of rows from its first to its last with an entry
-    of magnitude at least ``numpy.finfo(float).tiny``; None if it has none."""
-    cols = np.flatnonzero(np.abs(block).max(axis=0) >= _TINY)
+    of magnitude at least ``numpy.finfo(float).tiny``, given the block's
+    mask of entries below it; None if it has none."""
+    cols = np.flatnonzero(~small.all(axis=0))
     return slice(int(cols[0]), int(cols[-1]) + 1) if cols.size else None
 
 
@@ -111,7 +108,7 @@ def _row_bands(amplitudes: np.ndarray) -> list[_Block]:
     blocks = []
     for start in range(0, amplitudes.shape[0], _BAND_ROWS):
         rows = slice(start, start + _BAND_ROWS)
-        cols = _band(amplitudes[rows])
+        cols = _band(np.abs(amplitudes[rows]) < _TINY)
         if cols is not None:
             blocks.append((rows, cols, amplitudes[rows, cols]))
     return blocks
@@ -311,59 +308,40 @@ def default_grid(delta_plus: float, delta_minus: float) -> FrequencyGrid:
     return FrequencyGrid(n_points=n, span=span)
 
 
-def _fill_exponentials(
-    out: np.ndarray, wi: np.ndarray, w: np.ndarray, delta_plus: float, delta_minus: float, floor: float
-) -> slice | None:
-    """Write ``exp`` of the Gaussian exponent at rows ``wi`` and columns
-    ``w`` into ``out`` wherever the exponent is at least ``floor``; return
-    the columns it was evaluated on, None if none.
+def _gaussian_table(n_points: int, spacing: float, width: float) -> np.ndarray:
+    """``exp(-(k*spacing)**2 / (4*width**2))`` for ``|k| < n_points``: one
+    factor of the Gaussian at every difference, or centred sum, of two grid
+    points, by the whole-matrix formula's operations
+    (``(x/sqrt(2))**2 / (-2*width**2)``) and symmetric bit for bit."""
+    x = (np.arange(2 * n_points - 1) - (n_points - 1)) * spacing
+    x /= math.sqrt(2.0)
+    x **= 2
+    x /= -2.0 * width**2
+    return np.exp(x, out=x)
 
-    The exponent of cell ``(i, j)`` is ``((w_i - w_j)/sqrt(2))**2 /
-    (-2*delta_plus**2) + ((w_i + w_j)/sqrt(2))**2 / (-2*delta_minus**2)``,
-    taken with these operations in this order, so its bits do not depend on
-    the blocking.  It is evaluated in row blocks of about
-    :data:`_BLOCK_CELLS` cells, each over the columns where both terms, which
-    are non-positive, can still reach ``floor``: ``|w_i + w_j| <= 2 *
-    delta_minus * sqrt(-floor)`` and the same with ``w_i - w_j`` and
-    ``delta_plus``, each widened by one grid step against rounding.  ``w``
-    ascends.
+
+def _sum_of_squares(f: np.ndarray, g: np.ndarray) -> float:
+    """``sum((f[i - j + n - 1] * g[i + j])**2)`` over ``i, j < n`` in O(n):
+    the squared norm of the record of two symmetric factor tables.
+
+    Sum index ``t`` meets the difference indices of one parity from
+    ``r = |t - n + 1|`` to ``2n - 2 - r``, whose ``p = f**2`` add up to that
+    parity's total less twice those below ``r``; where ``g`` is not
+    negligible those are ``p``'s far tail, so nothing cancels.  The totals
+    and the sum over ``t`` are exactly rounded (``math.fsum``), the latter
+    without its terms below 2**-106 of the largest (together under 2**-91
+    of it), whose octaves would each cost ``fsum`` a partial sum.
     """
-    step = float(w[1] - w[0])
-    reach_sum = 2.0 * delta_minus * math.sqrt(-floor) + step
-    reach_diff = 2.0 * delta_plus * math.sqrt(-floor) + step
-    rows = max(1, _BLOCK_CELLS // min(w.size, int(2.0 * reach_sum / step) + 1))
-    first_col, stop_col = w.size, 0
-    for start in range(0, wi.size, rows):
-        wr = wi[start : start + rows, None]
-        first, last = float(wr[0, 0]), float(wr[-1, 0])
-        low = max(-reach_sum - last, first - reach_diff)
-        high = min(reach_sum - first, last + reach_diff)
-        cols = slice(int(np.searchsorted(w, low, "left")), int(np.searchsorted(w, high, "right")))
-        if cols.start >= cols.stop:
-            continue
-        x, y = wr - w[cols], wr + w[cols]
-        for values, width in ((x, delta_plus), (y, delta_minus)):
-            values /= math.sqrt(2.0)
-            values **= 2
-            values /= -2.0 * width**2
-        x += y
-        np.exp(x, out=out[start : start + rows, cols], where=x >= floor)
-        first_col, stop_col = min(first_col, cols.start), max(stop_col, cols.stop)
-    return slice(first_col, stop_col) if first_col < stop_col else None
-
-
-def _tree_sum(sums: list[float]) -> float:
-    """Add the sums of squares of a record's consecutive
-    :data:`_BAND_ROWS`-row blocks in a binary tree.
-
-    For a C-ordered square record with a power-of-two side this is
-    ``np.sum(np.square(record))`` bit for bit: numpy sums a contiguous array
-    pairwise, halving it down to blocks of at most 128 elements, so each
-    block of rows is a subtree of that sum.
-    """
-    while len(sums) > 1:
-        sums = [a + b for a, b in zip(sums[::2], sums[1::2])]
-    return sums[0]
+    n = (f.size + 1) // 2
+    p = f * f
+    # below[k] = p[k - 2] + p[k - 4] + ..., down to p[0] or p[1]
+    below = np.zeros_like(p)
+    below[2::2] = np.cumsum(p[:-2:2])
+    below[3::2] = np.cumsum(p[1:-2:2])
+    r = np.abs(np.arange(p.size) - (n - 1))
+    totals = np.array([math.fsum(p[0::2].tolist()), math.fsum(p[1::2].tolist())])
+    terms = g * g * (totals[r % 2] - 2.0 * below[r])
+    return math.fsum(terms[terms >= 2.0**-106 * terms.max()].tolist())
 
 
 def make_gaussian_jsa(
@@ -387,15 +365,17 @@ def make_gaussian_jsa(
         width on each side of its center and resolve the smaller width with
         at least two samples, with at most 2**14 points.
 
-    ``exp`` is evaluated only where its result is a normal double, and an
-    entry that normalization takes below ``numpy.finfo(float).tiny`` is set
-    to 0, so the record holds no subnormal number.  The norm is the square
-    root of ``np.sum(np.square(amps))`` over the whole matrix times the
-    spacing, so every other entry has the bits of the whole-matrix formula.
-    The matrix is evaluated :data:`_BAND_ROWS` rows at a time into one
-    dense scratch, whose squares are summed in numpy's pairwise tree
-    (:func:`_tree_sum`); of each block only its band is kept, so the record
-    takes the band's bytes and no n x n array is made.
+    The Gaussian is ``f(w_i - w_j) * g(w_i + w_j)``; on the grid the
+    difference and centred sum of points ``i`` and ``j`` are ``(i - j) * h``
+    and ``(i + j - n + 1) * h``, so ``exp`` is taken once per entry of two
+    tables of ``2n - 1`` (:func:`_gaussian_table`), which also give the norm
+    (:func:`_sum_of_squares`).  The scale goes into ``f``, and each block of
+    :data:`_BAND_ROWS` rows is one multiply of two strided views of the
+    tables over the columns they reach (row ``i`` of either factor is a
+    slice of its table).  Entries below ``numpy.finfo(float).tiny`` are set
+    to 0, so the record holds no subnormal number, and of each block only
+    its band is kept: the record takes the band's bytes and no n x n array
+    is made.
 
     Raises
     ------
@@ -419,41 +399,34 @@ def make_gaussian_jsa(
             raise GridCoverageError(
                 f"grid spacing {grid.spacing} does not resolve the smaller width {narrow}"
             )
-    w = grid.points - grid.center
-    height = min(_BAND_ROWS, w.size)
-    scratch, squares = np.empty((2, height, w.size))
-    starts = range(0, w.size, height)
-
-    def evaluate(start: int, floor: float) -> tuple[int, np.ndarray] | None:
-        """Leave rows ``start ...`` of the unnormalized Gaussian in the
-        scratch; return the index of the first column they were evaluated
-        on and a copy of those columns, or None."""
-        scratch.fill(0.0)
-        wi = w[start : start + height]
-        cols = _fill_exponentials(scratch, wi, w, delta_plus, delta_minus, floor)
-        return None if cols is None else (cols.start, scratch[:, cols].copy())
-
-    held, sums = [], []
-    for start in starts:
-        held.append(evaluate(start, _EXP_FLOOR))
-        sums.append(float(np.sum(np.square(scratch, out=squares))))
-    scale = 1.0 / (math.sqrt(_tree_sum(sums)) * grid.spacing)
+    n = grid.n_points
+    f = _gaussian_table(n, grid.spacing, delta_plus)
+    g = _gaussian_table(n, grid.spacing, delta_minus)
+    scale = 1.0 / (math.sqrt(_sum_of_squares(f, g)) * grid.spacing)
+    f *= scale
+    # Every cell is at most its f entry (g <= 1) and at most scale times its
+    # g entry (f <= scale), so these entries make only cells below tiny.
+    f[f < _TINY] = 0.0
+    g[g * scale < _TINY] = 0.0
+    differences = np.flatnonzero(f) - (n - 1)
+    sums = np.flatnonzero(g)
+    # Cell (i, j) is f[i - j + n - 1] * g[i + j], and f is symmetric.
+    f_rows = np.lib.stride_tricks.sliding_window_view(f, n)[::-1]
+    g_rows = np.lib.stride_tricks.sliding_window_view(g, n)
     blocks = []
-    for k, start in enumerate(starts):
-        # Each first-pass copy is dropped as its block is finished, so at
-        # most one block is held twice.
-        block, held[k] = held[k], None
-        if scale > 1.0:
-            # Entries whose exponential is subnormal can scale up to normal ones.
-            block = evaluate(start, _EXP_FLOOR - math.log(scale))
-        if block is None:
+    for start in range(0, n, _BAND_ROWS):
+        stop = min(n, start + _BAND_ROWS)
+        low = max(0, start - differences[-1], sums[0] - (stop - 1))
+        high = min(n, stop - differences[0], sums[-1] - start + 1)
+        if low >= high:
             continue
-        first, values = block
-        values *= scale
-        values[values < _TINY] = 0.0
-        cols = _band(values)
+        rows = slice(start, stop)
+        values = f_rows[rows, low:high] * g_rows[rows, low:high]
+        small = values < _TINY
+        np.copyto(values, 0.0, where=small)
+        cols = _band(small)
         if cols is not None:
-            rows, band = slice(start, start + height), slice(first + cols.start, first + cols.stop)
+            band = slice(low + cols.start, low + cols.stop)
             blocks.append((rows, band, np.ascontiguousarray(values[:, cols])))
     return JointSpectralAmplitude._from_blocks(grid, tuple(blocks))
 

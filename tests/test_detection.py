@@ -238,6 +238,28 @@ class TestTimeBinning:
         assert np.abs(single_real[0] - single_complex[0]).max() < 1e-13
         assert single_real[1] == pytest.approx(single_complex[1], abs=1e-13)
 
+    @pytest.mark.parametrize("m", [4, 8, 16])
+    def test_product_record_bins_as_the_product_of_its_states(self, m):
+        # the single-photon path (panel phases into the state, one GEMM with
+        # the node offsets) against the joint path's whole kernel
+        scheme = ck.BinningScheme(m=m)
+        lens = ck.design_time_lens(scheme)
+        grid = ck.FrequencyGrid(1024, span=3.0 * m)
+        w = grid.points
+        sender = _normalize(np.exp(-((w - 0.4) ** 2) / (2 * 1.3**2) + 0.7j * w), grid.spacing)
+        receiver = _normalize(np.exp(-((w + 0.9) ** 2) / (2 * 0.8**2) - 1.9j * w), grid.spacing)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ck.CoverageWarning)
+            joint = ck.joint_outcome_distribution(
+                ck.JointSpectralAmplitude(grid, np.outer(receiver, sender)), scheme, lens, "time"
+            )
+            p_sender, out_sender = ck.binned_arrival_times(sender, grid, scheme, lens)
+            p_receiver, out_receiver = ck.binned_arrival_times(receiver, grid, scheme, lens)
+        product = np.outer(p_receiver, p_sender)
+        assert np.abs(joint.probabilities - product).max() <= 1e-14 * product.max()
+        in_window = (1.0 - out_receiver) * (1.0 - out_sender)
+        assert 1.0 - joint.out_of_window == pytest.approx(in_window, rel=1e-14)
+
     def test_rejects_unknown_basis(self, designed16):
         scheme, source, lens = designed16
         with pytest.raises(ck.ParameterError):
