@@ -22,7 +22,6 @@ from .chronocyclic import (
     make_gaussian_jsa,
     schmidt_decompose,
     to_temporal,
-    from_temporal,
     transform_1d,
 )
 from .config import RunConfig, load_config, save_config
@@ -48,7 +47,6 @@ from .errors import (
     ChronokeyError,
     ConfigError,
     CoverageWarning,
-    DecompositionError,
     GridCoverageError,
     ParameterError,
     PureNoiseWarning,

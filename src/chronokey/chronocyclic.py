@@ -20,8 +20,8 @@ within 4 ulp of the record's largest entry of the whole-matrix formula,
 ``exp`` of the summed exponent, whose own rounding of that sum is the
 larger error in the tail.  The record stores an exact 0 wherever its value
 would be subnormal (below ``numpy.finfo(float).tiny``).  On x86 every
-subnormal operand or result of ``exp``, an FFT or an SVD takes a microcode
-assist; the binned distributions, Schmidt number and temporal amplitudes
+subnormal operand or result of ``exp`` or an FFT takes a microcode assist;
+the binned distributions, Schmidt number and temporal amplitudes
 come out bit for bit as from the tables' product with its subnormals kept.
 
 Most of a large record is the Gaussian's underflowed tail (61 % of the
@@ -33,11 +33,11 @@ source's record takes 14 MiB instead of 32.  Binning, the Schmidt number
 and the transform to times read the blocks, so none of them makes an
 n x n temporary.
 
-The n x n arrays that remain are the transforms' outputs and the dense
-view ``JointSpectralAmplitude.amplitudes``, which the SVD reads.  The
-transforms write their first phase pass into the output (``to_temporal``
-scatters its phased blocks into a zeroed one) and apply the other phases
-and each axis's FFT in place.
+The n x n arrays that remain are ``to_temporal``'s output and the dense
+view ``JointSpectralAmplitude.amplitudes``, which nothing in the package
+reads.  The transforms write their first phase pass into the output
+(``to_temporal`` scatters its phased blocks into a zeroed one) and apply
+the other phases and each axis's FFT in place.
 """
 
 from __future__ import annotations
@@ -48,12 +48,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DecompositionError, GridCoverageError, ParameterError, refuse_boolean_floats
+from .errors import GridCoverageError, ParameterError, refuse_boolean_floats
 
 # Tolerance on the discrete L2 mass of an amplitude record.
 NORMALIZATION_ATOL = 1e-9
-# Tolerance on the sum of squared singular values of a normalized amplitude.
-SINGULAR_SUMSQ_ATOL = 1e-6
 # Sampling requirements for the default grid of make_gaussian_jsa.
 _SPAN_WIDTHS = 4.0
 _SAMPLES_PER_WIDTH = 8
@@ -200,10 +198,10 @@ class JointSpectralAmplitude:
         vars(self).update(grid=grid, _blocks=tuple(_row_bands(amplitudes)))
 
     @classmethod
-    def _from_blocks(cls, grid: FrequencyGrid, blocks: tuple) -> "JointSpectralAmplitude":
-        """A record held as real ``blocks``, refused unless of unit mass."""
-        mass = sum(float(np.einsum("ij,ij->", values, values)) for _, _, values in blocks)
-        _check_mass(mass * grid.spacing**2, "joint spectral amplitude")
+    def _from_blocks(cls, grid: FrequencyGrid, blocks: tuple, sumsq: float) -> "JointSpectralAmplitude":
+        """A record held as real ``blocks`` whose squares sum to ``sumsq``,
+        refused unless of unit mass."""
+        _check_mass(sumsq * grid.spacing**2, "joint spectral amplitude")
         for _, _, values in blocks:
             values.setflags(write=False)
         record = cls.__new__(cls)
@@ -214,9 +212,11 @@ class JointSpectralAmplitude:
     def amplitudes(self) -> np.ndarray:
         """A new read-only n x n record built from the blocks, zero elsewhere.
 
-        For a record made from an array, a second n x n array beside the one
-        its blocks view; it reads 0 where that array is subnormal outside the
-        bands."""
+        Nothing in the package reads it: tests take it as the dense oracle,
+        and the benchmark's tracer (``perfbench/spans.py``) reports its
+        ``nbytes``.  For a record made from an array, a second n x n array
+        beside the one its blocks view; it reads 0 where that array is
+        subnormal outside the bands."""
         n = self.grid.n_points
         dense = np.zeros((n, n), self._blocks[0][2].dtype)
         for rows, cols, values in self._blocks:
@@ -238,49 +238,21 @@ class JointTemporalAmplitude:
         self.amplitudes.setflags(write=False)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class SchmidtDecomposition:
-    """Mode count and singular spectrum of a joint amplitude.
+    """Mode count of a joint amplitude.
 
-    ``singular_values`` are non-negative and sorted descending with unit sum
-    of squares (up to :data:`SINGULAR_SUMSQ_ATOL`); ``schmidt_number`` is the
-    inverse participation ratio of their squares and equals 1 only for a
-    product state.  Both are checked on construction.
+    ``schmidt_number`` is the inverse participation ratio of the squared
+    Schmidt coefficients, the inverse purity of either reduced state, and
+    equals 1 only for a product state.  It is checked finite and at least 1
+    on construction.
     """
 
-    singular_values: np.ndarray
     schmidt_number: float
 
     def __post_init__(self) -> None:
-        lam = self.singular_values
-        if lam.ndim != 1 or lam.size == 0:
-            raise ParameterError("singular_values must be a non-empty 1-d array")
-        if not np.all(np.isfinite(lam)):
-            raise ParameterError("singular_values must be finite")
-        if not (np.all(lam >= -1e-15) and np.all(np.diff(lam) <= 1e-12)):
-            raise ParameterError("singular_values must be non-negative and sorted descending")
-        total = float(np.sum(lam**2))
-        if not abs(total - 1.0) <= SINGULAR_SUMSQ_ATOL:
-            raise ParameterError(f"squared singular values sum to {total!r}, expected 1")
         if not (math.isfinite(self.schmidt_number) and self.schmidt_number >= 1.0 - 1e-12):
             raise ParameterError("schmidt_number must be finite and at least 1")
-        lam.setflags(write=False)
-
-
-class _DeferredSchmidtDecomposition(SchmidtDecomposition):
-    """Decomposition of ``jsa`` whose spectrum is computed, checked and kept on first read."""
-
-    def __init__(self, jsa: JointSpectralAmplitude, schmidt_number: float) -> None:
-        object.__setattr__(self, "_jsa", jsa)
-        object.__setattr__(self, "schmidt_number", schmidt_number)
-
-    @functools.cached_property
-    def singular_values(self) -> np.ndarray:
-        try:
-            lam = np.linalg.svd(self._jsa.amplitudes, compute_uv=False) * self._jsa.grid.spacing
-        except np.linalg.LinAlgError as exc:
-            raise DecompositionError(f"singular value decomposition failed: {exc}") from exc
-        return SchmidtDecomposition(lam, self.schmidt_number).singular_values
 
 
 def _refuse_bad_widths(delta_plus: float, delta_minus: float) -> None:
@@ -414,6 +386,7 @@ def make_gaussian_jsa(
     f_rows = np.lib.stride_tricks.sliding_window_view(f, n)[::-1]
     g_rows = np.lib.stride_tricks.sliding_window_view(g, n)
     blocks = []
+    sumsq = 0.0
     for start in range(0, n, _BAND_ROWS):
         stop = min(n, start + _BAND_ROWS)
         low = max(0, start - differences[-1], sums[0] - (stop - 1))
@@ -427,8 +400,12 @@ def make_gaussian_jsa(
         cols = _band(small)
         if cols is not None:
             band = slice(low + cols.start, low + cols.stop)
-            blocks.append((rows, band, np.ascontiguousarray(values[:, cols])))
-    return JointSpectralAmplitude._from_blocks(grid, tuple(blocks))
+            kept = np.ascontiguousarray(values[:, cols])
+            blocks.append((rows, band, kept))
+            # Summed while the block is in cache; the check of unit mass
+            # then reads no block again.
+            sumsq += float(np.einsum("ij,ij->", kept, kept))
+    return JointSpectralAmplitude._from_blocks(grid, tuple(blocks), sumsq)
 
 
 def analytic_schmidt_number(delta_plus: float, delta_minus: float) -> float:
@@ -442,7 +419,7 @@ def analytic_schmidt_number(delta_plus: float, delta_minus: float) -> float:
 
 
 def schmidt_decompose(jsa: JointSpectralAmplitude) -> SchmidtDecomposition:
-    """Schmidt number of the sampled amplitude, and its spectrum on demand.
+    """Schmidt number of the sampled amplitude.
 
     The Schmidt number is the inverse purity ``||M||_F**4 / ||M M^H||_F**2``
     of either reduced state (Law, Walmsley & Eberly, PRL 84, 5304 (2000)).
@@ -450,9 +427,7 @@ def schmidt_decompose(jsa: JointSpectralAmplitude) -> SchmidtDecomposition:
     over the pairs of the record's row blocks whose bands overlap, each
     block ``M[I, c] M[J, c]^H`` over the shared columns ``c``, the pairs off
     the diagonal counted twice, and ``||M||_F**2`` is the sum of the
-    diagonal blocks' traces.  The singular values of ``M`` times the grid
-    spacing, whose squares sum to the unit discrete L2 mass, come from one
-    SVD of the dense view on first access.
+    diagonal blocks' traces, so no SVD is taken and no n x n array is made.
     """
     blocks = jsa._blocks
     mass = gram_sumsq = 0.0
@@ -469,28 +444,30 @@ def schmidt_decompose(jsa: JointSpectralAmplitude) -> SchmidtDecomposition:
                 # Not np.vdot: a threaded BLAS can take milliseconds to
                 # start each level-1 call, and this makes one per pair.
                 gram_sumsq += weight * float(np.einsum("ij,ij->", block, block.conj()).real)
-    return _DeferredSchmidtDecomposition(jsa, mass**2 / gram_sumsq)
+    return SchmidtDecomposition(mass**2 / gram_sumsq)
 
 
 def _dual_transform(
     values: np.ndarray | tuple[_Block, ...],
     grid_in: FrequencyGrid | TimeGrid,
     sign: int,
-    axes: tuple[int, ...],
 ) -> tuple[TimeGrid | FrequencyGrid, np.ndarray]:
-    """Exact uniform-grid Fourier sum along ``axes`` via a phase-decorated FFT.
+    """Exact uniform-grid Fourier sum via a phase-decorated FFT.
 
-    Computes ``sum_j f_j exp(sign*i*x_j*y_k) * h / sqrt(2*pi)`` on each axis,
-    from the midpoint grid ``grid_in`` to its dual, whose spacings satisfy
-    the dual relation ``g*h = 2*pi/n``.  ``values`` is an array, or the row
-    blocks of a joint spectral record, transformed along ``axes = (0, 1)``.
+    Computes ``sum_j f_j exp(sign*i*x_j*y_k) * h / sqrt(2*pi)`` on each
+    transformed axis, from the midpoint grid ``grid_in`` to its dual, whose
+    spacings satisfy the dual relation ``g*h = 2*pi/n``.  ``values`` is an
+    array of finite samples, transformed along its last axis, or the row
+    blocks of a joint spectral record, transformed along both axes.
     """
     n = grid_in.n_points
     banded = not isinstance(values, np.ndarray)
-    if not banded and any(values.shape[axis] != n for axis in axes):
+    if not banded and values.shape[-1:] != (n,):
         raise ParameterError("transform grids must match the axis length")
-    if sign not in (-1, +1):
-        raise ParameterError("sign must be +1 or -1")
+    if isinstance(sign, bool) or not isinstance(sign, (int, np.integer)) or sign not in (-1, +1):
+        raise ParameterError(f"sign must be the integer +1 or -1, got {sign!r}")
+    if not banded and not np.isfinite(values).all():
+        raise ParameterError("samples to transform must be finite")
     grid_out = grid_in.dual()
     points_out = grid_out.points
     spacing_out = float(points_out[1] - points_out[0])
@@ -501,25 +478,24 @@ def _dual_transform(
     post = np.exp(sign * 1j * (x0 * y0 + x0 * spacing_out * j)) * (
         grid_in.spacing / math.sqrt(2.0 * math.pi)
     )
-    # A length-n vector shaped (n, 1, ..., 1) broadcasts along its axis.
-    ndim = 2 if banded else values.ndim
-    shapes = [(n,) + (1,) * (ndim - 1 - axis % ndim) for axis in axes]
     # The output is the only array of the input's size: the first phase pass
     # writes it (a real x times a phase has the bits of (x + 0j) times it;
-    # blocks are phased into a zeroed output), and every later pass and each
-    # axis's FFT works in place.
+    # blocks are phased along their rows into a zeroed output), and every
+    # later pass and each axis's FFT works in place.
     if banded:
         work = np.zeros((n, n), np.complex128)
         for rows, cols, block in values:
             np.multiply(block, pre[rows, None], out=work[rows, cols])
+        work *= pre
+        axes = (0, 1)
     else:
-        work = np.multiply(values, pre.reshape(shapes[0]), dtype=np.complex128)
-    for shape in shapes[1:]:
-        work *= pre.reshape(shape)
+        work = np.multiply(values, pre, dtype=np.complex128)
+        axes = (-1,)
     fft = np.fft.fftn if sign == -1 else functools.partial(np.fft.ifftn, norm="forward")
     fft(work, axes=axes, out=work)
-    for shape in shapes:
-        work *= post.reshape(shape)
+    if banded:
+        work *= post[:, None]
+    work *= post
     return grid_out, work
 
 
@@ -528,13 +504,20 @@ def transform_1d(
     grid_in: FrequencyGrid | TimeGrid,
     sign: int = -1,
 ) -> tuple[TimeGrid | FrequencyGrid, np.ndarray]:
-    """Transform samples on a grid to its dual grid.
+    """Transform samples on a grid to its dual grid, along the last axis.
 
     ``sign=-1`` is the frequency-to-time direction of this package's
     convention and ``sign=+1`` the time-to-frequency direction; either sign
     is accepted on either grid kind so round trips are expressible.
+
+    Raises
+    ------
+    ParameterError
+        If the last axis does not match the grid, ``sign`` is not the
+        integer +1 or -1 (a boolean is refused), or a sample is not finite;
+        each is refused before the output is allocated.
     """
-    return _dual_transform(np.asarray(values), grid_in, sign, axes=(-1,))
+    return _dual_transform(np.asarray(values), grid_in, sign)
 
 
 def to_temporal(jsa: JointSpectralAmplitude) -> JointTemporalAmplitude:
@@ -547,13 +530,5 @@ def to_temporal(jsa: JointSpectralAmplitude) -> JointTemporalAmplitude:
     across it.  The record's blocks are phased into the output, which has
     the bits of the dense record's transform.
     """
-    tg, amplitudes = _dual_transform(jsa._blocks, jsa.grid, sign=-1, axes=(0, 1))
+    tg, amplitudes = _dual_transform(jsa._blocks, jsa.grid, sign=-1)
     return JointTemporalAmplitude(grid=tg, amplitudes=amplitudes)
-
-
-def from_temporal(jta: JointTemporalAmplitude) -> JointSpectralAmplitude:
-    """Inverse of :func:`to_temporal`; the record holds views of the
-    transform's output, so it makes no second n x n array."""
-    fg, amplitudes = _dual_transform(jta.amplitudes, jta.grid, sign=+1, axes=(0, 1))
-    return JointSpectralAmplitude(fg, amplitudes)
-

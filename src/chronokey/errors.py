@@ -25,10 +25,6 @@ class GridCoverageError(ChronokeyError, ValueError):
     """A sampling grid is too small to contain the state placed on it."""
 
 
-class DecompositionError(ChronokeyError, RuntimeError):
-    """A numerical factorization failed to converge."""
-
-
 class ConfigError(ChronokeyError, ValueError):
     """A run-configuration document is malformed or contains unknown keys."""
 

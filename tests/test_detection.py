@@ -828,6 +828,9 @@ class TestTimeLensSimulation:
         shifted = ck.TimeGrid(64, span=10.0, center=1.0)
         with pytest.raises(ck.ParameterError):
             ck.simulate_time_lens(field, shifted, lens)
+        field[7] = np.nan
+        with pytest.raises(ck.ParameterError, match="finite"):
+            ck.simulate_time_lens(field, grid, lens)
 
     def test_overlap_fidelity_bounds(self):
         a = np.array([1.0, 0.0], dtype=complex)
