@@ -18,44 +18,55 @@ neither draws nor a tally code.  At a lossy channel with rare dark counts the co
 thus scales with the coincidences, not with the rounds.
 
 Each live round gets one tally code, and the shard's tally counts the codes
-block by block (see below).  A round that no dark count touched
-clicks once per side and registers the pair's symbols, so its code is the
-pair's joint cell plus its basis offset.  Only the rounds with a dark count
-on either side (every side without a photon has one) go through the
-collision, random-assign and multi-click arithmetic, on their indices alone.
-Past the draws, the bookkeeping thus scales with the rounds a dark count
-touched, and at ``d == 0`` there are none.  The tally is the ledger's only
-storage: an int64 vector of length ``2*m*m + 2`` with the sifted
-frequency-basis cell ``receiver * m + sender`` first, the sifted time-basis
-cells ``m*m`` further on, then the basis mismatches at ``2*m*m`` and the
-discarded multi-click rounds at ``2*m*m + 1``.  The ledger's ``no_click``
-count, the dead rounds, is its round total minus the tally's sum.
-``sampled-jsa`` reads each pair's joint cell from a Chen & Asau (1974) guide
-table of its basis's CDF; only rounds in buckets that a CDF value splits
-fall back to a binary search.
+block by block (see below).  The tally is the ledger's only storage: an
+int64 vector of length ``2*m*m + 2`` with the sifted frequency-basis cell
+``receiver * m + sender`` first, the sifted time-basis cells ``m*m``
+further on, then the basis mismatches at ``2*m*m`` and the discarded
+multi-click rounds at ``2*m*m + 1``.  The ledger's ``no_click`` count, the
+dead rounds, is its round total minus the tally's sum.
 
-Draws that no round reads are not made.  The collision uniforms and click
-positions, and under random-assign the assignment uniforms and alternative
+The shard reads its uniforms as raw 64-bit Philox words ``w``; the double
+``Generator.random`` makes of a word is ``(w >> 11) * 2**-53``, so nothing
+read changes.  A party chooses the frequency basis when that double is
+below ``p``, which is the integer compare ``w < ceil(p * 2**53) << 11``.
+A round that no dark count touched clicks once per side and registers the
+pair's symbols, so its code follows from its three words alone: one table
+(``_CodeTable``), indexed by how many parties chose the frequency basis and
+by the pair word's top bits, gives it.  The table's matched-basis rows are
+Chen & Asau (1974) guide tables of the basis's CDF (``sampled-jsa``) or of
+the diagonal ``min(floor(u*m), m-1)`` (``ideal-delta``); only rounds whose
+bucket a cell boundary splits are resolved exactly from their pair word.
+Only the rounds with a dark count on either side (every side without a
+photon has one) go through the collision, random-assign and multi-click
+arithmetic, on their indices alone, and their table code gives their bases
+and pair cell.  Past the draws, the bookkeeping thus costs one lookup and
+one count per round, plus work that scales with the rounds a dark count
+touched, and at ``d == 0`` there are none.
+
+Draws that no round reads are not made.  The collision words and click
+positions, and under random-assign the assignment words and alternative
 positions, are read only at the rounds a dark count touched, and at
-``d == 0`` there are none.  The two collision-uniform arrays come before
-the pair's draw, so a noiseless shard moves its Philox generator past them
-to the state drawing them leaves (``Philox.advance``, Salmon et al., SC'11).
-The draws after the pair's are the shard's last, so it does not make them.
-Every ledger is thus the one that drawing everything gives.
+``d == 0`` there are none.  The two collision runs come before the pair's,
+so a noiseless shard moves its Philox generator past them to the state
+drawing them leaves (``Philox.advance``, Salmon et al., SC'11).  The draws
+after the pair's are the shard's last, so it does not make them.  Every
+ledger is thus the one that drawing everything gives.  Words become
+doubles only where a double is compared: at the rounds a dark count
+touched, for their collision and assignment draws.
 
 A shard walks its live rounds in blocks of ``_BLOCK_ROUNDS``, so that a
-block's draws, flags and tally codes stay in cache instead of streaming
-through memory once per numpy pass.  Each fixed-length run of uniforms (the
-two bases, the two collision arrays, the pair's, and under random-assign
-the two assignment arrays) is drawn block by block into one reused buffer,
-by a copy of the shard's Philox generator positioned at the run's start.
-Philox is counter-based (Salmon et al., SC'11), so the shard's own
-generator passes over each run without drawing it (``_skip_doubles``) and
-draws, in the order it always has, only what varies in length: the
-multinomial, the dark counts and the bounded integers.  The draws, and so
-the ledger, are bit for bit those of drawing each run whole.
-A shard whose live rounds fit in one block draws each run whole and makes
-no copy.  ``special`` is sorted, so each block resolves its own slice of it.
+block's words and tally codes stay in cache instead of streaming through
+memory once per numpy pass.  Each fixed-length run of words (the two bases,
+the two collision runs, the pair's, and under random-assign the two
+assignment runs) is drawn block by block (``Philox.random_raw``) by a copy
+of the shard's Philox generator positioned at the run's start.  Philox is
+counter-based (Salmon et al., SC'11), so the shard's own generator passes
+over each run without drawing it (``_skip_words``) and draws, in the order
+it always has, only what varies in length: the multinomial, the dark
+counts and the bounded integers.  The draws, and so the ledger, are bit
+for bit those of drawing each run whole.  A shard whose live rounds fit in
+one block draws each run whole and makes no copy.  ``special`` is sorted,
+so each block resolves its own slice of it.
 
 Determinism: rounds are processed in fixed-size shards, each driven by its
 own counter-based generator keyed on ``(seed, shard_index)``.  A shard's
@@ -65,7 +76,7 @@ the thread count or on which thread counts a shard.  A run whose shards
 expect at most one block of live rounds each (the default channel's 1e6-round
 shards hold about 830), or that has one shard, counts every shard on the
 calling thread, straight into the ledger's one tally, whatever the thread
-count.  Otherwise a pool of at most one worker per core (and per shard)
+count.  Otherwise a pool of at most one worker per usable CPU (and per shard)
 takes the shards one at a time as each worker comes free; each worker counts
 into its own tally, and the tallies are added once the pool has joined.
 """
@@ -213,42 +224,125 @@ def _shard_rng(seed: int, shard_index: int) -> np.random.Generator:
     )
 
 
+def _uniforms(words: np.ndarray) -> np.ndarray:
+    """The doubles ``Generator.random`` makes of these 64-bit Philox words:
+    ``(w >> 11) * 2**-53``, each exact."""
+    return (words >> 11) * 2.0**-53
+
+
+def _word_limit(p: float) -> int:
+    """The integer a word ``w`` lies below exactly when its uniform is below
+    ``p``.  ``w >> 11`` is an integer and ``p * 2**53`` is exact, so
+    ``(w >> 11) * 2**-53 < p`` holds exactly when ``w >> 11 < ceil(p *
+    2**53)``, that is when ``w < ceil(p * 2**53) << 11``.  At ``p = 1`` the
+    limit is ``2**64``, above every word: numpy compares words with that
+    Python integer exactly."""
+    return math.ceil(p * 2.0**53) << 11
+
+
 def _joint_cdf(distribution: OutcomeDistribution) -> np.ndarray:
     cdf = np.cumsum(distribution.probabilities.ravel())
     return cdf / cdf[-1]
 
 
-def _guide_table(cdf: np.ndarray) -> np.ndarray:
-    """Chen & Asau (1974) guide table of a CDF over ``K = 2**k`` buckets of
-    ``[0, 1)``, about 64 per cell (at least 2**12, at most 2**18).
+def _integer_cdfs(cdfs, cells: int) -> np.ndarray:
+    """``ceil(cdf * 2**53)`` of the frequency and then the time basis's
+    joint CDF (``cells`` values each, the last exactly 1), in int64, the
+    time basis's ``2**53`` higher.  ``cdfs`` may be a generator, so that
+    one CDF is alive at a time.
 
-    Entry ``b`` is the ``searchsorted(cdf, u, "right")`` that every ``u`` in
-    ``[b/K, (b+1)/K)`` shares, or -1 where a CDF value splits the bucket.
+    Scaling by ``2**53`` is exact, so a CDF value is at most the uniform
+    ``n * 2**-53`` exactly when its entry is at most ``n``.  Searching
+    ``n + 2**53`` passes every frequency entry, which end at ``2**53``, so
+    it returns the time basis's cell plus ``cells``.
     """
-    buckets = 2 ** min(18, max(12, math.ceil(math.log2(64 * cdf.size))))
-    edges = np.arange(buckets + 1) / buckets
-    lo = np.searchsorted(cdf, edges[:-1], side="right")
-    hi = np.searchsorted(cdf, edges[1:], side="left")
-    return np.where(lo == hi, lo, -1).astype(np.int32)
+    out = np.empty(2 * cells, dtype=np.int64)
+    for part, cdf in zip((out[:cells], out[cells:]), cdfs):
+        for start in range(0, cells, 2**16):  # no CDF-sized temporary
+            part[start : start + 2**16] = np.ceil(cdf[start : start + 2**16] * 2.0**53)
+    out[cells:] += 2**53
+    return out
 
 
-def _sample_cells(
-    guides: np.ndarray, cdfs, u: np.ndarray, basis: np.ndarray, out: np.ndarray | None = None
-) -> np.ndarray:
-    """``searchsorted(cdfs[basis], u, "right")`` per round, read from row
-    ``basis`` (0 or 1) of the stacked guide tables into ``out`` (int32, or
-    a new array); ``K`` is a power of two, so ``floor(u*K)`` is exact.  Only
-    rounds in split buckets search."""
-    buckets = guides.shape[1]
-    index = np.empty(u.size, dtype=np.intp)
-    np.multiply(u, buckets, out=index, casting="unsafe")  # several times faster than astype
-    index += basis * buckets
-    cells = guides.ravel().take(index, out=out)
-    split = np.flatnonzero(cells < 0)
-    for row, cdf in enumerate(cdfs):
-        rounds = split[basis[split] == row]
-        cells[rounds] = np.searchsorted(cdf, u[rounds], side="right")
-    return cells
+class _CodeTable:
+    """Tally codes (laid out as in the module docstring) of the rounds no
+    dark count touched, read from their 64-bit words.
+
+    ``table`` holds three rows of ``2**bits`` entries, row ``r`` for the
+    rounds where ``r`` parties chose the frequency basis.  Row 1 is the
+    basis-mismatch code.  Entry ``b`` of rows 0 (time basis) and 2
+    (frequency basis) is a Chen & Asau (1974) guide-table bucket: the code
+    that every pair word whose top ``bits`` bits are ``b`` shares, or -2
+    (time) or -1 (frequency) where the bucket's words do not share one.
+    ``matched_codes`` gives those rounds' codes.  There are about 16
+    buckets per outcome (cell or symbol), but at least 2**12 and at most
+    2**18.
+
+    ``cdf`` is the ``sampled-jsa`` frequency and time CDFs from
+    ``_integer_cdfs``, or None for ``ideal-delta``.
+    """
+
+    def __init__(self, m: int, cdf: np.ndarray | None = None):
+        self.m = m
+        self.cdf = cdf
+        outcomes = m if cdf is None else m * m
+        self.bits = bits = min(18, max(12, math.ceil(math.log2(16 * outcomes))))
+        # Every pair word's 53-bit integer ``n = w >> 11`` in bucket ``b``
+        # lies between these, and ``matched_codes`` does not decrease in n.
+        lowest = np.arange(2**bits, dtype=np.int64) << (53 - bits)
+        highest = lowest + (2 ** (53 - bits) - 1)
+        matched = []  # the time row, then the frequency row
+        for time, split in ((True, -2), (False, -1)):
+            first = self.matched_codes(lowest, time)
+            matched.append(np.where(first == self.matched_codes(highest, time), first, split))
+        mismatch = np.full(2**bits, 2 * m * m, dtype=np.intp)
+        self.table = np.concatenate([matched[0], mismatch, matched[1]])
+        self.table.setflags(write=False)  # shared by every worker
+
+    def matched_codes(self, n: np.ndarray, time) -> np.ndarray:
+        """Codes of rounds whose parties chose the same basis, the time basis
+        where ``time``, from their pair words' ``n = w >> 11`` (int64).
+        ``ideal-delta`` gives both symbols ``min(floor(u*m), m-1)`` of the
+        pair's uniform ``u``, ``sampled-jsa`` the basis CDF's
+        ``searchsorted(cdf, u, "right")``."""
+        m = self.m
+        if self.cdf is None:
+            symbol = np.minimum((n * 2.0**-53 * m).astype(np.intp), m - 1)
+            return symbol * (m + 1) + time * (m * m)
+        return np.searchsorted(self.cdf, n + time * 2**53, side="right")
+
+    def lookup(
+        self,
+        limit: int,
+        words_a: np.ndarray,
+        words_b: np.ndarray,
+        words_pair: np.ndarray,
+        out: np.ndarray,
+        index: np.ndarray,
+    ) -> np.ndarray:
+        """Each round's code as if no dark count touched it, into ``out``
+        (intp; ``index`` is intp scratch of its size): a party chooses the
+        frequency basis when its word lies below ``limit``
+        (``_word_limit``), and the pair word's top bits pick the bucket.
+        Only rounds in split buckets read the rest of their pair word."""
+        rows = np.less(words_a, limit).view(np.uint8)
+        rows += np.less(words_b, limit).view(np.uint8)
+        np.right_shift(words_pair, 64 - self.bits, out=index.view(np.uint64))
+        index += np.left_shift(rows, self.bits, out=out, dtype=np.intp)
+        self.table.take(index, out=out, mode="clip")  # every index is in range
+        split = np.flatnonzero(out < 0)
+        if split.size:
+            n = (words_pair[split] >> 11).astype(np.int64)
+            out[split] = self.matched_codes(n, out[split] == -2)
+        return out
+
+
+@functools.lru_cache(maxsize=8)
+def _ideal_code_table(m: int) -> _CodeTable:
+    """``ideal-delta``'s code table at alphabet ``m``, built once per ``m``:
+    it depends on nothing else, and at ``m = 16`` building it costs about
+    as much as counting two default-channel shards."""
+    return _CodeTable(m)
 
 
 def _dark_click_probability(m: int, d: float) -> float:
@@ -331,13 +425,11 @@ def _resolve_side(
     return clicks, registered
 
 
-def _skip_doubles(rng: np.random.Generator, count: int) -> None:
-    """Move ``rng`` past ``rng.random(count)`` without drawing: a double
-    takes one 64-bit Philox word, whole 4-word blocks are jumped with
-    ``Philox.advance`` and the words either side come from the buffered
-    block.  State, buffer and spare 32-bit half end as the draw leaves them.
-    """
-    bits = rng.bit_generator
+def _skip_words(bits: np.random.Philox, count: int) -> None:
+    """Move ``bits`` past ``bits.random_raw(count)`` without drawing: whole
+    4-word blocks are jumped with ``Philox.advance`` and the words either
+    side come from the buffered block.  State, buffer and spare 32-bit half
+    end as the draw leaves them."""
     state = bits.state
     position = state["buffer_pos"] + count
     if position > 4:
@@ -350,12 +442,12 @@ def _skip_doubles(rng: np.random.Generator, count: int) -> None:
     bits.state = state
 
 
-def _positioned_copy(rng: np.random.Generator) -> np.random.Generator:
-    """A generator on a copy of ``rng``'s Philox state: it draws what
-    ``rng`` would draw next."""
-    bits = np.random.Philox(0)  # the state set next replaces this seed's
-    bits.state = rng.bit_generator.state
-    return np.random.Generator(bits)
+def _positioned_copy(bits: np.random.Philox) -> np.random.Philox:
+    """A copy of the Philox generator ``bits``: it draws what ``bits`` would
+    draw next."""
+    copy = np.random.Philox(0)  # the state set next replaces this seed's
+    copy.state = bits.state
+    return copy
 
 
 def _add_codes(tally: np.ndarray, code: np.ndarray) -> None:
@@ -372,13 +464,13 @@ def _simulate_shard(
     n: int,
     config: SimulationConfig,
     channel: ChannelModel,
-    guides: np.ndarray | None,
-    cdfs: tuple[np.ndarray, np.ndarray] | None,
+    codes: _CodeTable,
     tally: np.ndarray,
 ) -> np.ndarray:
     """Count ``n`` rounds into the int64 ``tally`` (laid out as in the
     module docstring) and return it."""
     rng = _shard_rng(config.seed, shard_index)
+    bits = rng.bit_generator
     m = channel.m
     d = channel.dark_probability
     random_assign = config.multi_click_policy == "random-assign"
@@ -389,35 +481,34 @@ def _simulate_shard(
     both, a_only, b_only, neither = (int(count) for count in pattern)
     live = both + a_only + b_only + neither
     block = min(live, _BLOCK_ROUNDS)
-    streams = []
 
-    def segment() -> np.ndarray:
-        """A block buffer of ``rng``'s next ``live`` doubles.  One block
-        holds them all, drawn now; otherwise a copy of ``rng`` positioned at
-        their start draws them block by block, and ``rng`` skips them."""
-        buffer = np.empty(block)
+    def run():
+        """A draw of a block's share of ``rng``'s next ``live`` words.  One
+        block holds them all, drawn now; otherwise a copy of ``rng``'s
+        Philox positioned at their start draws them block by block, and
+        ``rng`` skips them."""
         if live == block:
-            rng.random(out=buffer)
-        else:
-            streams.append((_positioned_copy(rng), buffer))
-            _skip_doubles(rng, live)
-        return buffer
+            words = bits.random_raw(live)
+            return lambda size: words
+        copy = _positioned_copy(bits)
+        _skip_words(bits, live)
+        return copy.random_raw
 
     # Fixed draw order over the live rounds.  Rounds no dark count touched
     # click once per side and register the pair's symbols, so every draw
     # after the dark counts is kept only at the ``special`` rounds.
-    uniform_a = segment()
-    uniform_b = segment()
+    basis_a = run()
+    basis_b = run()
     if d > 0.0:
         clicks_a = _dark_counts(rng, (both + a_only, b_only + neither, 0, 0), m, d)
         clicks_b = _dark_counts(rng, (both, a_only, b_only, neither), m, d)
         special = np.flatnonzero(clicks_a | clicks_b)
         clicks_a, clicks_b = clicks_a[special], clicks_b[special]
-        collide_a = segment()
-        collide_b = segment()
+        collide_a = run()
+        collide_b = run()
     else:  # every live round has both photons and no dark count
-        _skip_doubles(rng, 2 * live)
-    pair_u = segment()
+        _skip_words(bits, 2 * live)
+    pair = run()
 
     # The click positions and assignment draws are the shard's last, so a
     # shard without dark counts does not make them.
@@ -425,65 +516,59 @@ def _simulate_shard(
         registered_a = rng.integers(0, m, live, dtype=np.int32)[special]
         registered_b = rng.integers(0, m, live, dtype=np.int32)[special]
         if random_assign:
-            assign_a = segment()
-            assign_b = segment()
+            assign_a = run()
+            assign_b = run()
             alt_a = rng.integers(0, m - 1, live, dtype=np.int32)[special]
             alt_b = rng.integers(0, m - 1, live, dtype=np.int32)[special]
 
+    limit = _word_limit(config.basis_probability)
     cells = m * m
-    codes = np.empty(block, dtype=np.int32)
-    flags = np.empty((4, block), dtype=bool)
-    discarded = np.empty(0, dtype=np.intp)
+    buffers = np.empty((2, block), dtype=np.intp)
     for start in range(0, live, _BLOCK_ROUNDS):
         size = min(_BLOCK_ROUNDS, live - start)
-        for stream, buffer in streams:
-            stream.random(out=buffer[:size])
-        basis_a, basis_b, both_time, mismatch = flags[:, :size]
-        np.less(uniform_a[:size], config.basis_probability, out=basis_a)
-        np.less(uniform_b[:size], config.basis_probability, out=basis_b)
-        np.logical_not(np.logical_or(basis_a, basis_b, out=both_time), out=both_time)
-        # The pair's joint cell ``receiver * m + sender``.
-        code = codes[:size]
-        if guides is None:
-            np.multiply(pair_u[:size], m, out=code, casting="unsafe")
-            np.minimum(code, m - 1, out=code)
-            code *= np.int32(m + 1)
-        else:
-            _sample_cells(guides, cdfs, pair_u[:size], both_time, out=code)
-
+        code, index = buffers[:, :size]
+        codes.lookup(limit, basis_a(size), basis_b(size), pair(size), code, index)
         if d > 0.0:  # the block's slice of the sorted ``special`` rounds
             lo, hi = np.searchsorted(special, (start, start + size))
             rounds = special[lo:hi]
             at = rounds - start
-            photon_a = rounds < both + a_only
-            photon_b = (rounds < both) | ((rounds >= both + a_only) & (rounds < live - neither))
-            symbol_b, symbol_a = np.divmod(code[at], m)
+            # Each run's block is drawn and read only at those rounds.
+            collide_u = [_uniforms(draw(size)[at]) for draw in (collide_a, collide_b)]
             choice_a = choice_b = ()
             if random_assign:
-                choice_a = (assign_a[at], alt_a[lo:hi])
-                choice_b = (assign_b[at], alt_b[lo:hi])
+                assign_u = [_uniforms(draw(size)[at]) for draw in (assign_a, assign_b)]
+                choice_a = (assign_u[0], alt_a[lo:hi])
+                choice_b = (assign_u[1], alt_b[lo:hi])
+            photon_a = rounds < both + a_only
+            photon_b = (rounds < both) | ((rounds >= both + a_only) & (rounds < live - neither))
+            # A code's quotient by m*m is 0 (both chose the frequency basis),
+            # 1 (both the time basis) or 2 (mismatch); where the bases match,
+            # its remainder is the pair's joint cell.
+            sector, cell = np.divmod(code[at], cells)
+            symbol_b, symbol_a = np.divmod(cell, m)
             clicks_at_a, cell_a = _resolve_side(
-                photon_a, symbol_a, clicks_a[lo:hi], collide_a[at], registered_a[lo:hi], m,
+                photon_a, symbol_a, clicks_a[lo:hi], collide_u[0], registered_a[lo:hi], m,
                 *choice_a,
             )
             clicks_at_b, cell_b = _resolve_side(
-                photon_b, symbol_b, clicks_b[lo:hi], collide_b[at], registered_b[lo:hi], m,
+                photon_b, symbol_b, clicks_b[lo:hi], collide_u[1], registered_b[lo:hi], m,
                 *choice_b,
             )
-            code[at] = cell_b * m + cell_a
+            code[at] = np.where(sector < 2, sector * cells + cell_b * m + cell_a, 2 * cells)
             if not random_assign:
-                discarded = at[(clicks_at_a > 1) | (clicks_at_b > 1)]
-
-        # One tally code per live round (see the module docstring).
-        # Branch-free arithmetic: masked writes at random positions cost
-        # several times more than a multiply over the whole block.
-        code += both_time * np.int32(cells)
-        np.not_equal(basis_a, basis_b, out=mismatch)
-        code *= ~mismatch
-        code += mismatch * np.int32(2 * cells)
-        code[discarded] = 2 * cells + 1
+                code[at[(clicks_at_a > 1) | (clicks_at_b > 1)]] = 2 * cells + 1
         _add_codes(tally, code)
     return tally
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: the size of its affinity set (which a
+    container's CPU set narrows) where the platform has one, else the
+    host's CPU count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
 
 def simulate_rounds(
@@ -508,8 +593,9 @@ def simulate_rounds(
             f"tally would take {8 * (2 * m * m + 2):,} bytes, above the "
             f"{8 * (2 * _MAX_ALPHABET**2 + 2):,} it takes at {_MAX_ALPHABET}"
         )
-    guides = cdfs = None
-    if config.correlation_model == "sampled-jsa":
+    if config.correlation_model == "ideal-delta":
+        codes = _ideal_code_table(m)
+    else:
         if frequency_distribution is None or time_distribution is None:
             raise ParameterError(
                 "sampled-jsa simulation needs both basis distributions"
@@ -518,8 +604,8 @@ def simulate_rounds(
             raise ParameterError("distributions must come from the frequency and time bases")
         if frequency_distribution.m != channel.m or time_distribution.m != channel.m:
             raise ParameterError("distribution alphabet does not match the channel")
-        cdfs = (_joint_cdf(frequency_distribution), _joint_cdf(time_distribution))
-        guides = np.stack([_guide_table(cdf) for cdf in cdfs])
+        distributions = (frequency_distribution, time_distribution)
+        codes = _CodeTable(m, _integer_cdfs(map(_joint_cdf, distributions), m * m))
 
     starts = range(0, config.rounds, config.shard_size)
     # Lazy: a round count of 2**63 - 1 makes too many shards to list.
@@ -536,7 +622,7 @@ def simulate_rounds(
                 shard = next(shards, None)
             if shard is None:
                 return tally
-            _simulate_shard(*shard, config, channel, guides, cdfs, tally)
+            _simulate_shard(*shard, config, channel, codes, tally)
 
     # A run of one shard, or of shards whose expected live rounds fit in one
     # block (too little work to hand to a thread), counts every shard on
@@ -544,7 +630,7 @@ def simulate_rounds(
     # counts the shards it takes into its own tally, and the tallies are
     # added once the pool has joined: at most one tally per worker is alive.
     live = config.shard_size * (1.0 - _pattern_probabilities(channel)[-1])
-    workers = min(threads, os.cpu_count() or 1, len(starts)) if live > _BLOCK_ROUNDS else 1
+    workers = min(threads, _usable_cpus(), len(starts)) if live > _BLOCK_ROUNDS else 1
     if workers == 1:
         return RoundLedger(m, config.rounds, count())
     with ThreadPoolExecutor(max_workers=workers) as pool:

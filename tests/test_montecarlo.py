@@ -3,7 +3,6 @@
 import functools
 import hashlib
 import math
-import os
 import sys
 import threading
 import time
@@ -20,14 +19,15 @@ from hypothesis import strategies as st
 import chronokey as ck
 from chronokey import montecarlo
 from chronokey.montecarlo import (
-    _guide_table,
-    _joint_cdf,
+    _CodeTable,
+    _integer_cdfs,
     _pattern_probabilities,
     _positioned_copy,
-    _sample_cells,
     _shard_rng,
     _simulate_shard,
-    _skip_doubles,
+    _skip_words,
+    _uniforms,
+    _word_limit,
     _zero_truncated_dark_counts,
 )
 
@@ -54,6 +54,11 @@ def _noiseless(m):
         length=0.0,
         attenuation_length=1.0,
     )
+
+
+def _cpus(count):
+    """Patch the worker cap's count of usable CPUs."""
+    return mock.patch.object(montecarlo, "_usable_cpus", return_value=count)
 
 
 def _ledgers_equal(a, b):
@@ -101,7 +106,7 @@ class TestDeterminism:
         # these runs go to the pool, whatever the host's core count.
         config, model, distributions = _dense_case(case)
         serial = ck.simulate_rounds(config, model, threads=1, **distributions)
-        with mock.patch("os.cpu_count", return_value=threads):
+        with _cpus(threads):
             parallel = ck.simulate_rounds(config, model, threads=threads, **distributions)
         assert _ledgers_equal(serial, parallel)
 
@@ -159,38 +164,47 @@ def _inline_pools(made):
 
 class TestWhereShardsRun:
     """Shards whose expected live rounds fit in one block run on the calling
-    thread; larger ones go to a pool of at most one worker per core and per
-    shard."""
+    thread; larger ones go to a pool of at most one worker per usable CPU
+    and per shard."""
 
     def test_sub_block_shards_never_start_a_pool(self):
         # About 830 live rounds in each 1e6-round shard of the default channel.
         config = ck.SimulationConfig(rounds=3_000_000, seed=4)
         serial = ck.simulate_rounds(config, _channel(16), threads=1)
         refuse = mock.patch.object(montecarlo, "ThreadPoolExecutor", side_effect=AssertionError)
-        with refuse, mock.patch("os.cpu_count", return_value=2):
+        with refuse, _cpus(2):
             threaded = ck.simulate_rounds(config, _channel(16), threads=2)
         assert _ledgers_equal(serial, threaded)
+
+    def test_usable_cpus_are_the_affinity_set(self):
+        with mock.patch.object(montecarlo.os, "sched_getaffinity", return_value={3}, create=True):
+            assert montecarlo._usable_cpus() == 1
+        missing = mock.patch.object(
+            montecarlo.os, "sched_getaffinity", side_effect=AttributeError, create=True
+        )
+        with missing, mock.patch.object(montecarlo.os, "cpu_count", return_value=None):
+            assert montecarlo._usable_cpus() == 1
 
     def test_dense_shards_go_to_the_pool(self):
         config, model, distributions = _dense_case("ideal-delta")
         made = []
-        with _inline_pools(made), mock.patch("os.cpu_count", return_value=2):
+        with _inline_pools(made), _cpus(2):
             ck.simulate_rounds(config, model, threads=2, **distributions)
         assert made == [2]
 
     def test_pool_never_asks_for_more_workers_than_cores(self):
         # Never starts a thread: the pool runs each shard inline.  This
-        # host's core count first, then counts patched in; the run has three
-        # shards, so eight cores still ask for three workers.
+        # process's usable CPUs first, then counts patched in; the run has
+        # three shards, so eight cores still ask for three workers.
         config, model, distributions = _dense_case("sampled-jsa")
         shards = -(-config.rounds // config.shard_size)
         assert shards == 3
         serial = ck.simulate_rounds(config, model, threads=1, **distributions)
-        for cpus in (os.cpu_count(), None, 1, 2, 3, 8):
+        for cpus in (montecarlo._usable_cpus(), 1, 2, 3, 8):
             made = []
-            with _inline_pools(made), mock.patch("os.cpu_count", return_value=cpus):
+            with _inline_pools(made), _cpus(cpus):
                 ledger = ck.simulate_rounds(config, model, threads=10**6, **distributions)
-            workers = min(cpus or 1, shards)
+            workers = min(cpus, shards)
             assert made == ([] if workers == 1 else [workers])
             assert _ledgers_equal(serial, ledger)
 
@@ -210,7 +224,7 @@ class TestWhereShardsRun:
         config = ck.SimulationConfig(rounds=240_000, seed=37, shard_size=60_000)
         ck.simulate_rounds(ck.SimulationConfig(rounds=1, seed=0), _channel(2))  # imports np.random
         run = functools.partial(ck.simulate_rounds, config, _noiseless(512), threads=2)
-        with mock.patch("os.cpu_count", return_value=2):
+        with _cpus(2):
             ledger, peak = _traced_peak(run)
         assert ledger.sifted > 0
         assert peak <= 3.0 * ledger.tally.nbytes
@@ -225,7 +239,7 @@ class TestWhereShardsRun:
         sys.setswitchinterval(1e-6)
         try:
             pooled = mock.patch.object(montecarlo, "_BLOCK_ROUNDS", 64)
-            with pooled, mock.patch("os.cpu_count", return_value=8):
+            with pooled, _cpus(8):
                 threaded = functools.partial(ck.simulate_rounds, config, _noiseless(4), threads=8)
                 run = threading.Thread(target=lambda: ledgers.append(threaded()), daemon=True)
                 run.start()
@@ -240,7 +254,7 @@ class TestWhereShardsRun:
         # it holds, not count the 1,999 others (2 s of sleeps).
         counted = []
 
-        def stub(shard_index, n, config, channel, guides, cdfs, tally):
+        def stub(shard_index, n, config, channel, codes, tally):
             if shard_index == 0:
                 raise MemoryError("shard 0")
             time.sleep(1e-3)
@@ -250,7 +264,7 @@ class TestWhereShardsRun:
         config = ck.SimulationConfig(rounds=2_000, seed=1, shard_size=1)
         pooled = mock.patch.object(montecarlo, "_BLOCK_ROUNDS", 0)
         with mock.patch.object(montecarlo, "_simulate_shard", stub), pooled:
-            with mock.patch("os.cpu_count", return_value=2):
+            with _cpus(2):
                 with pytest.raises(MemoryError, match="shard 0"):
                     ck.simulate_rounds(config, _noiseless(2), threads=2)
         assert len(counted) < 1_000
@@ -285,7 +299,7 @@ class TestLedgerAccounting:
     def test_shard_ledger_properties_obey_the_class_identities(self):
         config = ck.SimulationConfig(rounds=100_000, seed=23)
         channel = _channel(8, dark_probability=5e-3)
-        tally = _simulate_shard(0, 100_000, config, channel, None, None, np.zeros(130, np.int64))
+        tally = _simulate_shard(0, 100_000, config, channel, _CodeTable(8), np.zeros(130, np.int64))
         ledger = ck.RoundLedger(8, 100_000, tally)
         assert ledger.multi_click_discarded > 0 and ledger.incorrect > 0
         assert ledger.no_click + ledger.multi_click_discarded + ledger.coincidences == ledger.rounds
@@ -561,7 +575,7 @@ def _state_key(state):
 
 
 class TestDrawSkip:
-    """``_skip_doubles`` must leave the generator exactly where
+    """``_skip_words`` must leave the generator exactly where
     ``rng.random(count)`` would, whatever numpy had buffered: this fails if
     numpy changes how Philox buffers words or doubles consume them."""
 
@@ -571,7 +585,7 @@ class TestDrawSkip:
             for spare_half in (False, True):
                 skipped = _primed_philox(prefix_words, spare_half)
                 drawn = _primed_philox(prefix_words, spare_half)
-                _skip_doubles(skipped, count)
+                _skip_words(skipped.bit_generator, count)
                 drawn.random(count)
                 state = _state_key(skipped.bit_generator.state)
                 assert state == _state_key(drawn.bit_generator.state)
@@ -581,6 +595,39 @@ class TestDrawSkip:
                     for rng in (skipped, drawn)
                 ]
                 assert np.array_equal(*later)
+
+
+class TestWords:
+    """The shard reads 64-bit Philox words where the model draws uniforms:
+    what it makes of them must be what ``Generator.random`` gives."""
+
+    def test_words_give_the_generator_doubles_bit_for_bit(self):
+        for prefix_words in range(5):
+            for spare_half in (False, True):
+                words_rng = _primed_philox(prefix_words, spare_half)
+                doubles_rng = _primed_philox(prefix_words, spare_half)
+                words = words_rng.bit_generator.random_raw(1001)
+                doubles = doubles_rng.random(1001)
+                assert np.array_equal(_uniforms(words).view(np.uint64), doubles.view(np.uint64))
+                state = _state_key(words_rng.bit_generator.state)
+                assert state == _state_key(doubles_rng.bit_generator.state)
+
+    @pytest.mark.parametrize(
+        "p",
+        [
+            0.0, 2.0**-53, np.nextafter(0.5, 0.0), 0.5, np.nextafter(0.5, 1.0),
+            np.nextafter(1.0, 0.0), 1.0, float(np.random.default_rng(83).random()),
+        ],
+        ids=["zero", "2**-53", "below-half", "half", "above-half", "below-one", "one", "random"],
+    )
+    def test_word_limit_equals_the_double_compare(self, p):
+        p = float(p)
+        limit = _word_limit(p)
+        edges = [w for w in (limit - 1, limit, limit + 2047, limit + 2048) if 0 <= w < 2**64]
+        words = np.concatenate([
+            np.array(edges, dtype=np.uint64), np.random.Philox(89).random_raw(10_000),
+        ])
+        assert np.array_equal(np.less(words, limit), _uniforms(words) < p)
 
 
 class TestProperties:
@@ -743,10 +790,29 @@ class TestLedgerFingerprints:
         assert observed == FINGERPRINTS[name]
 
 
-def _dense_shard_oracle(shard_index, n, config, channel, guides, cdfs):
-    """Reference shard: the same draws in the same order, with every live
-    round resolved and coded densely, in place, and the dark counts drawn
-    even at ``d == 0``.  ``_simulate_shard`` must reproduce its tally."""
+def _cdf(distribution):
+    cdf = np.cumsum(distribution.probabilities.ravel())
+    return cdf / cdf[-1]
+
+
+def _model_tables(model, m):
+    """The shard's code table for ``model`` at alphabet ``m`` and the
+    oracle's (frequency, time) CDFs, None for ``ideal-delta``."""
+    if model == "ideal-delta":
+        return _CodeTable(m), None
+    pair = _banded_pair(m)
+    distributions = (pair["frequency_distribution"], pair["time_distribution"])
+    cdfs = tuple(map(_cdf, distributions))
+    return _CodeTable(m, _integer_cdfs(cdfs, m * m)), cdfs
+
+
+def _dense_shard_oracle(shard_index, n, config, channel, cdfs):
+    """Reference shard: the same draws in the same order, as doubles, with
+    every live round resolved and coded densely, in place, and the dark
+    counts drawn even at ``d == 0``.  A pair's cell is
+    ``searchsorted(cdf, u, "right")`` on its basis's CDF (``cdfs``, or
+    ``min(floor(u*m), m-1)`` on the diagonal when None).
+    ``_simulate_shard`` must reproduce its tally."""
     rng = _shard_rng(config.seed, shard_index)
     m = channel.m
     d = channel.dark_probability
@@ -777,10 +843,15 @@ def _dense_shard_oracle(shard_index, n, config, channel, guides, cdfs):
         alt_b = rng.integers(0, m - 1, live).astype(np.int32)
 
     both_time = ~(basis_a | basis_b)
-    if guides is None:
+    if cdfs is None:
         symbol_a = symbol_b = np.minimum((pair_u * m).astype(np.int32), m - 1)
     else:
-        symbol_b, symbol_a = np.divmod(_sample_cells(guides, cdfs, pair_u, both_time), m)
+        cells = np.where(
+            both_time,
+            np.searchsorted(cdfs[1], pair_u, side="right"),
+            np.searchsorted(cdfs[0], pair_u, side="right"),
+        )
+        symbol_b, symbol_a = np.divmod(cells, m)
 
     def resolve(photon, symbol, dark_count, collide_u, dark_index, assign_u, alt_index):
         for s in photon:
@@ -829,17 +900,10 @@ class TestSparseBookkeeping:
             rounds=20_000, seed=seed, basis_probability=basis_probability,
             multi_click_policy=policy, correlation_model=model,
         )
-        guides = cdfs = None
-        if model == "sampled-jsa":
-            pair = _banded_pair(m)
-            cdfs = (
-                _joint_cdf(pair["frequency_distribution"]),
-                _joint_cdf(pair["time_distribution"]),
-            )
-            guides = np.stack([_guide_table(cdf) for cdf in cdfs])
-        shard = (3, config.rounds, config, channel, guides, cdfs)
-        tally = _simulate_shard(*shard, np.zeros(2 * m * m + 2, np.int64))
-        assert np.array_equal(tally, _dense_shard_oracle(*shard).tally)
+        codes, cdfs = _model_tables(model, m)
+        shard = (3, config.rounds, config, channel)
+        tally = _simulate_shard(*shard, codes, np.zeros(2 * m * m + 2, np.int64))
+        assert np.array_equal(tally, _dense_shard_oracle(*shard, cdfs).tally)
 
     @pytest.mark.parametrize("model", ["ideal-delta", "sampled-jsa"])
     @pytest.mark.parametrize("policy", ["discard", "random-assign"])
@@ -855,18 +919,12 @@ class TestSparseBookkeeping:
         config = ck.SimulationConfig(
             rounds=20_000, seed=m, multi_click_policy=policy, correlation_model=model
         )
-        guides = cdfs = None
-        if model == "sampled-jsa":
-            pair = _banded_pair(m)
-            cdfs = tuple(
-                _joint_cdf(pair[key]) for key in ("frequency_distribution", "time_distribution")
-            )
-            guides = np.stack([_guide_table(cdf) for cdf in cdfs])
-        shard = (5, config.rounds, config, channel, guides, cdfs)
-        tally = _simulate_shard(*shard, np.zeros(2 * m * m + 2, np.int64))
+        codes, cdfs = _model_tables(model, m)
+        shard = (5, config.rounds, config, channel)
+        tally = _simulate_shard(*shard, codes, np.zeros(2 * m * m + 2, np.int64))
         ledger = ck.RoundLedger(m, config.rounds, tally)
         assert ledger.sifted > 0 and ledger.no_click > 0
-        assert _ledgers_equal(ledger, _dense_shard_oracle(*shard))
+        assert _ledgers_equal(ledger, _dense_shard_oracle(*shard, cdfs))
 
 
 def _adversarial_cdfs():
@@ -876,7 +934,7 @@ def _adversarial_cdfs():
     rng = np.random.default_rng(61)
     edges = np.sort(rng.choice(np.arange(1, 4096), 40, replace=False)) / 4096
     near = np.sort(np.concatenate([np.nextafter(edges[::2], 0.0), np.nextafter(edges[1::2], 1.0)]))
-    many = rng.random(2**13) * (rng.random(2**13) < 0.3)
+    many = rng.random(2**14) * (rng.random(2**14) < 0.3)
     return {
         "zero-mass": np.cumsum([0.0, 0.0, 0.25, 0.0, 0.0, 0.5, 0.0, 0.25, 0.0, 0.0]),
         "on-edges": np.append(np.repeat(edges, 2), 1.0),
@@ -886,41 +944,110 @@ def _adversarial_cdfs():
     }
 
 
+def _pair_words(n, bits):
+    """Pair words whose 53-bit integers are ``n``, with random low bits."""
+    return (n.astype(np.uint64) << np.uint64(11)) | (bits.random_raw(n.size) >> np.uint64(53))
+
+
+def _basis_words(frequency, size, bits):
+    """Random words that choose the frequency basis if ``frequency``, else
+    the time basis, at probability 1/2 (``_word_limit(0.5)`` is ``2**63``)."""
+    words = bits.random_raw(size) >> np.uint64(1)
+    return words if frequency else words | np.uint64(2**63)
+
+
+def _lookup(codes, limit, words_a, words_b, words_pair):
+    out, index = np.empty((2, words_pair.size), dtype=np.intp)
+    return codes.lookup(limit, words_a, words_b, words_pair, out, index)
+
+
 class TestGuideTable:
+    """The fused table against the plain rule: a round's parties choose the
+    frequency basis when their uniform is below the basis probability, and
+    a matched round's cell is ``searchsorted(cdf, u, "right")`` on its
+    basis's CDF (``min(floor(u*m), m-1)`` on the diagonal for
+    ``ideal-delta``)."""
+
     @staticmethod
-    def _probes(cdf, buckets):
-        edges = np.arange(buckets) / buckets
-        values = np.concatenate([cdf, [0.0, 1.0]])
-        u = np.concatenate([
-            edges, np.nextafter(edges, 0.0), np.nextafter(edges, 1.0),
-            values, np.nextafter(values, 0.0), np.nextafter(values, 1.0),
-            np.random.default_rng(67).random(20_000),
+    def _probes(values, bits):
+        """The 53-bit integers next to every value and every bucket edge."""
+        edges = np.arange(2**bits) << (53 - bits)
+        near = np.floor(np.concatenate([values, [0.0, 1.0]]) * 2.0**53).astype(np.int64)
+        n = np.concatenate([
+            edges, edges - 1, (near[:, None] + np.arange(-3, 4)).ravel(),
+            np.random.default_rng(67).integers(0, 2**53, 20_000),
         ])
-        return u[(u >= 0.0) & (u < 1.0)]
+        return n[(n >= 0) & (n < 2**53)]
+
+    @staticmethod
+    def _all_pairs(codes, n, expected_frequency, expected_time):
+        """Look up every pair word under all four basis pairs."""
+        bits = np.random.Philox(71)
+        cells = codes.m * codes.m
+        for frequency_a in (False, True):
+            for frequency_b in (False, True):
+                words_a = _basis_words(frequency_a, n.size, bits)
+                words_b = _basis_words(frequency_b, n.size, bits)
+                got = _lookup(codes, _word_limit(0.5), words_a, words_b, _pair_words(n, bits))
+                if frequency_a != frequency_b:
+                    assert np.all(got == 2 * cells)
+                else:
+                    assert np.array_equal(got, expected_frequency if frequency_a else expected_time)
 
     @pytest.mark.parametrize("name", sorted(_adversarial_cdfs()))
     def test_lookup_equals_binary_search(self, name):
-        cdf = _adversarial_cdfs()[name]
-        guide = _guide_table(cdf)
-        assert guide.size & (guide.size - 1) == 0
-        u = self._probes(cdf, guide.size)
-        basis = np.zeros(u.size, dtype=bool)
-        cells = _sample_cells(np.stack([guide, guide]), (cdf, cdf), u, basis)
-        assert np.array_equal(cells, np.searchsorted(cdf, u, side="right"))
+        # The CDF serves as each basis in turn, beside a skewed one; each is
+        # padded with ones to m*m cells, which no uniform reaches.
+        skewed = np.random.default_rng(73).random(2**13) ** 8
+        adversarial = [_adversarial_cdfs()[name], np.cumsum(skewed) / skewed.sum()]
+        for pair in (adversarial, adversarial[::-1]):
+            m = math.isqrt(max(cdf.size for cdf in pair) - 1) + 1
+            pair = [np.concatenate([cdf, np.ones(m * m - cdf.size)]) for cdf in pair]
+            codes = _CodeTable(m, _integer_cdfs(pair, m * m))
+            assert codes.table.size == 3 * 2**codes.bits
+            n = self._probes(np.concatenate(pair), codes.bits)
+            u = n * 2.0**-53
+            expected = [np.searchsorted(cdf, u, side="right") for cdf in pair]
+            self._all_pairs(codes, n, expected[0], m * m + expected[1])
+
+    def test_integer_cdfs_are_the_scaled_ceilings(self):
+        # More cells than one conversion chunk, the CDFs from a generator.
+        cells = 2**17 + 5
+        weights = np.random.default_rng(89).random((2, cells))
+        cdfs = [np.cumsum(w) / w.sum() for w in weights]
+        got = _integer_cdfs(iter(cdfs), cells)
+        assert np.array_equal(got[:cells], np.ceil(cdfs[0] * 2.0**53).astype(np.int64))
+        assert np.array_equal(got[cells:], np.ceil(cdfs[1] * 2.0**53).astype(np.int64) + 2**53)
+
+    @pytest.mark.parametrize("m", [3, 7, 257])
+    def test_ideal_delta_table_equals_the_product_rule(self, m):
+        # floor(u*m) steps at j/m, inside buckets for these m.  The table
+        # is built once per m and shared, so it is read-only.
+        codes = montecarlo._ideal_code_table(m)
+        assert montecarlo._ideal_code_table(m) is codes and not codes.table.flags.writeable
+        assert np.any(codes.table < 0)
+        n = self._probes(np.arange(1, m) / m, codes.bits)
+        symbol = np.minimum((n * 2.0**-53 * m).astype(np.intp), m - 1)
+        self._all_pairs(codes, n, symbol * (m + 1), m * m + symbol * (m + 1))
 
     def test_each_round_reads_the_table_of_its_basis(self):
-        skewed = np.random.default_rng(73).random(2**13) ** 8
-        pair = (_adversarial_cdfs()["many-cells"], np.cumsum(skewed) / skewed.sum())
-        guides = np.stack([_guide_table(cdf) for cdf in pair])
-        u = np.concatenate([self._probes(cdf, guides.shape[1]) for cdf in pair])
-        basis = np.random.default_rng(71).random(u.size) < 0.5
-        cells = _sample_cells(guides, pair, u, basis)
+        # Words against the doubles Generator.random makes of the same
+        # streams, at a basis probability whose limit is no power of two.
+        m, p, size = 8, 0.3, 200_000
+        codes, (frequency, time) = _model_tables("sampled-jsa", m)
+        words = [np.random.Philox(seed).random_raw(size) for seed in (1, 2, 3)]
+        u_a, u_b, u = (np.random.Generator(np.random.Philox(seed)).random(size) for seed in (1, 2, 3))
         expected = np.where(
-            basis,
-            np.searchsorted(pair[1], u, side="right"),
-            np.searchsorted(pair[0], u, side="right"),
+            (u_a < p) != (u_b < p),
+            2 * m * m,
+            np.where(
+                u_a < p,
+                np.searchsorted(frequency, u, side="right"),
+                m * m + np.searchsorted(time, u, side="right"),
+            ),
         )
-        assert np.array_equal(cells, expected)
+        assert np.array_equal(_lookup(codes, _word_limit(p), *words), expected)
+        assert np.any(codes.table < 0)
 
 
 def _traced_peak(run):
@@ -963,26 +1090,18 @@ class TestBlockedShard:
             for spare_half in (False, True):
                 rng = _primed_philox(prefix_words, spare_half)
                 before = _state_key(rng.bit_generator.state)
-                copy = _positioned_copy(rng)
+                copy = _positioned_copy(rng.bit_generator)
                 assert _state_key(rng.bit_generator.state) == before
-                _skip_doubles(copy, ahead)
-                buffer = np.empty(max(blocks))
-                drawn = []
-                for size in blocks:
-                    copy.random(out=buffer[:size])
-                    drawn.append(buffer[:size].copy())
-                expected = rng.random(ahead + sum(blocks))[ahead:]
-                assert np.array_equal(np.concatenate(drawn), expected)
+                _skip_words(copy, ahead)
+                drawn = np.concatenate([copy.random_raw(size) for size in blocks])
+                expected = rng.bit_generator.random_raw(ahead + sum(blocks))[ahead:]
+                assert np.array_equal(drawn, expected)
 
     def test_noiseless_dense_shard_holds_blocks_not_rounds(self):
         # Whole-round arrays of a million live rounds take 8 MB each.
-        pair = _banded_pair(8)
-        cdfs = tuple(
-            _joint_cdf(pair[key]) for key in ("frequency_distribution", "time_distribution")
-        )
-        guides = np.stack([_guide_table(cdf) for cdf in cdfs])
+        codes, _ = _model_tables("sampled-jsa", 8)
         config = ck.SimulationConfig(rounds=10**6, seed=3, correlation_model="sampled-jsa")
-        shard = (0, config.rounds, config, _noiseless(8), guides, cdfs)
+        shard = (0, config.rounds, config, _noiseless(8), codes)
         tally = np.zeros(2 * 8 * 8 + 2, np.int64)
         tally, peak = _traced_peak(lambda: _simulate_shard(*shard, tally))
         assert tally.sum() == config.rounds
@@ -1006,15 +1125,15 @@ class TestRoundLimits:
         ck.SimulationConfig(rounds=2**63 - 1, seed=1, shard_size=2**63 - 1)
 
     def test_shards_are_made_as_they_run(self):
-        # 2e5 shards listed up front trace about 18 MB.
+        # 5e4 shards listed up front trace about 4.5 MB.
         one_round = np.zeros(10, dtype=np.int64)
         one_round[0] = 1
 
-        def stub(shard_index, n, config, channel, guides, cdfs, tally):
+        def stub(shard_index, n, config, channel, codes, tally):
             tally += one_round
             return tally
 
-        config = ck.SimulationConfig(rounds=200_000, seed=1, shard_size=1)
+        config = ck.SimulationConfig(rounds=50_000, seed=1, shard_size=1)
         with mock.patch.object(montecarlo, "_simulate_shard", stub):
             ledger, peak = _traced_peak(lambda: ck.simulate_rounds(config, _noiseless(2)))
         assert ledger.joint_counts_frequency[0, 0] == config.rounds
