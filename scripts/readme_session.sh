@@ -11,7 +11,10 @@
 # machine only: GEMM and SIMD `exp` bits may differ between machines.
 #
 # The commands run `python -m chronokey.cli`, so the script checks a
-# `PYTHONPATH=src` checkout as well as an installed one.
+# `PYTHONPATH=src` checkout as well as an installed one.  Their stdout, each
+# command's summary and "wrote" lines, goes into OUT/stdout.txt with OUT's
+# path replaced by the token OUT, so trees built at two roots compare equal;
+# stderr (warnings carry source paths and line numbers) is left as it is.
 #
 # Besides the README's commands: an m=8 sampled-JSA run that fills
 # out_of_window and a noiseless one (no dark count, so no round takes the
@@ -39,7 +42,8 @@ if [ "$#" -ne 2 ]; then
   echo "usage: $0 OUT THREADS" >&2
   exit 2
 fi
-out=$1
+mkdir -p "$1"
+out=$(cd "$1" && pwd)  # absolute and normalized, as the commands print it
 threads=$2
 configs=$(mktemp -d)
 trap 'rm -rf "$configs"' EXIT
@@ -89,7 +93,12 @@ echo '{"protocol": {"m": 1024}}' > "$configs/m1024.json"
 echo '{"protocol": {"m": 65536}}' > "$configs/large.json"
 echo '{"channel": {"length": 400.0}}' > "$configs/far.json"
 
-chronokey() { python -m chronokey.cli "$@"; }
+: > "$out/stdout.txt"
+chronokey() {
+  local text
+  text=$(python -m chronokey.cli "$@")
+  printf '%s\n' "${text//"$out"/OUT}" >> "$out/stdout.txt"
+}
 
 chronokey analyze --out "$out"
 chronokey feasibility --out "$out"

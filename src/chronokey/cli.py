@@ -6,9 +6,11 @@ Five subcommands: ``analyze`` (closed-form design and key-rate summary),
 check), and ``alphabet-scan`` (closed-form key rate versus alphabet size).
 Every command reads one JSON configuration file and writes deterministic
 JSON (and CSV where tabular) into the output directory: reruns with the
-same inputs produce byte-identical files.
+same inputs produce byte-identical files.  One writer writes them all and
+then prints one ``wrote`` line naming them in writing order; a command
+refused before its answer writes nothing.
 
-Every artifact is one line of ``json.dumps(payload, sort_keys=True)``
+Every JSON artifact is one line of ``json.dumps(payload, sort_keys=True)``
 text.  ``montecarlo``'s joint count matrices go to the writer as the
 ledger's int64 arrays and come out as the text of ``json.dumps`` of their
 lists: a row with few non-zero cells is the all-zero row's text with
@@ -111,19 +113,37 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(_json_text(payload) + "\n")
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
 def _cell(value) -> str:
     if isinstance(value, bool):
         return str(value).lower()
     if isinstance(value, float):
         return repr(float(value))
     return str(value)
+
+
+def _open(args) -> tuple[RunConfig, Path]:
+    """The command's configuration and its output directory, made if missing."""
+    config = load_config(args.config)
+    out = Path(args.out) if args.out else Path(config.output.directory)
+    out.mkdir(parents=True, exist_ok=True)
+    return config, out
+
+
+def _write(out: Path, artifacts: dict) -> None:
+    """Write each artifact into ``out`` by its name's suffix, in order, then
+    print one ``wrote`` line naming them.  A ``.csv`` artifact is a header
+    and the records whose cells it names; any other is a JSON payload."""
+    paths = [out / name for name in artifacts]
+    for path, content in zip(paths, artifacts.values()):
+        if path.suffix == ".csv":
+            header, records = content
+            with open(path, "w", newline="") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(header)
+                writer.writerows([_cell(record[key]) for key in header] for record in records)
+        else:
+            _write_json(path, content)
+    print("wrote " + " and ".join(map(str, paths)))
 
 
 def _closed_form_key_rates(config: RunConfig) -> dict:
@@ -141,15 +161,18 @@ def _closed_form_key_rates(config: RunConfig) -> dict:
     }
 
 
-def _resolve_out(args, config: RunConfig) -> Path:
-    out = Path(args.out) if args.out else Path(config.output.directory)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+def _scan(config: RunConfig, section: str, key: str, values) -> list[tuple]:
+    """``(value, rates)`` with ``section.key`` set to each of ``values`` in
+    turn: the value as set (an ``int`` for an integer key) and the closed-form
+    key rates there.  Each point is built and evaluated before the next."""
+    points = (config.with_section(section, **{key: value}) for value in values)
+    return [
+        (getattr(getattr(point, section), key), _closed_form_key_rates(point)) for point in points
+    ]
 
 
 def cmd_analyze(args) -> int:
-    config = load_config(args.config)
-    out = _resolve_out(args, config)
+    config, out = _open(args)
     scheme = config.binning()
     lens = design_time_lens(scheme)
     wide, narrow = scheme.matched_widths()
@@ -183,35 +206,21 @@ def cmd_analyze(args) -> int:
         },
         "key_rate": {"entropy_route": rates["entropy_route"]},
     }
-    _write_json(out / "analyze.json", payload)
     print(f"alphabet bits {payload['security']['alphabet_bits']:.1f}, "
           f"error probability {rates['error_probability']:.3e}, "
           f"secret key {rates['entropy_route']['secret_key']:.4f} bits")
-    print(f"wrote {out / 'analyze.json'}")
+    _write(out, {"analyze.json": payload})
     return 0
 
 
 def cmd_sweep(args) -> int:
-    config = load_config(args.config)
-    out = _resolve_out(args, config)
+    config, out = _open(args)
     sweep = config.sweep
     section, key = sweep.target()  # refuses a bad path before any point, even with no values
-    values = sweep.resolved_values()
-    header = [
-        "parameter",
-        "value",
-        "error_probability",
-        "mutual_information",
-        "secret_key",
-        "clamped",
-    ]
-    rows = []
-    records = []
-    for value in values:
-        point = config.with_section(section, **{key: value})
-        value = getattr(getattr(point, section), key)  # as set: an int for an integer key
-        rates = _closed_form_key_rates(point)
-        record = {
+    header = ["parameter", "value", "error_probability", "mutual_information",
+              "secret_key", "clamped"]
+    records = [
+        {
             "parameter": sweep.parameter,
             "value": value,
             "error_probability": rates["error_probability"],
@@ -219,18 +228,16 @@ def cmd_sweep(args) -> int:
             "secret_key": rates["entropy_route"]["secret_key"],
             "clamped": rates["entropy_route"]["clamped"],
         }
-        records.append(record)
-        rows.append([_cell(record[key]) for key in header])
-    _write_csv(out / "sweep.csv", header, rows)
-    _write_json(out / "sweep.json", {"parameter": sweep.parameter, "rows": records})
-    print(f"swept {sweep.parameter} over {len(values)} values")
-    print(f"wrote {out / 'sweep.csv'} and {out / 'sweep.json'}")
+        for value, rates in _scan(config, section, key, sweep.resolved_values())
+    ]
+    print(f"swept {sweep.parameter} over {len(records)} values")
+    _write(out, {"sweep.csv": (header, records),
+                 "sweep.json": {"parameter": sweep.parameter, "rows": records}})
     return 0
 
 
 def cmd_montecarlo(args) -> int:
-    config = load_config(args.config)
-    out = _resolve_out(args, config)
+    config, out = _open(args)
     overrides = {"rounds": args.rounds, "seed": args.seed}
     config = config.with_section(
         "simulation", **{key: value for key, value in overrides.items() if value is not None}
@@ -279,92 +286,58 @@ def cmd_montecarlo(args) -> int:
     payload["key_rate"] = None
     if ledger.joint_counts_frequency.any() and ledger.joint_counts_time.any():
         payload["key_rate"] = _field_dict(estimate_key_rate(ledger, scheme, lens))
-    _write_json(out / "montecarlo.json", payload)
     print(f"{ledger.sifted} sifted rounds out of {ledger.rounds}")
     if error_block["empirical"] is not None:
         print(f"empirical error probability {error_block['empirical']:.3e} "
               f"(closed form {closed_p:.3e})")
-    print(f"wrote {out / 'montecarlo.json'}")
+    _write(out, {"montecarlo.json": payload})
     return 0
 
 
 def cmd_feasibility(args) -> int:
-    config = load_config(args.config)
-    out = _resolve_out(args, config)
+    config, out = _open(args)
     report = check_feasibility(config.binning(), config.hardware_spec())
-    payload = {
-        "bin_frequency_hz": report.bin_frequency_hz,
-        "required_frequency_hz": report.required_frequency_hz,
-        "required_depth": report.required_depth,
-        "frequency_ok": report.frequency_ok,
-        "depth_ok": report.depth_ok,
-        "feasible": report.feasible,
-        "selected_convention": report.selected_convention,
-        "conventions": {
-            figures.convention: {
-                "focusing_rate": figures.focusing_rate,
-                "total_gvd": figures.total_gvd,
-                "fiber_length": figures.fiber_length,
-                "aperture": figures.aperture,
-            }
-            for figures in (report.ordinary, report.angular)
-        },
-    }
-    _write_json(out / "feasibility.json", payload)
+    payload = {**_field_dict(report), "feasible": report.feasible, "conventions": {}}
+    for name in ("ordinary", "angular"):
+        figures = _field_dict(payload.pop(name))
+        payload["conventions"][figures.pop("convention")] = figures
     verdict = "feasible" if report.feasible else "not feasible"
     print(f"{verdict}: needs {report.required_frequency_hz / 1e9:.2f} GHz modulation "
           f"at depth {report.required_depth:.1f} rad")
-    print(f"wrote {out / 'feasibility.json'}")
+    _write(out, {"feasibility.json": payload})
     return 0
 
 
 def cmd_alphabet_scan(args) -> int:
     if args.max_bits < 1:
         raise ParameterError(f"--max-bits must be at least 1, got {args.max_bits}")
-    config = load_config(args.config)
-    out = _resolve_out(args, config)
-    rows = []
-    records = []
+    config, out = _open(args)
+    bits = range(1, args.max_bits + 1)
     header = ["alphabet_bits", "m", "error_probability", "secret_key", "clamped"]
-    for bits in range(1, args.max_bits + 1):
-        m = 2**bits
-        rates = _closed_form_key_rates(config.with_section("protocol", m=m))
-        record = {
-            "alphabet_bits": bits,
+    records = [
+        {
+            "alphabet_bits": b,
             "m": m,
             "error_probability": rates["error_probability"],
             "secret_key": rates["entropy_route"]["secret_key"],
             "clamped": rates["entropy_route"]["clamped"],
         }
-        records.append(record)
-        rows.append([_cell(record[key]) for key in header])
-    keys = [r["secret_key"] for r in records]
-    best = max(range(len(keys)), key=keys.__getitem__)
-    first_declining = None
-    for i in range(1, len(keys)):
-        if keys[i] < keys[i - 1]:
-            first_declining = records[i]["alphabet_bits"]
-            break
-    zero_crossing = None
-    for record in records:
-        if record["secret_key"] < 0.0:
-            zero_crossing = record["alphabet_bits"]
-            break
-    payload = {
-        "rows": records,
-        "summary": {
-            "best_alphabet_bits": records[best]["alphabet_bits"],
-            "best_secret_key": records[best]["secret_key"],
-            "first_declining_bits": first_declining,
-            "zero_crossing_bits": zero_crossing,
-        },
+        for b, (m, rates) in zip(bits, _scan(config, "protocol", "m", (2**b for b in bits)))
+    ]
+    keys = [record["secret_key"] for record in records]
+    best = records[max(range(len(keys)), key=keys.__getitem__)]
+    declining = (b for b, before, key in zip(bits[1:], keys, keys[1:]) if key < before)
+    crossing = (record["alphabet_bits"] for record in records if record["secret_key"] < 0.0)
+    summary = {
+        "best_alphabet_bits": best["alphabet_bits"],
+        "best_secret_key": best["secret_key"],
+        "first_declining_bits": next(declining, None),
+        "zero_crossing_bits": next(crossing, None),
     }
-    _write_csv(out / "alphabet_scan.csv", header, rows)
-    _write_json(out / "alphabet_scan.json", payload)
-    print(f"best alphabet {records[best]['m']} symbols "
-          f"({records[best]['alphabet_bits']} bits) at "
-          f"{records[best]['secret_key']:.4f} secret bits per pair")
-    print(f"wrote {out / 'alphabet_scan.csv'} and {out / 'alphabet_scan.json'}")
+    print(f"best alphabet {best['m']} symbols ({best['alphabet_bits']} bits) at "
+          f"{best['secret_key']:.4f} secret bits per pair")
+    _write(out, {"alphabet_scan.csv": (header, records),
+                 "alphabet_scan.json": {"rows": records, "summary": summary}})
     return 0
 
 

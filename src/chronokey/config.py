@@ -52,6 +52,12 @@ class SimulationSettings:
     threads: int = 1
 
 
+# Longest spaced sweep: every point's record is held, and its JSON and CSV
+# text built, until the artifacts are written, about 700 bytes a point, so
+# 2**20 points take about 700 MiB.
+_MAX_SWEEP_POINTS = 2**20
+
+
 @dataclass(frozen=True)
 class SweepSettings:
     """One-dimensional parameter sweep over a dotted config path.
@@ -79,11 +85,17 @@ class SweepSettings:
             raise ConfigError(f"unknown key {key!r} in section {section!r}")
         return section, key
 
-    def resolved_values(self) -> list[float]:
+    def resolved_values(self) -> list[int | float]:
+        """``values`` as given, or ``num`` spaced floats (typed by ``with_section``)."""
         if self.values is not None:
-            return [float(v) for v in self.values]
+            return list(self.values)
         if self.num < 0:
             raise ConfigError("sweep point count cannot be negative")
+        if self.num > _MAX_SWEEP_POINTS:
+            raise ConfigError(
+                f"key 'num' in section 'sweep' is {self.num}, above {_MAX_SWEEP_POINTS}: every "
+                f"point's record is held until the artifacts are written, about 700 bytes a point"
+            )
         if self.num == 0:
             return []
         if self.spacing == "linear":
@@ -127,6 +139,15 @@ _SECTIONS = {
 }
 
 
+def _float_of(name: str, key: str, value: int) -> float:
+    """``float(value)``, refused by key and section where it overflows."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigError(f"key {key!r} in section {name!r} must be finite as a float, "
+                          f"got an integer of {value.bit_length()} bits") from None
+
+
 def _build_section(name: str, cls, data) -> object:
     if not isinstance(data, dict):
         raise ConfigError(f"section {name!r} must be an object")
@@ -145,6 +166,8 @@ def _build_section(name: str, cls, data) -> object:
                 raise ConfigError(f"key {key!r} in section {name!r} has the wrong type: {item!r}")
             if isinstance(item, float) and not math.isfinite(item):
                 raise ConfigError(f"key {key!r} in section {name!r} must be finite, got {item!r}")
+            if isinstance(item, int) and isinstance(defaults[key], float):
+                _float_of(name, key, item)  # refused unless it fits, but kept as given
     if name == "sweep" and isinstance(data.get("values"), list):
         data = dict(data, values=tuple(data["values"]))
     return cls(**data)
@@ -179,18 +202,21 @@ class RunConfig:
 
     def with_section(self, name: str, **changes) -> "RunConfig":
         """This configuration with section ``name`` rebuilt from its fields
-        and ``changes``, checked as a loaded section is.  A key with an
-        integer default takes an integral float as an ``int``; a fractional
-        one is refused."""
+        and ``changes``, checked as a loaded section is.  The one place a
+        value takes its key's type: an integral float becomes an ``int`` for
+        an integer key, an ``int`` a ``float`` for a float key."""
         if name not in _SECTIONS:
             raise ConfigError(f"unknown section {name!r}")
         data = _field_dict(getattr(self, name))
         defaults = {f.name: f.default for f in dataclasses.fields(_SECTIONS[name])}
         for key, value in changes.items():
-            if type(defaults.get(key)) is int and isinstance(value, float):
+            kind = type(defaults.get(key))
+            if kind is int and isinstance(value, float):
                 if not value.is_integer():
                     raise ConfigError(f"key {key!r} in section {name!r} takes integers, got {value!r}")
                 value = int(value)
+            elif kind is float and type(value) is int:
+                value = _float_of(name, key, value)
             data[key] = value
         return dataclasses.replace(self, **{name: _build_section(name, _SECTIONS[name], data)})
 
@@ -224,7 +250,7 @@ def load_config(path: str | Path | None = None) -> RunConfig:
     text = Path(path).read_text()
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, or an integer past Python's digit limit
         raise ConfigError(f"configuration is not valid JSON: {exc}") from exc
     return RunConfig.from_dict(data)
 

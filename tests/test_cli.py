@@ -180,6 +180,24 @@ class TestSweep:
         assert _read(tmp_path / "b" / "sweep.csv") == SWEEP_LENGTH_CSV
         assert _read(tmp_path / "b" / "sweep.json") == SWEEP_LENGTH_JSON
 
+    def test_integers_past_2_53_keep_their_value(self, tmp_path, monkeypatch):
+        m = 2**53 + 1  # the nearest float is 2**53
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"sweep": {"parameter": "protocol.m", "values": [m]}}))
+        evaluated = []
+        original = cli._closed_form_key_rates
+
+        def recording(point):
+            evaluated.append(point.protocol.m)
+            return original(point)
+
+        monkeypatch.setattr(cli, "_closed_form_key_rates", recording)
+        assert _run("sweep", "--config", str(config), "--out", str(tmp_path)) == 0
+        assert evaluated == [m]
+        assert json.loads((tmp_path / "sweep.json").read_text())["rows"][0]["value"] == m
+        lines = (tmp_path / "sweep.csv").read_text().strip().splitlines()
+        assert lines[1].split(",")[1] == str(m)
+
     def test_each_point_rebuilds_only_the_swept_section(self, tmp_path, monkeypatch):
         built = []
         original = config_module._build_section
@@ -388,6 +406,25 @@ class TestFeasibilitySubcommand:
         assert set(payload["conventions"]) == {"ordinary", "angular"}
 
 
+@pytest.mark.parametrize(
+    "argv,names",
+    [
+        (["analyze"], ["analyze.json"]),
+        (["feasibility"], ["feasibility.json"]),
+        (["sweep"], ["sweep.csv", "sweep.json"]),
+        (["montecarlo", "--rounds", "2000"], ["montecarlo.json"]),
+        (["alphabet-scan", "--max-bits", "4"], ["alphabet_scan.csv", "alphabet_scan.json"]),
+    ],
+    ids=["analyze", "feasibility", "sweep", "montecarlo", "alphabet-scan"],
+)
+def test_last_line_names_every_artifact_in_writing_order(tmp_path, capsys, argv, names):
+    out = tmp_path / "out"
+    assert _run(*argv, "--out", str(out)) == 0
+    last = capsys.readouterr().out.splitlines()[-1]
+    assert last == "wrote " + " and ".join(str(out / name) for name in names)
+    assert sorted(path.name for path in out.iterdir()) == sorted(names)
+
+
 class TestErrorHandling:
     @pytest.mark.parametrize(
         "command,document,key",
@@ -397,10 +434,12 @@ class TestErrorHandling:
             ("sweep", {"sweep": {"values": [1e-6, "x"]}}, "values"),
             ("sweep", {"sweep": {"parameter": 5}}, "parameter"),
             ("sweep", {"sweep": {"parameter": "protocol.m", "values": [4, 4.5]}}, "m"),
+            ("analyze", {"channel": {"length": 10**400}}, "length"),
+            ("sweep", {"sweep": {"parameter": "channel.length", "values": [1, 10**400]}}, "length"),
         ],
         ids=[
             "unknown-key", "fractional-num", "non-numeric-value", "non-string-parameter",
-            "fractional-integer-sweep",
+            "fractional-integer-sweep", "integer-past-float-range", "sweep-past-float-range",
         ],
     )
     def test_bad_config_exits_with_error_code(self, tmp_path, capsys, command, document, key):
@@ -440,6 +479,26 @@ class TestErrorHandling:
         assert _run("sweep", "--config", str(config), "--out", str(tmp_path)) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "sweep.csv").exists()
+
+    @pytest.mark.parametrize(
+        "argv,document",
+        [
+            (["sweep"], {"sweep": {"parameter": "channel.nosuch", "values": []}}),
+            (["alphabet-scan", "--max-bits", "0"], {}),
+            (["sweep"], {"sweep": {"num": 10**14, "spacing": "linear"}}),
+            (["sweep"], {"sweep": {"parameter": "channel.length", "values": [1, 10**400]}}),
+        ],
+        ids=["bad-target", "max-bits-0", "sweep-too-long", "refused-after-a-point"],
+    )
+    def test_refused_command_writes_no_artifact(self, tmp_path, capsys, argv, document):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(document))
+        out = tmp_path / "out"
+        assert _run(*argv, "--config", str(config), "--out", str(out)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and "Traceback" not in captured.err
+        assert not out.exists() or list(out.iterdir()) == []
 
     @pytest.mark.parametrize("bits", ["0", "-3"])
     def test_alphabet_scan_refuses_max_bits_below_one(self, tmp_path, capsys, bits):

@@ -57,6 +57,12 @@ class TestStrictParsing:
         with pytest.raises(ck.ConfigError):
             ck.load_config(path)
 
+    def test_integer_past_the_digit_limit_raises_config_error(self, tmp_path):
+        path = tmp_path / "run.json"
+        path.write_text('{"channel": {"length": 1%s}}' % ("0" * 5000))
+        with pytest.raises(ck.ConfigError):
+            ck.load_config(path)
+
     @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
     def test_non_finite_literals_are_named_in_the_error(self, tmp_path, literal):
         path = tmp_path / "run.json"
@@ -134,6 +140,17 @@ class TestSweepValues:
         with pytest.raises(ck.ConfigError):
             config.sweep.resolved_values()
 
+    def test_values_are_returned_as_given(self):
+        sweep = ck.RunConfig.from_dict({"sweep": {"values": [4, 2**53 + 1, 0.5]}}).sweep
+        values = sweep.resolved_values()
+        assert values == [4, 2**53 + 1, 0.5]
+        assert [type(value) for value in values] == [int, int, float]
+
+    def test_refuses_a_spaced_sweep_too_long_to_hold(self):
+        config = ck.RunConfig.from_dict({"sweep": {"num": 2**20 + 1, "spacing": "linear"}})
+        with pytest.raises(ck.ConfigError, match="'num' in section 'sweep'"):
+            config.sweep.resolved_values()
+
     def test_empty_sweep(self):
         sweep = ck.RunConfig.from_dict({"sweep": {"values": []}}).sweep
         assert sweep.resolved_values() == []
@@ -159,6 +176,18 @@ class TestWithSection:
         config = ck.RunConfig.from_dict({"channel": {"length": 1}})
         assert config.with_section("channel", length=0.5).channel.length == 0.5
         assert type(config.with_section("channel", length=2.0).channel.length) is float
+
+    def test_float_key_takes_integers_as_floats(self):
+        config = _sweep_point("channel.length", 2)
+        assert type(config.channel.length) is float and config.channel.length == 2.0
+        with pytest.raises(ck.ConfigError, match="'length' in section 'channel'"):
+            _sweep_point("channel.length", 10**400)
+
+    def test_float_key_loads_a_float_range_integer_as_given(self):
+        config = ck.RunConfig.from_dict({"channel": {"length": 2}})
+        assert type(config.channel.length) is int
+        with pytest.raises(ck.ConfigError, match="'length' in section 'channel'"):
+            ck.RunConfig.from_dict({"channel": {"length": 10**400}})
 
     @pytest.mark.parametrize("value", [4.5, float("inf"), float("nan")])
     def test_integer_key_refuses_fractional_values(self, value):
