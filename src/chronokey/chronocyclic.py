@@ -48,7 +48,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import GridCoverageError, ParameterError, refuse_boolean_floats
+from .errors import GridCoverageError, ParameterError, finite_positive, refuse_boolean_floats
 
 # Tolerance on the discrete L2 mass of an amplitude record.
 NORMALIZATION_ATOL = 1e-9
@@ -116,14 +116,13 @@ def _row_bands(amplitudes: np.ndarray) -> list[_Block]:
 class _UniformGrid:
     """Shared behaviour of the frequency and time axes.
 
-    Points sit at cell midpoints: ``center - span + (j + 1/2) * spacing`` for
-    ``j = 0 .. n_points - 1``, so the grid covers ``[center - span,
-    center + span]`` with no sample on either boundary.
+    Points sit at cell midpoints: ``-span + (j + 1/2) * spacing`` for
+    ``j = 0 .. n_points - 1``, so the grid covers ``[-span, span]`` with no
+    sample on either boundary, and its points are mirror images about zero.
     """
 
     n_points: int
     span: float
-    center: float = 0.0
 
     def __post_init__(self) -> None:
         refuse_boolean_floats(self)
@@ -133,8 +132,6 @@ class _UniformGrid:
             raise ParameterError(
                 f"span must be positive with a finite spacing 2 * span / n_points, got {self.span!r}"
             )
-        if not math.isfinite(self.center):
-            raise ParameterError(f"center must be finite, got {self.center!r}")
 
     @property
     def spacing(self) -> float:
@@ -143,12 +140,12 @@ class _UniformGrid:
     @property
     def points(self) -> np.ndarray:
         j = np.arange(self.n_points)
-        return self.center + (j - (self.n_points - 1) / 2.0) * self.spacing
+        return (j - (self.n_points - 1) / 2.0) * self.spacing
 
 
 @dataclass(frozen=True)
 class FrequencyGrid(_UniformGrid):
-    """Uniform grid of angular-frequency detunings around ``center``."""
+    """Uniform grid of angular-frequency detunings around zero."""
 
     def dual(self) -> "TimeGrid":
         """Time grid on which the FFT of samples from this grid lives."""
@@ -157,7 +154,7 @@ class FrequencyGrid(_UniformGrid):
 
 @dataclass(frozen=True)
 class TimeGrid(_UniformGrid):
-    """Uniform grid of arrival times around ``center``."""
+    """Uniform grid of arrival times around zero."""
 
     def dual(self) -> FrequencyGrid:
         return FrequencyGrid(self.n_points, span=math.pi / self.spacing)
@@ -251,13 +248,14 @@ class SchmidtDecomposition:
     schmidt_number: float
 
     def __post_init__(self) -> None:
+        refuse_boolean_floats(self)
         if not (math.isfinite(self.schmidt_number) and self.schmidt_number >= 1.0 - 1e-12):
             raise ParameterError("schmidt_number must be finite and at least 1")
 
 
 def _refuse_bad_widths(delta_plus: float, delta_minus: float) -> None:
-    if not all(math.isfinite(x) and x > 0.0 for x in (delta_plus, delta_minus)):
-        raise ParameterError("widths must be positive and finite")
+    if not finite_positive(delta_plus, delta_minus):
+        raise ParameterError("widths must be positive and finite numbers")
 
 
 def default_grid(delta_plus: float, delta_minus: float) -> FrequencyGrid:
@@ -282,7 +280,7 @@ def default_grid(delta_plus: float, delta_minus: float) -> FrequencyGrid:
 
 def _gaussian_table(n_points: int, spacing: float, width: float) -> np.ndarray:
     """``exp(-(k*spacing)**2 / (4*width**2))`` for ``|k| < n_points``: one
-    factor of the Gaussian at every difference, or centred sum, of two grid
+    factor of the Gaussian at every difference, or sum, of two grid
     points, by the whole-matrix formula's operations
     (``(x/sqrt(2))**2 / (-2*width**2)``) and symmetric bit for bit."""
     x = (np.arange(2 * n_points - 1) - (n_points - 1)) * spacing
@@ -334,11 +332,11 @@ def make_gaussian_jsa(
         anti-correlation; the degenerate and swapped orderings are allowed.
     grid:
         Optional explicit grid.  It must span at least four times the larger
-        width on each side of its center and resolve the smaller width with
+        width on each side of zero and resolve the smaller width with
         at least two samples, with at most 2**14 points.
 
     The Gaussian is ``f(w_i - w_j) * g(w_i + w_j)``; on the grid the
-    difference and centred sum of points ``i`` and ``j`` are ``(i - j) * h``
+    difference and sum of points ``i`` and ``j`` are ``(i - j) * h``
     and ``(i + j - n + 1) * h``, so ``exp`` is taken once per entry of two
     tables of ``2n - 1`` (:func:`_gaussian_table`), which also give the norm
     (:func:`_sum_of_squares`).  The scale goes into ``f``, and each block of

@@ -9,7 +9,7 @@ a spectrometer measures time with resolution ``delta_omega / phi_ddot``, so
 the two bases share one bin count and one resolution product.
 
 Bin indices are 0-based everywhere in this package; bin ``b`` of a scheme
-with ``m`` bins is centered on ``(b - (m - 1)/2) * width``.
+with ``m`` bins is centered on ``(b - (m - 1)/2) * width``: around zero.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .chronocyclic import (
     make_gaussian_jsa,
     transform_1d,
 )
-from .errors import CoverageWarning, ParameterError, refuse_boolean_floats
+from .errors import CoverageWarning, ParameterError, finite_positive, refuse_boolean_floats
 
 FREQUENCY_BASIS = "frequency"
 TIME_BASIS = "time"
@@ -59,6 +59,9 @@ _PANEL_WEIGHTS = 2.0 * _vectors[0] ** 2
 # _ERFC_REACH * sqrt(2) deviations from every conditional mean adds an exact 0.
 _PANEL_SIGMAS = 6.0
 _ERFC_REACH = 27.0
+# Most panels the closed-form binning evaluates, refused above before any runs: 2**18
+# take 1.6-1.8 s per basis at m = 4 on one Xeon core; tests, session and benchmark use <= 3951.
+_MAX_PANELS = 1 << 18
 # Values per block of the closed-form binning: temporaries stay in cache.
 _BLOCK_VALUES = 1 << 16
 _MATH_ERFC = np.frompyfunc(math.erfc, 1, 1)
@@ -80,16 +83,13 @@ class BinningScheme:
     delta_omega: float = 1.0
     beta_plus: float = 0.75
     beta_minus: float = 0.2
-    center: float = 0.0
 
     def __post_init__(self) -> None:
         refuse_boolean_floats(self)
         if not isinstance(self.m, int) or self.m < 2:
             raise ParameterError(f"bin count must be an integer >= 2, got {self.m!r}")
-        if not (math.isfinite(self.delta_omega) and self.delta_omega > 0.0):
+        if not finite_positive(self.delta_omega):
             raise ParameterError("bin width must be finite and positive")
-        if not math.isfinite(self.center):
-            raise ParameterError("window center must be finite")
         if not 0.0 < self.beta_minus < self.beta_plus <= 1.0:
             raise ParameterError(
                 "design ratios must satisfy 0 < beta_minus < beta_plus <= 1, "
@@ -104,7 +104,7 @@ class BinningScheme:
     @property
     def bin_edges(self) -> np.ndarray:
         e = np.arange(self.m + 1)
-        return self.center + (e - self.m / 2.0) * self.delta_omega
+        return (e - self.m / 2.0) * self.delta_omega
 
     def matched_widths(self) -> tuple[float, float]:
         """Source widths this scheme was designed for: wide then narrow."""
@@ -130,8 +130,7 @@ class TimeLens:
     def __post_init__(self) -> None:
         refuse_boolean_floats(self)
         for name in ("mod_frequency", "mod_depth"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0.0):
+            if not finite_positive(getattr(self, name)):
                 raise ParameterError(f"{name} must be finite and positive")
         try:
             rate = self.focusing_rate
@@ -312,7 +311,13 @@ def _gaussian_bin_masses(m: int, low: float, var_sum: float, var_diff: float) ->
     sigma = math.sqrt(var_sum * var_diff / var)
     if not (0.0 < sigma < math.inf and var < math.inf):
         raise ParameterError("source widths are out of range for these bins")
-    per_bin = math.ceil(1.0 / (_PANEL_SIGMAS * sigma))
+    per_bin = 1.0 / (_PANEL_SIGMAS * sigma)
+    if not per_bin <= _MAX_PANELS // m:  # that is, unless m * ceil(per_bin) <= _MAX_PANELS
+        raise ParameterError(
+            f"closed-form binning needs about {m * per_bin:.3g} panels ({m} bins, conditional "
+            f"deviation {sigma:.3g} bins), above the cap of {_MAX_PANELS:,} panels"
+        )
+    per_bin = math.ceil(per_bin)
     half = 0.5 / per_bin
     edges = low + np.arange(m + 1.0)
     means = rho * edges
@@ -456,21 +461,15 @@ def gaussian_outcome_distribution(
     detunings are ``delta_minus**2 / 2`` and ``delta_plus**2 / 2``; in time
     they are ``1 / (2 * delta_minus**2)`` and ``1 / (2 * delta_plus**2)``.
     Every bin probability is a rectangle mass of that normal, integrated to
-    roundoff.  Labels, the window (``binning.center`` places the frequency
-    bins; time bins are centred on zero), the renormalization, the
+    roundoff.  Labels, the window, the renormalization, the
     ``out_of_window`` mass and the :class:`CoverageWarning` are those of
-    :func:`joint_outcome_distribution` on a record centred at zero, without
-    its grid's sampling error.
+    :func:`joint_outcome_distribution`, without its grid's sampling error.
     """
     _refuse_bad_widths(delta_plus, delta_minus)
-    if basis == FREQUENCY_BASIS:
-        width = binning.delta_omega
-        low = float(binning.bin_edges[0])
-    elif basis == TIME_BASIS:
-        width = time_resolution(binning, lens)
-        low = -0.5 * binning.m * width
-    else:
+    if basis not in (FREQUENCY_BASIS, TIME_BASIS):
         raise ParameterError(f"unknown basis {basis!r}")
+    width = binning.delta_omega if basis == FREQUENCY_BASIS else time_resolution(binning, lens)
+    low = -0.5 * binning.m * width
     try:
         if basis == FREQUENCY_BASIS:
             var_sum, var_diff = 0.5 * delta_minus**2, 0.5 * delta_plus**2
@@ -541,8 +540,6 @@ def simulate_time_lens(
     """
     if mode not in ("ideal-quadratic", "sinusoidal"):
         raise ParameterError(f"unknown lens mode {mode!r}")
-    if time_grid.center != 0.0:
-        raise ParameterError("time lens simulation requires a grid centered at zero")
     freq_grid, spectrum = transform_1d(np.asarray(field, np.complex128), time_grid, sign=+1)
     spectrum = spectrum * np.exp(-0.5j * lens.gvd * freq_grid.points**2)
     _, field_mid = transform_1d(spectrum, freq_grid, sign=-1)
@@ -551,9 +548,7 @@ def simulate_time_lens(
         phase = -0.5 * lens.focusing_rate * t**2
     else:
         phase = lens.mod_depth * (np.cos(lens.mod_frequency * t) - 1.0)
-    field_mid = field_mid * np.exp(1j * phase)
-    out_grid, out = transform_1d(field_mid, time_grid, sign=+1)
-    return out_grid, out
+    return transform_1d(field_mid * np.exp(1j * phase), time_grid, sign=+1)
 
 
 def overlap_fidelity(a: np.ndarray, b: np.ndarray) -> float:

@@ -1,8 +1,11 @@
-"""Exception and warning types shared across the package, and the boolean check."""
+"""Exception and warning types shared across the package, and the number checks."""
 
 from __future__ import annotations
 
 import dataclasses
+import math
+
+import numpy as np
 
 
 class ChronokeyError(Exception):
@@ -13,11 +16,20 @@ class ParameterError(ChronokeyError, ValueError):
     """A scalar argument or configuration value is out of its valid domain."""
 
 
+def is_boolean(value) -> bool:
+    """True for a ``bool`` or a ``numpy.bool_``, which pass numeric checks but are not numbers."""
+    return isinstance(value, (bool, np.bool_))
+
+
+def finite_positive(*values) -> bool:
+    """True when every value is a finite positive number, not a boolean."""
+    return all(not is_boolean(x) and math.isfinite(x) and x > 0.0 for x in values)
+
+
 def refuse_boolean_floats(instance) -> None:
-    """Raise :class:`ParameterError` when a ``float`` field of a dataclass
-    holds a ``bool``, which subclasses ``int`` and passes numeric checks."""
+    """Raise :class:`ParameterError` when a ``float`` field of a dataclass holds a boolean."""
     for field in dataclasses.fields(instance):
-        if field.type == "float" and isinstance(getattr(instance, field.name), bool):
+        if field.type == "float" and is_boolean(getattr(instance, field.name)):
             raise ParameterError(f"{field.name} must be a number, not a boolean")
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import math
 
 from .detection import BinningScheme
-from .errors import ParameterError, refuse_boolean_floats
+from .errors import ParameterError, finite_positive, refuse_boolean_floats
 
 SPEED_OF_LIGHT = 299_792_458.0
 
@@ -26,13 +26,12 @@ _CONVENTIONS = ("ordinary", "angular")
 
 
 def _converted(kind: str, width: float, center: float, convert) -> float:
-    """``convert(width, center)``, refused unless inputs and result are finite and positive."""
+    """``convert(width, center)``, refused unless inputs and result are finite positive numbers."""
     try:
-        ok = all(math.isfinite(x) and x > 0.0 for x in (width, center))
-        result = convert(width, center) if ok else math.nan
+        result = convert(width, center) if finite_positive(width, center) else math.nan
     except (OverflowError, ZeroDivisionError):  # center**2 overflows, or underflows to 0
         result = math.nan
-    if not (math.isfinite(result) and result > 0.0):
+    if not finite_positive(result):
         raise ParameterError(f"{kind} width, center and result must be finite and positive")
     return result
 
@@ -79,8 +78,7 @@ class HardwareSpec:
             "modulator_max_depth",
             "fiber_gvd",
         ):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0.0):
+            if not finite_positive(getattr(self, name)):
                 raise ParameterError(f"{name} must be finite and positive")
         if self.resolution_kind not in _RESOLUTION_KINDS:
             raise ParameterError(f"unknown resolution kind {self.resolution_kind!r}")
@@ -106,7 +104,7 @@ class ConventionFigures:
     def __post_init__(self) -> None:
         for name in ("focusing_rate", "total_gvd", "fiber_length", "aperture"):
             value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0.0):
+            if not finite_positive(value):
                 raise ParameterError(f"{self.convention} {name} {value!r} is not finite and positive")
 
 
@@ -158,7 +156,7 @@ def check_feasibility(binning: BinningScheme, hardware: HardwareSpec) -> Feasibi
     # raises on overflow and an underflow to zero divides by zero.
     try:
         delta_nu = hardware.resolution_hz()
-        if not (math.isfinite(delta_nu) and delta_nu > 0.0):
+        if not finite_positive(delta_nu):
             raise ParameterError(f"bin frequency {delta_nu!r} Hz is not finite and positive")
         ordinary = _figures("ordinary", binning, delta_nu, hardware.fiber_gvd)
         angular = _figures("angular", binning, 2.0 * math.pi * delta_nu, hardware.fiber_gvd)

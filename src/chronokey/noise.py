@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, PureNoiseWarning, refuse_boolean_floats
+from .errors import ParameterError, PureNoiseWarning, is_boolean, refuse_boolean_floats
 
 
 @dataclass(frozen=True)
@@ -160,7 +160,7 @@ def error_model_distribution(m: int, error_probability: float) -> np.ndarray:
     if not isinstance(m, int) or m < 2:
         raise ParameterError(f"alphabet size must be an integer >= 2, got {m!r}")
     limit = (m - 1) / m
-    if not 0.0 <= error_probability <= limit + 1e-12:
+    if is_boolean(error_probability) or not 0.0 <= error_probability <= limit + 1e-12:
         raise ParameterError(
             f"error probability {error_probability!r} outside [0, {limit}]"
         )

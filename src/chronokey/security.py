@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .detection import _NEGATIVE_ATOL, _PANEL_NODES, _PANEL_WEIGHTS
+from .detection import FREQUENCY_BASIS, TIME_BASIS, _NEGATIVE_ATOL, _PANEL_NODES, _PANEL_WEIGHTS
 from .detection import BinningScheme, OutcomeDistribution, TimeLens, time_resolution
-from .errors import ParameterError, ResolutionWarning, refuse_boolean_floats
+from .errors import ParameterError, ResolutionWarning, finite_positive, is_boolean, refuse_boolean_floats
 
 # Resolution product over 2*pi from which the paper's bound parts from the
 # exact one: by 0.004 bits at the threshold, 0.108 bits at the designed m = 2.
@@ -32,7 +32,7 @@ def _entropy_bits(p: np.ndarray) -> float:
 
 def binary_entropy(x: float) -> float:
     """Entropy in bits of a coin with bias ``x``."""
-    if isinstance(x, bool) or not 0.0 <= x <= 1.0:
+    if is_boolean(x) or not 0.0 <= x <= 1.0:
         raise ParameterError(f"binary entropy argument {x!r} outside [0, 1]")
     if x == 0.0 or x == 1.0:
         return 0.0
@@ -89,6 +89,8 @@ class EntropyReport:
     conditional_bits: float
 
     def __post_init__(self) -> None:
+        if self.basis not in (FREQUENCY_BASIS, TIME_BASIS):
+            raise ParameterError(f"unknown basis {self.basis!r}")
         refuse_boolean_floats(self)
         if not (math.isfinite(self.marginal_bits) and math.isfinite(self.conditional_bits)):
             raise ParameterError("entropies must be finite")
@@ -116,11 +118,7 @@ def entropic_bound(delta_omega: float, delta_t: float) -> float:
     """Uncertainty-relation ceiling ``log2(2*pi / (delta_omega * delta_t))``
     on the information shared through conjugate binned measurements."""
     product = delta_omega * delta_t
-    positive = all(
-        not isinstance(x, bool) and math.isfinite(x) and x > 0.0
-        for x in (delta_omega, delta_t, product)
-    )
-    if not (positive and math.isfinite(2.0 * math.pi / product)):
+    if not (finite_positive(delta_omega, delta_t, product) and math.isfinite(2.0 * math.pi / product)):
         raise ParameterError(f"bin widths {delta_omega!r} and {delta_t!r} are out of range")
     return math.log2(2.0 * math.pi / product)
 
@@ -132,10 +130,7 @@ def binning_deficit(beta_plus: float, beta_minus: float) -> float:
     design whose resolution product is ``1 / (beta_plus * beta_minus * m)``.
     """
     product = 2.0 * math.pi * beta_plus * beta_minus
-    if not all(
-        not isinstance(x, bool) and math.isfinite(x) and x > 0.0
-        for x in (beta_plus, beta_minus, product)
-    ):
+    if not finite_positive(beta_plus, beta_minus, product):
         raise ParameterError(f"design ratios {beta_plus!r} and {beta_minus!r} are out of range")
     return -math.log2(product)
 
@@ -221,14 +216,14 @@ def secret_key_bound(
     imperfect reconciliation; 1 is the ideal default.  A key thus never
     exceeds the mutual information ``H(B) - H(B|A)`` it is distilled from.
     """
-    if frequency.basis != "frequency" or time.basis != "time":
+    if frequency.basis != FREQUENCY_BASIS or time.basis != TIME_BASIS:
         raise ParameterError("reports must come from the frequency and time bases")
     given = (uncertainty_bound,) if deficit is None else (uncertainty_bound, deficit)
-    if any(isinstance(x, bool) or not math.isfinite(x) for x in given):
+    if any(is_boolean(x) or not math.isfinite(x) for x in given):
         raise ParameterError(
             f"uncertainty bound {uncertainty_bound!r} and deficit {deficit!r} must be finite numbers"
         )
-    if isinstance(reconciliation_efficiency, bool) or not 0.0 < reconciliation_efficiency <= 1.0:
+    if is_boolean(reconciliation_efficiency) or not 0.0 < reconciliation_efficiency <= 1.0:
         raise ParameterError("reconciliation efficiency must lie in (0, 1]")
     leak = frequency.conditional_bits / reconciliation_efficiency
     ceiling = frequency.marginal_bits - leak
@@ -276,7 +271,7 @@ def error_model_report(m: int, error_probability: float, basis: str) -> EntropyR
     """
     if not isinstance(m, int) or m < 2:
         raise ParameterError("alphabet size must be an integer >= 2")
-    if isinstance(error_probability, bool) or not 0.0 <= error_probability <= (m - 1) / m + 1e-12:
+    if is_boolean(error_probability) or not 0.0 <= error_probability <= (m - 1) / m + 1e-12:
         raise ParameterError(
             f"error probability {error_probability!r} outside [0, {(m - 1) / m}]"
         )
@@ -305,8 +300,8 @@ def simplified_key_rate(
     """
     deficit = binning_deficit(beta_plus, beta_minus)
     return secret_key_bound(
-        error_model_report(m, error_probability, "frequency"),
-        error_model_report(m, error_probability, "time"),
+        error_model_report(m, error_probability, FREQUENCY_BASIS),
+        error_model_report(m, error_probability, TIME_BASIS),
         math.log2(m) - deficit,
         deficit=deficit,
         reconciliation_efficiency=reconciliation_efficiency,

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -575,6 +576,21 @@ class TestErrorHandling:
         assert err.startswith("error: alphabet size 2**1024")
         assert "nan" not in err
         assert not (tmp_path / "alphabet_scan.json").exists()
+
+    def test_closed_form_past_its_panel_cap_exits_at_once(self, tmp_path, capsys):
+        # A 1e-9 narrow width would need about 7e8 panels of the closed-form binning.
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({
+            "protocol": {"m": 4, "beta_minus": 1e-9},
+            "simulation": {"rounds": 1000, "correlation_model": "sampled-jsa"},
+        }))
+        start = time.perf_counter()
+        assert _run("montecarlo", "--config", str(config), "--out", str(tmp_path)) == 2
+        assert time.perf_counter() - start < 5.0  # the whole run would take hours
+        err = capsys.readouterr().err
+        assert err.startswith("error: closed-form binning needs about 6.67e+08 panels")
+        assert "above the cap of 262,144 panels" in err
+        assert not (tmp_path / "montecarlo.json").exists()
 
     def test_missing_config_exits_with_error_code(self, tmp_path, capsys):
         missing = tmp_path / "nope.json"

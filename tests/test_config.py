@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 
+import numpy as np
 import pytest
 
 import chronokey as ck
@@ -269,7 +270,7 @@ NON_FINITE_CASES = [
 class TestNonFiniteFields:
     def test_every_float_field_is_covered(self):
         fields = {(kind, name) for kind, name, _ in NON_FINITE_CASES}
-        assert len(fields) == 5 + 4 + 2 + 5 + 1
+        assert len(fields) == 5 + 3 + 2 + 5 + 1
         assert ("simulation", "basis_probability") in fields
 
     @pytest.mark.parametrize(
@@ -279,3 +280,31 @@ class TestNonFiniteFields:
         instance = _validated_objects()[kind]
         with pytest.raises(ck.ParameterError):
             dataclasses.replace(instance, **{name: bad})
+
+
+def _refuses_boolean_widths():
+    scheme = ck.BinningScheme(8)
+    return ck.gaussian_outcome_distribution(scheme, ck.design_time_lens(scheme), True, 0.2)
+
+
+# One call per entry point that takes a float, each with a boolean for one.
+BOOLEAN_CASES = {
+    "make_gaussian_jsa": lambda: ck.make_gaussian_jsa(True, 0.2),
+    "default_grid": lambda: ck.default_grid(True, 0.5),
+    "analytic_schmidt_number": lambda: ck.analytic_schmidt_number(True, True),
+    "gaussian_outcome_distribution": _refuses_boolean_widths,
+    "wavelength_to_frequency": lambda: ck.wavelength_to_frequency(True, 1.55e-6),
+    "frequency_to_wavelength": lambda: ck.frequency_to_wavelength(1e9, True),
+    "error_model_distribution": lambda: ck.error_model_distribution(4, False),
+    "SchmidtDecomposition": lambda: ck.SchmidtDecomposition(True),
+    "BinningScheme-numpy": lambda: ck.BinningScheme(m=8, delta_omega=np.True_),
+    "ChannelModel-numpy": lambda: ck.ChannelModel(
+        m=8, pair_probability=0.5, detector_efficiency=0.5, dark_probability=np.False_
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BOOLEAN_CASES))
+def test_booleans_are_not_numbers_at_any_entry_point(case):
+    with pytest.raises(ck.ParameterError):
+        BOOLEAN_CASES[case]()

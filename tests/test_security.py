@@ -224,6 +224,21 @@ class TestSecretKeyBound:
         with pytest.raises(ck.ParameterError):
             ck.secret_key_bound(freq, freq, DESIGN_BOUND_16)
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda basis: ck.EntropyReport(basis, 2.0, 1.0),
+            lambda basis: ck.error_model_report(4, 0.1, basis),
+        ],
+        ids=["EntropyReport", "error_model_report"],
+    )
+    def test_unknown_basis_refused_when_the_report_is_made(self, make):
+        for basis in (ck.FREQUENCY_BASIS, ck.TIME_BASIS):
+            assert make(basis).basis == basis
+        for basis in ("weird", "Frequency", ""):
+            with pytest.raises(ck.ParameterError, match="unknown basis"):
+                make(basis)
+
     def test_information_branch_matches_hand_computation(self):
         freq, time = self._reports(16, 0.05)
         result = ck.secret_key_bound(freq, time, DESIGN_BOUND_16)
