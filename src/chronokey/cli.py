@@ -10,13 +10,13 @@ same inputs produce byte-identical files.  One writer writes them all and
 then prints one ``wrote`` line naming them in writing order; a command
 refused before its answer writes nothing.
 
-Every JSON artifact is one line of ``json.dumps(payload, sort_keys=True)``
-text.  ``montecarlo``'s joint count matrices go to the writer as the
-ledger's int64 arrays and come out as the text of ``json.dumps`` of their
-lists: a row with few non-zero cells is the all-zero row's text with
-their digits spliced in, so only those cells cost Python work, and a
-fuller row goes through ``json``'s C encoder.  The parser is built on the
-first call and kept for the process.
+Every JSON artifact is one line of ``json.dumps(payload, sort_keys=True,
+allow_nan=False)`` text, made by one such call.  ``montecarlo``'s joint
+count matrices go to the writer as the ledger's int64 arrays; each is
+encoded as a placeholder string, which is then replaced by the text of
+``json.dumps`` of the matrix's list: the all-zero matrix's text with the
+digits of its non-zero cells spliced in, so only those cells cost Python
+work.  The parser is built on the first call and kept for the process.
 """
 
 from __future__ import annotations
@@ -52,65 +52,52 @@ from .noise import error_probability, pure_noise, transmission
 from .security import simplified_key_rate
 
 
-# A row with at most 1/_SPLICE_FILL of its cells non-zero is spliced into the
-# zero row's text; a fuller one costs less through the C encoder.
-_SPLICE_FILL = 4
-
-
 def _matrix_json(counts: np.ndarray) -> str:
     """``json.dumps(counts.tolist())`` of a 2-D integer array, with Python
-    work only for the non-zero cells of its sparse rows.
+    work only for its non-zero cells.
 
-    Cell ``j`` of the all-zero row ``[0, 0, ..., 0]`` starts at character
-    ``1 + 3*j``, so a sparse row is that text with each non-zero cell's
-    digits put in place of its ``0``.
+    In the all-zero matrix's text ``[[0, 0, ...], [0, ...], ...]`` each row
+    takes ``3*n_cols + 2`` characters with its ``", "``, so flat cell ``k``
+    starts at character ``2 + 3*k + 2*(k // n_cols)``; the matrix's text is
+    that text with each non-zero cell's digits put in place of its ``0``.
     """
     if counts.ndim != 2 or counts.dtype.kind not in "iu":
         raise TypeError(f"cannot write a {counts.ndim}-d {counts.dtype} array as a count matrix")
-    n_cols = counts.shape[1]
-    zero_row = "[" + "0, " * (n_cols - 1) + "0]"
-    filled = np.count_nonzero(counts, axis=1)
-    spliced = (filled > 0) & (filled * _SPLICE_FILL <= n_cols)
-    starts = values = []  # the spliced rows' cells, row by row
-    if spliced.any():
-        rows, cols = np.nonzero(counts)
-        kept = spliced[rows]
-        starts = (1 + 3 * cols[kept]).tolist()
-        values = counts[rows[kept], cols[kept]].tolist()
-    text = []
-    cell = 0  # first entry of the row in ``starts`` and ``values``
-    for row, (count, splice) in enumerate(zip(filled.tolist(), spliced.tolist())):
-        if count == 0:
-            text.append(zero_row)
-        elif not splice:
-            text.append(json.dumps(counts[row].tolist()))
-        else:
-            pieces = []
-            end = 0
-            for start, value in zip(starts[cell : cell + count], values[cell : cell + count]):
-                pieces += (zero_row[end:start], str(value))
-                end = start + 1
-            pieces.append(zero_row[end:])
-            text.append("".join(pieces))
-            cell += count
-    return "[" + ", ".join(text) + "]"
+    n_rows, n_cols = counts.shape
+    zero = "[" + ", ".join(["[" + ", ".join(["0"] * n_cols) + "]"] * n_rows) + "]"
+    cells = np.flatnonzero(counts)
+    starts = 2 + 3 * cells + 2 * (cells // n_cols)
+    # The zero text around the cells and their digits between, each list
+    # made by ``map`` in C.
+    gaps = map(slice, [0, *(starts + 1).tolist()], [*starts.tolist(), None])
+    pieces = [None] * (2 * cells.size + 1)
+    pieces[::2] = map(zero.__getitem__, gaps)
+    pieces[1::2] = map(str, counts.ravel()[cells].tolist())
+    return "".join(pieces)
 
 
-def _json_text(value) -> str:
-    """``json.dumps(value, sort_keys=True, allow_nan=False)``, where ``value``
-    may hold integer count matrices as arrays inside its (string-keyed)
-    dicts."""
-    if isinstance(value, np.ndarray):
-        return _matrix_json(value)
-    if isinstance(value, dict):
-        items = (f"{json.dumps(key)}: {_json_text(value[key])}" for key in sorted(value))
-        return "{" + ", ".join(items) + "}"
-    return json.dumps(value, sort_keys=True, allow_nan=False)
+# What stands for a count matrix in the payload's text until the matrix's
+# own text replaces it.  Only ``montecarlo`` writes matrices, and its
+# payload's strings are validated names, none of them this one.
+_MATRIX = "\0count matrix\0"
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    # One line per artifact, as ``json.dumps`` writes it without ``indent``.
-    path.write_text(_json_text(payload) + "\n")
+def _json_text(payload: dict) -> str:
+    """``json.dumps(payload, sort_keys=True, allow_nan=False)``, where the
+    payload may hold integer count matrices as arrays (``_matrix_json``)."""
+    matrices = []
+
+    def placeholder(value):
+        if not isinstance(value, np.ndarray):
+            raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+        matrices.append(_matrix_json(value))
+        return _MATRIX
+
+    text = json.dumps(payload, sort_keys=True, allow_nan=False, default=placeholder)
+    pieces = [None] * (2 * len(matrices) + 1)
+    pieces[::2] = text.split(json.dumps(_MATRIX))  # raises unless it appears once per matrix
+    pieces[1::2] = matrices
+    return "".join(pieces)
 
 
 def _cell(value) -> str:
@@ -142,7 +129,7 @@ def _write(out: Path, artifacts: dict) -> None:
                 writer.writerow(header)
                 writer.writerows([_cell(record[key]) for key in header] for record in records)
         else:
-            _write_json(path, content)
+            path.write_text(_json_text(content) + "\n")  # one line, as json.dumps writes it
     print("wrote " + " and ".join(map(str, paths)))
 
 

@@ -45,12 +45,16 @@ touched, and at ``d == 0`` there are none.
 
 Draws that no round reads are not made.  The collision words and click
 positions, and under random-assign the assignment words and alternative
-positions, are read only at the rounds a dark count touched, and at
-``d == 0`` there are none.  The two collision runs come before the pair's,
-so a noiseless shard moves its Philox generator past them to the state
-drawing them leaves (``Philox.advance``, Salmon et al., SC'11).  The draws
-after the pair's are the shard's last, so it does not make them.  Every
-ledger is thus the one that drawing everything gives.  Words become
+positions, are read only at the rounds a dark count touched.  At ``d ==
+0`` there are none, and at the default channel most shards have none.
+The two collision runs come before the pair's, so a shard without such
+rounds moves its Philox generator past them to the state drawing them
+leaves (``Philox.advance``, Salmon et al., SC'11).  The draws after the
+pair's are the shard's last, so it does not make them, and a draw of no
+dark counts draws nothing.  A block of live rounds that none of those
+rounds falls in is not resolved, though every positioned copy (below)
+still moves past the block's words.  Every ledger is thus the one that
+drawing everything gives.  Words become
 doubles only where a double is compared: at the rounds a dark count
 touched, for their collision and assignment draws.
 
@@ -176,7 +180,7 @@ class RoundLedger:
             raise ParameterError(f"tally must be an int64 vector of length 2*m*m + 2 = {size}")
         if tally.min() < 0:
             raise ParameterError("tally counts must be non-negative")
-        if int(tally.sum()) > self.rounds:
+        if self.no_click < 0:
             raise ParameterError("tally counts more rounds than the round total")
         tally.setflags(write=False)
 
@@ -196,10 +200,15 @@ class RoundLedger:
     def multi_click_discarded(self) -> int:
         return int(self.tally[-1])
 
-    # Sums over the whole tally, taken once: the tally is read-only.
+    # The tally's one sum, taken by the check in ``__post_init__`` and kept:
+    # the tally is read-only.
     @functools.cached_property
+    def no_click(self) -> int:
+        return self.rounds - int(self.tally.sum())
+
+    @property
     def sifted(self) -> int:
-        return int(self.tally[:-2].sum())
+        return self.rounds - self.no_click - self.basis_mismatch - self.multi_click_discarded
 
     @functools.cached_property
     def correct(self) -> int:
@@ -208,10 +217,6 @@ class RoundLedger:
     @property
     def incorrect(self) -> int:
         return self.sifted - self.correct
-
-    @property
-    def no_click(self) -> int:
-        return self.rounds - int(self.tally.sum())
 
     @property
     def coincidences(self) -> int:
@@ -391,9 +396,9 @@ def _dark_counts(
     ``d > 0``: at ``d == 0`` numpy's ``binomial`` returns zeros without
     drawing, and no side lacks its photon, so the counts take no draws."""
     w = rng.binomial(m, d, blocks[0] + blocks[2])
+    if blocks[1] + blocks[3] == 0:  # every photon clicked: nothing more to draw,
+        return w  # and copying w would touch every page
     z = _zero_truncated_dark_counts(rng, m, d, blocks[1] + blocks[3])
-    if z.size == 0:  # every photon clicked; copying w would touch every page
-        return w
     return np.concatenate([w[: blocks[0]], z[: blocks[1]], w[blocks[0] :], z[blocks[1] :]])
 
 
@@ -496,28 +501,31 @@ def _simulate_shard(
 
     # Fixed draw order over the live rounds.  Rounds no dark count touched
     # click once per side and register the pair's symbols, so every draw
-    # after the dark counts is kept only at the ``special`` rounds.
+    # after the dark counts is kept only at the ``special`` rounds.  A shard
+    # without such rounds (every shard at ``d == 0``) passes over the
+    # collision runs and makes none of those draws.
     basis_a = run()
     basis_b = run()
+    touched = False
     if d > 0.0:
         clicks_a = _dark_counts(rng, (both + a_only, b_only + neither, 0, 0), m, d)
         clicks_b = _dark_counts(rng, (both, a_only, b_only, neither), m, d)
         special = np.flatnonzero(clicks_a | clicks_b)
+        touched = special.size > 0
+    if touched:
         clicks_a, clicks_b = clicks_a[special], clicks_b[special]
-        collide_a = run()
-        collide_b = run()
-    else:  # every live round has both photons and no dark count
+        runs = [run(), run()]  # the two collision runs
+    else:
         _skip_words(bits, 2 * live)
     pair = run()
 
     # The click positions and assignment draws are the shard's last, so a
-    # shard without dark counts does not make them.
-    if d > 0.0:
+    # shard no dark count touched does not make them.
+    if touched:
         registered_a = rng.integers(0, m, live, dtype=np.int32)[special]
         registered_b = rng.integers(0, m, live, dtype=np.int32)[special]
         if random_assign:
-            assign_a = run()
-            assign_b = run()
+            runs += [run(), run()]  # the two assignment runs
             alt_a = rng.integers(0, m - 1, live, dtype=np.int32)[special]
             alt_b = rng.integers(0, m - 1, live, dtype=np.int32)[special]
 
@@ -528,17 +536,19 @@ def _simulate_shard(
         size = min(_BLOCK_ROUNDS, live - start)
         code, index = buffers[:, :size]
         codes.lookup(limit, basis_a(size), basis_b(size), pair(size), code, index)
-        if d > 0.0:  # the block's slice of the sorted ``special`` rounds
+        if touched:  # the block's slice of the sorted ``special`` rounds
+            # Every run moves past the block's words, which are read only
+            # at those rounds; a block without any is not resolved.
+            words = [draw(size) for draw in runs]
             lo, hi = np.searchsorted(special, (start, start + size))
+        if touched and lo < hi:
             rounds = special[lo:hi]
             at = rounds - start
-            # Each run's block is drawn and read only at those rounds.
-            collide_u = [_uniforms(draw(size)[at]) for draw in (collide_a, collide_b)]
+            uniforms = [_uniforms(block_words[at]) for block_words in words]
             choice_a = choice_b = ()
             if random_assign:
-                assign_u = [_uniforms(draw(size)[at]) for draw in (assign_a, assign_b)]
-                choice_a = (assign_u[0], alt_a[lo:hi])
-                choice_b = (assign_u[1], alt_b[lo:hi])
+                choice_a = (uniforms[2], alt_a[lo:hi])
+                choice_b = (uniforms[3], alt_b[lo:hi])
             photon_a = rounds < both + a_only
             photon_b = (rounds < both) | ((rounds >= both + a_only) & (rounds < live - neither))
             # A code's quotient by m*m is 0 (both chose the frequency basis),
@@ -547,11 +557,11 @@ def _simulate_shard(
             sector, cell = np.divmod(code[at], cells)
             symbol_b, symbol_a = np.divmod(cell, m)
             clicks_at_a, cell_a = _resolve_side(
-                photon_a, symbol_a, clicks_a[lo:hi], collide_u[0], registered_a[lo:hi], m,
+                photon_a, symbol_a, clicks_a[lo:hi], uniforms[0], registered_a[lo:hi], m,
                 *choice_a,
             )
             clicks_at_b, cell_b = _resolve_side(
-                photon_b, symbol_b, clicks_b[lo:hi], collide_u[1], registered_b[lo:hi], m,
+                photon_b, symbol_b, clicks_b[lo:hi], uniforms[1], registered_b[lo:hi], m,
                 *choice_b,
             )
             code[at] = np.where(sector < 2, sector * cells + cell_b * m + cell_a, 2 * cells)

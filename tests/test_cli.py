@@ -526,7 +526,7 @@ class TestErrorHandling:
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_artifacts_refuse_non_finite_numbers(self, tmp_path, bad):
         with pytest.raises(ValueError):
-            cli._write_json(tmp_path / "artifact.json", {"rows": [{"value": bad}]})
+            cli._write(tmp_path, {"artifact.json": {"rows": [{"value": bad}]}})
 
     @pytest.mark.parametrize("threads", ["2.5", "true", "0"])
     def test_bad_thread_count_exits_with_error_code(self, tmp_path, capsys, threads):
@@ -660,14 +660,34 @@ class TestCountMatrixWriter:
     def test_writes_what_json_writes(self, matrix):
         expected = json.dumps(matrix.tolist())
         assert cli._matrix_json(matrix) == expected
-        payload = {"b": {"counts": matrix, "out_of_window": None}, "a": [1.5, "x"]}
-        reference = dict(payload, b={"counts": matrix.tolist(), "out_of_window": None})
+        # Two matrices of different shapes, each where its key sorts.
+        taller = np.vstack([matrix, matrix[:1]])
+        payload = {
+            "b": {"counts": matrix, "out_of_window": None},
+            "a": [1.5, "x"],
+            "c": {"counts": taller, "out_of_window": 0.25},
+        }
+        reference = dict(
+            payload,
+            b={"counts": matrix.tolist(), "out_of_window": None},
+            c={"counts": taller.tolist(), "out_of_window": 0.25},
+        )
         assert cli._json_text(payload) == json.dumps(reference, sort_keys=True)
 
     def test_refuses_what_is_not_an_integer_matrix(self):
-        for bad in (np.zeros((2, 2)), np.zeros(4, np.int64)):
+        for bad in (np.zeros((2, 2)), np.zeros(4, np.int64), np.zeros((2, 2, 2), np.int64)):
             with pytest.raises(TypeError):
                 cli._matrix_json(bad)
+            with pytest.raises(TypeError):
+                cli._json_text({"frequency": {"counts": bad}})
+        with pytest.raises(TypeError):
+            cli._json_text({"counts": np.int64(3)})
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_refuses_a_non_finite_leaf_beside_a_matrix(self, bad):
+        payload = {"frequency": {"counts": np.eye(3, dtype=np.int64)}, "stderr": bad}
+        with pytest.raises(ValueError):
+            cli._json_text(payload)
 
     def test_montecarlo_artifact_parses_back_to_the_tally(self, tmp_path):
         config = tmp_path / "cfg.json"

@@ -13,7 +13,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import chronokey as ck
@@ -876,6 +876,26 @@ def _dense_shard_oracle(shard_index, n, config, channel, cdfs):
     return ck.RoundLedger(m, n, np.bincount(code, minlength=2 * cells + 2))
 
 
+# Rare dark counts on a lossless channel, whose 20,000 rounds are all live.
+# At m = 3 no dark count touches any round, so the shard passes over the
+# collision runs and makes no draw after the pair's.  At m = 256 about 15
+# rounds are touched, so in blocks of 64 most blocks hold none and are not
+# resolved, while every positioned copy still moves past their words.
+_RARE_DARK_COUNTS = dict(
+    d=1e-6, basis_probability=0.5, pair_probability=1.0, detector_efficiency=1.0, seed=0
+)
+
+
+def _each_policy_and_model(**case):
+    """``@example``s of ``case`` under both policies and both models."""
+    def decorate(test):
+        for policy in ("discard", "random-assign"):
+            for model in ("ideal-delta", "sampled-jsa"):
+                test = example(policy=policy, model=model, **case)(test)
+        return test
+    return decorate
+
+
 class TestSparseBookkeeping:
     @settings(max_examples=60, deadline=None)
     @given(
@@ -888,6 +908,7 @@ class TestSparseBookkeeping:
         detector_efficiency=st.sampled_from([0.4, 1.0]),
         seed=st.integers(0, 2**32 - 1),
     )
+    @_each_policy_and_model(m=3, **_RARE_DARK_COUNTS)
     def test_shard_tally_equals_the_dense_oracle(
         self, m, d, policy, model, basis_probability, pair_probability,
         detector_efficiency, seed,
@@ -1076,6 +1097,7 @@ class TestBlockedShard:
         detector_efficiency=st.sampled_from([0.4, 1.0]),
         seed=st.integers(0, 2**32 - 1),
     )
+    @_each_policy_and_model(block=64, m=256, **_RARE_DARK_COUNTS)
     def test_any_block_size_reproduces_the_dense_oracle(self, block, **case):
         # 20,000-round shards span 5 to about 2,900 blocks, so special
         # rounds fall on block edges and in partial last blocks.
