@@ -27,8 +27,13 @@
 # of those rounds, and the positioned draws it reads, are pinned at either
 # thread count.
 # An m=1024 run of 1e7 rounds on the default channel counts its ten shards,
-# about 830 live rounds each, straight into one tally on the calling thread
-# at either thread count.
+# about 830 live rounds each, on the calling thread at either thread count,
+# keeping only the codes its rounds got (its dense tally would take 16 MB).
+# Two noiseless m=512 ideal-delta runs of 50000-round shards, every round
+# live, pin both counting modes: at 1e5 rounds the 524290-entry tally is
+# longer than the run's live rounds, so each block's distinct codes are
+# kept and merged; at 1e6 it is not, so they are counted into dense
+# tallies.  At 2 threads both go to the pool, whose workers' cells merge.
 # analyze and sweep at m=65536 fail if the closed-form key chain ever builds
 # the m x m error matrix again (34 GB).
 # sampled-JSA runs read the source's closed-form binned statistics; a
@@ -89,6 +94,12 @@ cat > "$configs/sampled1024.json" <<'EOF'
              "dark_probability": 0.0},
  "simulation": {"rounds": 1000000, "seed": 13, "correlation_model": "sampled-jsa"}}
 EOF
+cat > "$configs/noiseless512.json" <<'EOF'
+{"protocol": {"m": 512},
+ "channel": {"pair_probability": 1.0, "detector_efficiency": 1.0, "length": 0.0,
+             "dark_probability": 0.0},
+ "simulation": {"seed": 19, "shard_size": 50000, "correlation_model": "ideal-delta"}}
+EOF
 echo '{"protocol": {"m": 1024}}' > "$configs/m1024.json"
 echo '{"protocol": {"m": 65536}}' > "$configs/large.json"
 echo '{"channel": {"length": 400.0}}' > "$configs/far.json"
@@ -113,6 +124,10 @@ chronokey montecarlo --config "$configs/sampled1024.json" --threads "$threads" \
   --out "$out/sampled1024"
 chronokey montecarlo --config "$configs/m1024.json" --rounds 10000000 --seed 7 \
   --threads "$threads" --out "$out/m1024"
+chronokey montecarlo --config "$configs/noiseless512.json" --rounds 100000 \
+  --threads "$threads" --out "$out/noiseless512-sparse"
+chronokey montecarlo --config "$configs/noiseless512.json" --rounds 1000000 \
+  --threads "$threads" --out "$out/noiseless512-dense"
 chronokey alphabet-scan --max-bits 16 --out "$out"
 chronokey analyze --config "$configs/large.json" --out "$out/large"
 chronokey sweep --config "$configs/large.json" --out "$out/large"

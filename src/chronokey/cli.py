@@ -12,11 +12,12 @@ refused before its answer writes nothing.
 
 Every JSON artifact is one line of ``json.dumps(payload, sort_keys=True,
 allow_nan=False)`` text, made by one such call.  ``montecarlo``'s joint
-count matrices go to the writer as the ledger's int64 arrays; each is
+count matrices go to the writer as the ledger's non-zero cells; each is
 encoded as a placeholder string, which is then replaced by the text of
-``json.dumps`` of the matrix's list: the all-zero matrix's text with the
-digits of its non-zero cells spliced in, so only those cells cost Python
-work.  The parser is built on the first call and kept for the process.
+``json.dumps`` of the matrix's list: the all-zero matrix's text, kept per
+alphabet, with the digits of the non-zero cells spliced in, so only those
+cells cost Python work.  The parser is built on the first call and kept
+for the process.
 """
 
 from __future__ import annotations
@@ -52,27 +53,41 @@ from .noise import error_probability, pure_noise, transmission
 from .security import simplified_key_rate
 
 
-def _matrix_json(counts: np.ndarray) -> str:
-    """``json.dumps(counts.tolist())`` of a 2-D integer array, with Python
-    work only for its non-zero cells.
+class _CountMatrix:
+    """An m x m count matrix by its non-zero cells: ``counts`` at the sorted
+    flat indices ``cells``.  A plain class: a dataclass would cost the
+    package's import half a millisecond."""
+
+    __slots__ = ("m", "cells", "counts")
+
+    def __init__(self, m: int, cells: np.ndarray, counts: np.ndarray):
+        self.m, self.cells, self.counts = m, cells, counts
+
+
+@functools.lru_cache(maxsize=4)
+def _zero_matrix_json(m: int) -> str:
+    """``json.dumps`` of the m x m all-zero matrix's list."""
+    return "[" + ", ".join(["[" + ", ".join(["0"] * m) + "]"] * m) + "]"
+
+
+def _matrix_json(m: int, cells: np.ndarray, counts: np.ndarray) -> str:
+    """``json.dumps`` of the list of the m x m count matrix whose non-zero
+    cells are ``counts`` at the sorted flat indices ``cells``, with Python
+    work only for those cells.
 
     In the all-zero matrix's text ``[[0, 0, ...], [0, ...], ...]`` each row
-    takes ``3*n_cols + 2`` characters with its ``", "``, so flat cell ``k``
-    starts at character ``2 + 3*k + 2*(k // n_cols)``; the matrix's text is
-    that text with each non-zero cell's digits put in place of its ``0``.
+    takes ``3*m + 2`` characters with its ``", "``, so flat cell ``k``
+    starts at character ``2 + 3*k + 2*(k // m)``; the matrix's text is
+    that text with each cell's digits put in place of its ``0``.
     """
-    if counts.ndim != 2 or counts.dtype.kind not in "iu":
-        raise TypeError(f"cannot write a {counts.ndim}-d {counts.dtype} array as a count matrix")
-    n_rows, n_cols = counts.shape
-    zero = "[" + ", ".join(["[" + ", ".join(["0"] * n_cols) + "]"] * n_rows) + "]"
-    cells = np.flatnonzero(counts)
-    starts = 2 + 3 * cells + 2 * (cells // n_cols)
+    zero = _zero_matrix_json(m)
+    starts = 2 + 3 * cells + 2 * (cells // m)
     # The zero text around the cells and their digits between, each list
     # made by ``map`` in C.
     gaps = map(slice, [0, *(starts + 1).tolist()], [*starts.tolist(), None])
     pieces = [None] * (2 * cells.size + 1)
     pieces[::2] = map(zero.__getitem__, gaps)
-    pieces[1::2] = map(str, counts.ravel()[cells].tolist())
+    pieces[1::2] = map(str, counts.tolist())
     return "".join(pieces)
 
 
@@ -84,13 +99,13 @@ _MATRIX = "\0count matrix\0"
 
 def _json_text(payload: dict) -> str:
     """``json.dumps(payload, sort_keys=True, allow_nan=False)``, where the
-    payload may hold integer count matrices as arrays (``_matrix_json``)."""
+    payload may hold count matrices as ``_CountMatrix`` (``_matrix_json``)."""
     matrices = []
 
     def placeholder(value):
-        if not isinstance(value, np.ndarray):
+        if not isinstance(value, _CountMatrix):
             raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-        matrices.append(_matrix_json(value))
+        matrices.append(_matrix_json(value.m, value.cells, value.counts))
         return _MATRIX
 
     text = json.dumps(payload, sort_keys=True, allow_nan=False, default=placeholder)
@@ -255,12 +270,11 @@ def cmd_montecarlo(args) -> int:
         },
     }
     # Joint counts only (rows receiver): probabilities and stderr follow from them.
-    for basis, counts, sampled in (
-        (FREQUENCY_BASIS, ledger.joint_counts_frequency, freq_dist),
-        (TIME_BASIS, ledger.joint_counts_time, time_dist),
-    ):
+    matrices = {}
+    for basis, sampled in ((FREQUENCY_BASIS, freq_dist), (TIME_BASIS, time_dist)):
+        matrices[basis] = _CountMatrix(ledger.m, *ledger.basis_cells(basis))
         payload[basis] = {
-            "counts": counts,
+            "counts": matrices[basis],
             "out_of_window": None if sampled is None else sampled.out_of_window,
         }
     error_block = {"closed_form": closed_p, "pure_noise": pure_noise(model),
@@ -271,7 +285,7 @@ def cmd_montecarlo(args) -> int:
         error_block["stderr"] = math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / ledger.sifted)
     payload["error_probability"] = error_block
     payload["key_rate"] = None
-    if ledger.joint_counts_frequency.any() and ledger.joint_counts_time.any():
+    if all(matrix.cells.size for matrix in matrices.values()):
         payload["key_rate"] = _field_dict(estimate_key_rate(ledger, scheme, lens))
     print(f"{ledger.sifted} sifted rounds out of {ledger.rounds}")
     if error_block["empirical"] is not None:

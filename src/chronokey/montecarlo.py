@@ -17,13 +17,18 @@ side has no photon), collisions, and click positions.  Dead rounds get
 neither draws nor a tally code.  At a lossy channel with rare dark counts the cost
 thus scales with the coincidences, not with the rounds.
 
-Each live round gets one tally code, and the shard's tally counts the codes
-block by block (see below).  The tally is the ledger's only storage: an
-int64 vector of length ``2*m*m + 2`` with the sifted frequency-basis cell
-``receiver * m + sender`` first, the sifted time-basis cells ``m*m``
-further on, then the basis mismatches at ``2*m*m`` and the discarded
-multi-click rounds at ``2*m*m + 1``.  The ledger's ``no_click`` count, the
-dead rounds, is its round total minus the tally's sum.
+Each live round gets one tally code: the sifted frequency-basis cell
+``receiver * m + sender``, the sifted time-basis cell ``m*m`` further on,
+the basis mismatch ``2*m*m`` or the discarded multi-click round ``2*m*m +
+1``.  The ledger holds the codes its rounds got, sorted, and their counts,
+so that what reads it costs the cells a run touched, not the ``2*m*m + 2``
+it could: at the default channel a 2e6-round run at m = 256 touches about
+400 of 131,074.  Its ``no_click`` count, the dead rounds, is its round
+total minus the counts' sum.  A worker counts the codes block by block
+(see below) into a dense int64 tally of length ``2*m*m + 2`` when the
+tally is no longer than the live rounds the run expects (a noiseless run,
+or a small alphabet), and otherwise keeps each block's distinct codes and
+their counts, which it merges once.  Both modes give the same ledger.
 
 The shard reads its uniforms as raw 64-bit Philox words ``w``; the double
 ``Generator.random`` makes of a word is ``(w >> 11) * 2**-53``, so nothing
@@ -79,10 +84,10 @@ ledger depends only on ``seed``, ``rounds``, and ``shard_size``, never on
 the thread count or on which thread counts a shard.  A run whose shards
 expect at most one block of live rounds each (the default channel's 1e6-round
 shards hold about 830), or that has one shard, counts every shard on the
-calling thread, straight into the ledger's one tally, whatever the thread
-count.  Otherwise a pool of at most one worker per usable CPU (and per shard)
-takes the shards one at a time as each worker comes free; each worker counts
-into its own tally, and the tallies are added once the pool has joined.
+calling thread, whatever the thread count.  Otherwise a pool of at most one
+worker per usable CPU (and per shard) takes the shards one at a time as
+each worker comes free; each worker counts its own shards, and the
+workers' cells are merged once the pool has joined.
 """
 
 from __future__ import annotations
@@ -92,25 +97,28 @@ import math
 import os
 import threading
 from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .detection import FREQUENCY_BASIS, TIME_BASIS, BinningScheme, OutcomeDistribution, TimeLens
 from .errors import ParameterError, refuse_boolean_floats
 from .noise import ChannelModel, transmission
-from .security import KeyRateBound, distribution_key_rate
+from .security import KeyRateBound, _cells_report, _reports_key_rate
 
 _POLICIES = ("discard", "random-assign")
 _MODELS = ("ideal-delta", "sampled-jsa")
-# Largest alphabet simulated: a ledger's 2*m*m + 2 int64 tally takes 1 GiB
-# at this size.
+# Largest alphabet simulated: a dense 2*m*m + 2 int64 tally, or the two
+# joint count matrices a ledger builds on demand, take 1 GiB at this size.
 _MAX_ALPHABET = 8192
 # Largest round count and shard size: numpy's multinomial counts in int64.
 _MAX_ROUNDS = 2**63 - 1
 # Live rounds per block of a shard: a block's draws and tally codes stay in
 # cache (see the module docstring).
 _BLOCK_ROUNDS = 2**15
+# Tally entries per live round the run expects, up to which its workers
+# count into dense tallies rather than keep each block's distinct codes.
+_TALLY_PER_LIVE_ROUND = 1.0
 
 
 def _is_int(value) -> bool:
@@ -155,64 +163,91 @@ class SimulationConfig:
 
 @dataclass(frozen=True, eq=False)
 class RoundLedger:
-    """Outcome counts of a batch of rounds, held in one tally (laid out as in
-    the module docstring).
+    """Outcome counts of a batch of rounds: the tally codes (laid out as in
+    the module docstring) that at least one round got, sorted, in
+    ``cells``, and how many rounds got each in ``counts``, both int64.
 
     Every round lands in exactly one of ``no_click``,
     ``multi_click_discarded``, ``basis_mismatch``, or ``sifted``, and sifted
-    rounds split into ``correct`` plus ``incorrect``; all of them are read
-    off the tally.  The joint count matrices (rows receiver, columns sender)
-    are views of its sifted cells.
+    rounds split into ``correct`` plus ``incorrect``; the classes are
+    counted once, when the ledger is made.  The joint count matrices (rows
+    receiver, columns sender) are dense arrays built on each read.
     """
 
     m: int
     rounds: int
-    tally: np.ndarray
+    cells: np.ndarray
+    counts: np.ndarray
+    no_click: int = field(init=False)
+    multi_click_discarded: int = field(init=False)
+    basis_mismatch: int = field(init=False)
+    sifted: int = field(init=False)
+    correct: int = field(init=False)
 
     def __post_init__(self) -> None:
-        if not _is_int(self.m) or self.m < 2:
-            raise ParameterError(f"tally alphabet size must be an integer >= 2, got {self.m!r}")
-        if not _is_int(self.rounds) or self.rounds < 0:
-            raise ParameterError(f"tally round total must be an integer >= 0, got {self.rounds!r}")
-        size = 2 * self.m * self.m + 2
-        tally = self.tally
-        if not isinstance(tally, np.ndarray) or tally.dtype != np.int64 or tally.shape != (size,):
-            raise ParameterError(f"tally must be an int64 vector of length 2*m*m + 2 = {size}")
-        if tally.min() < 0:
-            raise ParameterError("tally counts must be non-negative")
-        if self.no_click < 0:
+        m, rounds, cells, counts = self.m, self.rounds, self.cells, self.counts
+        if not _is_int(m) or m < 2:
+            raise ParameterError(f"tally alphabet size must be an integer >= 2, got {m!r}")
+        if not _is_int(rounds) or not 0 <= rounds <= _MAX_ROUNDS:
+            raise ParameterError(
+                f"tally round total must be an integer in [0, 2**63 - 1], got {rounds!r}"
+            )
+        size = 2 * m * m + 2
+        for array in (cells, counts):
+            if not isinstance(array, np.ndarray) or array.dtype != np.int64 or array.ndim != 1:
+                raise ParameterError("tally cells and counts must be int64 vectors")
+        if cells.shape != counts.shape:
+            raise ParameterError("tally cells and counts must have one length")
+        increasing = np.all(cells[1:] > cells[:-1])
+        if cells.size and not (cells[0] >= 0 and cells[-1] < size and increasing):
+            raise ParameterError(f"tally cells must be increasing codes in [0, 2*m*m + 2 = {size})")
+        if cells.size and counts.min() < 1:
+            raise ParameterError("tally counts must be positive")
+        # An int64 sum of positive counts is exact unless it could pass 2**63.
+        # Once the total is at most ``rounds``, every partial sum is exact.
+        exact = counts.size * int(counts.max(initial=0)) < 2**63
+        total = int(counts.sum()) if exact else sum(counts.tolist())
+        if total > rounds:
             raise ParameterError("tally counts more rounds than the round total")
-        tally.setflags(write=False)
+        cells.setflags(write=False)
+        counts.setflags(write=False)
+        # The sifted cells come first; the mismatch and discard codes, each
+        # there or not, after them.
+        end = int(np.searchsorted(cells, 2 * m * m))
+        tail = dict(zip((cells[end:] - 2 * m * m).tolist(), counts[end:].tolist()))
+        diagonal = cells[:end] % (m * m) % (m + 1) == 0  # receiver == sender
+        classes = {
+            "no_click": rounds - total,
+            "basis_mismatch": tail.get(0, 0),
+            "multi_click_discarded": tail.get(1, 0),
+            "sifted": int(counts[:end].sum()),
+            "correct": int(counts[:end][diagonal].sum()),
+        }
+        for name, value in classes.items():
+            object.__setattr__(self, name, value)
+
+    def basis_cells(self, basis: str) -> tuple[np.ndarray, np.ndarray]:
+        """The sifted cells of one basis, as flat indices ``receiver * m +
+        sender`` of its joint count matrix, and their counts."""
+        if basis not in (FREQUENCY_BASIS, TIME_BASIS):
+            raise ParameterError(f"unknown basis {basis!r}")
+        offset = 0 if basis == FREQUENCY_BASIS else self.m * self.m
+        lo, hi = np.searchsorted(self.cells, (offset, offset + self.m * self.m))
+        return self.cells[lo:hi] - offset, self.counts[lo:hi]
+
+    def _joint_counts(self, basis: str) -> np.ndarray:
+        cells, counts = self.basis_cells(basis)
+        joint = np.zeros(self.m * self.m, dtype=np.int64)
+        joint[cells] = counts
+        return joint.reshape(self.m, self.m)
 
     @property
     def joint_counts_frequency(self) -> np.ndarray:
-        return self.tally[: self.m * self.m].reshape(self.m, self.m)
+        return self._joint_counts(FREQUENCY_BASIS)
 
     @property
     def joint_counts_time(self) -> np.ndarray:
-        return self.tally[self.m * self.m : -2].reshape(self.m, self.m)
-
-    @property
-    def basis_mismatch(self) -> int:
-        return int(self.tally[-2])
-
-    @property
-    def multi_click_discarded(self) -> int:
-        return int(self.tally[-1])
-
-    # The tally's one sum, taken by the check in ``__post_init__`` and kept:
-    # the tally is read-only.
-    @functools.cached_property
-    def no_click(self) -> int:
-        return self.rounds - int(self.tally.sum())
-
-    @property
-    def sifted(self) -> int:
-        return self.rounds - self.no_click - self.basis_mismatch - self.multi_click_discarded
-
-    @functools.cached_property
-    def correct(self) -> int:
-        return int(np.trace(self.joint_counts_frequency) + np.trace(self.joint_counts_time))
+        return self._joint_counts(TIME_BASIS)
 
     @property
     def incorrect(self) -> int:
@@ -464,16 +499,31 @@ def _add_codes(tally: np.ndarray, code: np.ndarray) -> None:
         np.add.at(tally, code, 1)
 
 
+def _merge(parts: list) -> tuple[np.ndarray, np.ndarray]:
+    """The cells and counts of several ``(cells, counts)`` parts, each with
+    sorted distinct cells: every cell any part has, sorted, and the sum of
+    its counts."""
+    if len(parts) == 1:
+        return parts[0]
+    cells = np.concatenate([np.empty(0, np.int64), *(part[0] for part in parts)])
+    counts = np.concatenate([np.empty(0, np.int64), *(part[1] for part in parts)])
+    order = np.argsort(cells)
+    cells = cells[order]
+    first = np.flatnonzero(np.diff(cells, prepend=-1))
+    return cells[first], np.add.reduceat(counts[order], first)
+
+
 def _simulate_shard(
     shard_index: int,
     n: int,
     config: SimulationConfig,
     channel: ChannelModel,
     codes: _CodeTable,
-    tally: np.ndarray,
-) -> np.ndarray:
-    """Count ``n`` rounds into the int64 ``tally`` (laid out as in the
-    module docstring) and return it."""
+    count,
+) -> None:
+    """Simulate ``n`` rounds, handing each block's tally codes (laid out as
+    in the module docstring, intp) to ``count``, which must not keep the
+    array: the next block overwrites it."""
     rng = _shard_rng(config.seed, shard_index)
     bits = rng.bit_generator
     m = channel.m
@@ -567,8 +617,7 @@ def _simulate_shard(
             code[at] = np.where(sector < 2, sector * cells + cell_b * m + cell_a, 2 * cells)
             if not random_assign:
                 code[at[(clicks_at_a > 1) | (clicks_at_b > 1)]] = 2 * cells + 1
-        _add_codes(tally, code)
-    return tally
+        count(code)
 
 
 def _usable_cpus() -> int:
@@ -599,7 +648,7 @@ def simulate_rounds(
     m = channel.m
     if m > _MAX_ALPHABET:
         raise ParameterError(
-            f"alphabet size {m} exceeds {_MAX_ALPHABET}: the ledger's 2*m*m + 2 int64 "
+            f"alphabet size {m} exceeds {_MAX_ALPHABET}: a dense 2*m*m + 2 int64 "
             f"tally would take {8 * (2 * m * m + 2):,} bytes, above the "
             f"{8 * (2 * _MAX_ALPHABET**2 + 2):,} it takes at {_MAX_ALPHABET}"
         )
@@ -622,27 +671,44 @@ def simulate_rounds(
     shards = ((i, min(config.shard_size, config.rounds - start)) for i, start in enumerate(starts))
 
     take = threading.Lock()
+    size = 2 * m * m + 2
+    # A run's tally codes are counted densely when its tally is no longer
+    # than the live rounds the run expects (see the module docstring).
+    live = 1.0 - _pattern_probabilities(channel)[-1]
+    dense = size <= _TALLY_PER_LIVE_ROUND * live * config.rounds
 
-    def count() -> np.ndarray:
-        """Count shards into a new tally, taking the next one not yet taken
-        until none is left."""
-        tally = np.zeros(2 * m * m + 2, dtype=np.int64)
+    def count() -> tuple[np.ndarray, np.ndarray]:
+        """The cells and counts of the shards this worker counts, taking the
+        next shard not yet taken until none is left."""
+        if dense:
+            tally = np.zeros(size, dtype=np.int64)
+            add = functools.partial(_add_codes, tally)
+        else:
+            blocks = []
+
+            def add(code):
+                blocks.append(np.unique(code, return_counts=True))
+
         while True:
             with take:
                 shard = next(shards, None)
             if shard is None:
-                return tally
-            _simulate_shard(*shard, config, channel, codes, tally)
+                break
+            _simulate_shard(*shard, config, channel, codes, add)
+        if dense:
+            cells = np.flatnonzero(tally)
+            return cells, tally[cells]
+        return _merge(blocks)
 
     # A run of one shard, or of shards whose expected live rounds fit in one
     # block (too little work to hand to a thread), counts every shard on
-    # this thread, into the ledger's one tally.  Otherwise each pool worker
-    # counts the shards it takes into its own tally, and the tallies are
-    # added once the pool has joined: at most one tally per worker is alive.
-    live = config.shard_size * (1.0 - _pattern_probabilities(channel)[-1])
-    workers = min(threads, _usable_cpus(), len(starts)) if live > _BLOCK_ROUNDS else 1
+    # this thread.  Otherwise each pool worker counts the shards it takes,
+    # and the workers' cells are merged once the pool has joined: at most
+    # one tally per worker is alive.
+    pooled = config.shard_size * live > _BLOCK_ROUNDS
+    workers = min(threads, _usable_cpus(), len(starts)) if pooled else 1
     if workers == 1:
-        return RoundLedger(m, config.rounds, count())
+        return RoundLedger(m, config.rounds, *count())
     with ThreadPoolExecutor(max_workers=workers) as pool:
         futures = [pool.submit(count) for _ in range(workers)]
         try:
@@ -650,10 +716,17 @@ def simulate_rounds(
         finally:
             with take:
                 shards.close()  # a failed or interrupted run takes no further shard
-    total = futures[0].result()
-    for future in futures[1:]:
-        total += future.result()
-    return RoundLedger(m, config.rounds, total)
+    return RoundLedger(m, config.rounds, *_merge([future.result() for future in futures]))
+
+
+def _basis_frequencies(ledger: RoundLedger, basis: str) -> tuple[np.ndarray, np.ndarray]:
+    """One basis's sifted cells (``RoundLedger.basis_cells``) and their
+    relative frequencies.  Raises when that basis saw no sifted rounds."""
+    cells, counts = ledger.basis_cells(basis)
+    n = int(counts.sum())
+    if n == 0:
+        raise ParameterError(f"no sifted rounds in the {basis} basis")
+    return cells, counts / n
 
 
 def empirical_distribution(ledger: RoundLedger, basis: str) -> OutcomeDistribution:
@@ -661,16 +734,10 @@ def empirical_distribution(ledger: RoundLedger, basis: str) -> OutcomeDistributi
 
     Raises when that basis saw no sifted rounds.
     """
-    if basis == FREQUENCY_BASIS:
-        counts = ledger.joint_counts_frequency
-    elif basis == TIME_BASIS:
-        counts = ledger.joint_counts_time
-    else:
-        raise ParameterError(f"unknown basis {basis!r}")
-    n = int(counts.sum())
-    if n == 0:
-        raise ParameterError(f"no sifted rounds in the {basis} basis")
-    return OutcomeDistribution(basis=basis, probabilities=counts / n)
+    cells, frequencies = _basis_frequencies(ledger, basis)
+    probabilities = np.zeros(ledger.m * ledger.m)
+    probabilities[cells] = frequencies
+    return OutcomeDistribution(basis=basis, probabilities=probabilities.reshape(ledger.m, -1))
 
 
 def empirical_error_probability(ledger: RoundLedger) -> float:
@@ -686,9 +753,15 @@ def estimate_key_rate(
     lens: TimeLens,
     reconciliation_efficiency: float = 1.0,
 ) -> KeyRateBound:
-    """Key-rate bound computed from the simulated joint counts."""
-    freq_dist = empirical_distribution(ledger, FREQUENCY_BASIS)
-    time_dist = empirical_distribution(ledger, TIME_BASIS)
-    return distribution_key_rate(
-        freq_dist, time_dist, binning, lens, reconciliation_efficiency=reconciliation_efficiency
+    """Key-rate bound computed from the simulated joint counts.
+
+    Bit for bit ``distribution_key_rate`` of both bases'
+    ``empirical_distribution``, computed from the ledger's cells alone.
+    """
+    frequency_report, time_report = (
+        _cells_report(basis, ledger.m, *_basis_frequencies(ledger, basis))
+        for basis in (FREQUENCY_BASIS, TIME_BASIS)
+    )
+    return _reports_key_rate(
+        frequency_report, time_report, binning, lens, reconciliation_efficiency
     )

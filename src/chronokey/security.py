@@ -106,11 +106,35 @@ class EntropyReport:
 
 def entropy_report(distribution: OutcomeDistribution) -> EntropyReport:
     """Marginal and conditional receiver entropies of a joint distribution."""
-    p = distribution.probabilities
+    p = distribution.probabilities.ravel()
+    cells = np.flatnonzero(p)
+    return _cells_report(distribution.basis, distribution.m, cells, p[cells])
+
+
+def _cells_report(basis: str, m: int, cells: np.ndarray, p: np.ndarray) -> EntropyReport:
+    """:func:`entropy_report` of the m x m joint distribution whose non-zero
+    entries are ``p`` at the sorted flat indices ``cells`` (``receiver * m +
+    sender``), with the bits numpy's sums over the dense matrix give.
+
+    The sender's marginal, numpy's axis-0 sum, adds each column's entries
+    row by row, as ``bincount`` adds them in flat order.  A receiver row of
+    one or two entries sums exactly in any order; a longer one is summed as
+    numpy sums the dense matrix's rows, pairwise, from its dense row.
+    """
+    rows, cols = np.divmod(cells, m)
+    receiver = np.bincount(rows, weights=p, minlength=m)
+    per_row = np.bincount(rows, minlength=m)
+    long_rows = np.flatnonzero(per_row > 2)
+    if long_rows.size:
+        in_long = per_row[rows] > 2
+        dense = np.zeros((long_rows.size, m))
+        dense[np.searchsorted(long_rows, rows[in_long]), cols[in_long]] = p[in_long]
+        receiver[long_rows] = dense.sum(axis=1)
+    sender = np.bincount(cols, weights=p, minlength=m)
     return EntropyReport(
-        basis=distribution.basis,
-        marginal_bits=_entropy_bits(p.sum(axis=1)),
-        conditional_bits=_conditional_bits(p, "sender"),
+        basis=basis,
+        marginal_bits=_entropy_bits(receiver),
+        conditional_bits=_entropy_bits(p) - _entropy_bits(sender),
     )
 
 
@@ -252,9 +276,22 @@ def distribution_key_rate(
     bound at the frequency bin width and the lens's time resolution, the
     binning deficit of the design ratios, and :func:`secret_key_bound`.
     """
+    return _reports_key_rate(
+        entropy_report(frequency), entropy_report(time), binning, lens, reconciliation_efficiency
+    )
+
+
+def _reports_key_rate(
+    frequency: EntropyReport,
+    time: EntropyReport,
+    binning: BinningScheme,
+    lens: TimeLens,
+    reconciliation_efficiency: float,
+) -> KeyRateBound:
+    """:func:`distribution_key_rate` from the two bases' entropy reports."""
     return secret_key_bound(
-        entropy_report(frequency),
-        entropy_report(time),
+        frequency,
+        time,
         entropic_bound(binning.delta_omega, time_resolution(binning, lens)),
         deficit=binning_deficit(binning.beta_plus, binning.beta_minus),
         reconciliation_efficiency=reconciliation_efficiency,

@@ -1,5 +1,6 @@
 """Round-by-round channel simulation against the closed-form expectations."""
 
+import dataclasses
 import functools
 import hashlib
 import math
@@ -19,6 +20,7 @@ from hypothesis import strategies as st
 import chronokey as ck
 from chronokey import montecarlo
 from chronokey.montecarlo import (
+    _add_codes,
     _CodeTable,
     _integer_cdfs,
     _pattern_probabilities,
@@ -62,7 +64,34 @@ def _cpus(count):
 
 
 def _ledgers_equal(a, b):
-    return a.m == b.m and a.rounds == b.rounds and np.array_equal(a.tally, b.tally)
+    return (
+        a.m == b.m and a.rounds == b.rounds
+        and np.array_equal(a.cells, b.cells) and np.array_equal(a.counts, b.counts)
+    )
+
+
+def _int64(*values):
+    return np.array(values, dtype=np.int64)
+
+
+def _ledger_of_tally(m, rounds, tally):
+    """The ledger whose dense tally (laid out as in the module docstring of
+    ``montecarlo``) is ``tally``."""
+    cells = np.flatnonzero(tally)
+    return ck.RoundLedger(m, rounds, cells, tally[cells])
+
+
+def _shard_tally(shard_index, n, config, channel, codes):
+    """One shard's dense tally, its codes counted as dense runs count them."""
+    m = channel.m
+    tally = np.zeros(2 * m * m + 2, np.int64)
+    _simulate_shard(shard_index, n, config, channel, codes, functools.partial(_add_codes, tally))
+    return tally
+
+
+def _counting(dense):
+    """Force the dense (``True``) or the sparse counting mode."""
+    return mock.patch.object(montecarlo, "_TALLY_PER_LIVE_ROUND", math.inf if dense else 0.0)
 
 
 class TestConfigValidation:
@@ -209,25 +238,57 @@ class TestWhereShardsRun:
             assert _ledgers_equal(serial, ledger)
 
     @pytest.mark.parametrize("threads", [1, 2])
+    def test_dense_and_sparse_counting_give_one_ledger(self, threads):
+        # Three shards of about 44,000 live rounds each, two blocks apiece,
+        # with dark counts, so every kind of code is counted; a pool counts
+        # them at two threads.
+        config = ck.SimulationConfig(rounds=300_000, seed=43, shard_size=100_000)
+        model = _channel(
+            16, pair_probability=1.0, detector_efficiency=0.6, length=0.0, dark_probability=1e-2
+        )
+        ledgers = []
+        for dense in (True, False):
+            with _counting(dense), _cpus(threads):
+                ledgers.append(ck.simulate_rounds(config, model, threads=threads))
+        assert ledgers[0].multi_click_discarded > 0 and ledgers[0].incorrect > 0
+        assert ledgers[0].basis_mismatch > 0
+        assert _ledgers_equal(*ledgers)
+
+    @pytest.mark.parametrize("threads", [1, 2])
     def test_sub_block_run_counts_into_one_tally(self, threads):
-        # Four 1e6-round shards at m = 512: a tally per shard would trace
-        # about twice the ledger's bytes at one thread and four times at two.
+        # Four 1e6-round shards at m = 512 (a 4,194,320-byte dense tally),
+        # about 3,300 live rounds: their distinct codes and counts, and the
+        # code table if this test builds it, not a tally.
         config = ck.SimulationConfig(rounds=4_000_000, seed=31)
         ck.simulate_rounds(ck.SimulationConfig(rounds=1, seed=0), _channel(2))  # imports np.random
         run = functools.partial(ck.simulate_rounds, config, _channel(512), threads=threads)
         ledger, peak = _traced_peak(run)
-        assert peak <= 1.2 * ledger.tally.nbytes
+        assert ledger.sifted > 0
+        assert peak <= 2**20
 
-    def test_pooled_run_keeps_one_tally_per_worker(self):
-        # Four noiseless 60,000-round shards at m = 512 on two workers: the
-        # two workers' tallies, no third total and no tally per shard.
+    @pytest.mark.parametrize("dense,bound", [(True, 3 * 4_194_320), (False, 4 * 2**20)])
+    def test_pooled_run_keeps_one_tally_per_worker(self, dense, bound):
+        # Four noiseless 60,000-round shards at m = 512 on two workers.
+        # Dense: the two workers' 4,194,320-byte tallies, no third total and
+        # no tally per shard.  Sparse (this run's own mode): each block's
+        # distinct codes, and the blocks' words and codes.
         config = ck.SimulationConfig(rounds=240_000, seed=37, shard_size=60_000)
         ck.simulate_rounds(ck.SimulationConfig(rounds=1, seed=0), _channel(2))  # imports np.random
         run = functools.partial(ck.simulate_rounds, config, _noiseless(512), threads=2)
-        with _cpus(2):
+        with _cpus(2), _counting(dense):
             ledger, peak = _traced_peak(run)
         assert ledger.sifted > 0
-        assert peak <= 3.0 * ledger.tally.nbytes
+        assert peak <= bound
+
+    def test_default_channel_run_at_m1024_holds_its_cells_only(self):
+        # Ten shards of about 830 live rounds each: a dense tally would take
+        # 16 MB.  The code table (393 kB, built once per m) is built first.
+        channel = ck.RunConfig.from_dict({"protocol": {"m": 1024}}).channel_model()
+        ck.simulate_rounds(ck.SimulationConfig(rounds=1, seed=0), channel)
+        config = ck.SimulationConfig(rounds=10_000_000, seed=7)
+        ledger, peak = _traced_peak(functools.partial(ck.simulate_rounds, config, channel))
+        assert ledger.sifted > 0
+        assert peak < 10**6
 
     def test_workers_take_every_shard_once(self):
         # 400 shards, more workers than cores, threads switched every
@@ -254,12 +315,11 @@ class TestWhereShardsRun:
         # it holds, not count the 1,999 others (2 s of sleeps).
         counted = []
 
-        def stub(shard_index, n, config, channel, codes, tally):
+        def stub(shard_index, n, config, channel, codes, count):
             if shard_index == 0:
                 raise MemoryError("shard 0")
             time.sleep(1e-3)
             counted.append(shard_index)
-            return tally
 
         config = ck.SimulationConfig(rounds=2_000, seed=1, shard_size=1)
         pooled = mock.patch.object(montecarlo, "_BLOCK_ROUNDS", 0)
@@ -299,18 +359,21 @@ class TestLedgerAccounting:
     def test_shard_ledger_properties_obey_the_class_identities(self):
         config = ck.SimulationConfig(rounds=100_000, seed=23)
         channel = _channel(8, dark_probability=5e-3)
-        tally = _simulate_shard(0, 100_000, config, channel, _CodeTable(8), np.zeros(130, np.int64))
-        ledger = ck.RoundLedger(8, 100_000, tally)
+        tally = _shard_tally(0, 100_000, config, channel, _CodeTable(8))
+        ledger = _ledger_of_tally(8, 100_000, tally)
         assert ledger.multi_click_discarded > 0 and ledger.incorrect > 0
         assert ledger.no_click + ledger.multi_click_discarded + ledger.coincidences == ledger.rounds
         assert ledger.correct == (
             np.trace(ledger.joint_counts_frequency) + np.trace(ledger.joint_counts_time)
         )
         assert ledger.joint_counts_frequency.nbytes == ledger.joint_counts_time.nbytes == 8 * 64
-        assert not ledger.tally.flags.writeable
+        assert not ledger.cells.flags.writeable and not ledger.counts.flags.writeable
+        joint = (ledger.joint_counts_frequency, ledger.joint_counts_time)
+        assert np.array_equal(np.concatenate([counts.ravel() for counts in joint]), tally[:-2])
 
     def test_shard_tallies_add_into_one_total(self):
-        # At the peak at most the running total and one shard's tally are alive.
+        # Eight 50,000-round shards at m = 512 (a 4,194,320-byte dense
+        # tally) hold about 340 live rounds in all: their codes, not a tally.
         config = ck.SimulationConfig(rounds=400_000, seed=29, shard_size=50_000)
         tracemalloc.start()
         try:
@@ -318,36 +381,64 @@ class TestLedgerAccounting:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 3 * ledger.tally.nbytes
+        assert ledger.rounds == config.rounds
+        assert peak <= 2**20
 
     @pytest.mark.parametrize(
-        "m,rounds,tally",
+        "m,rounds,cells,counts",
         [
-            (3, 100, np.array([1] * 9 + [-1] + [0] * 10, dtype=np.int64)),
-            (3, 100, np.zeros(19, dtype=np.int64)),
-            (3, 100, np.zeros(20, dtype=np.int32)),
-            (3, 100, np.zeros(20)),
-            (3, 100, [0] * 20),
-            (3, 5, np.array([3] * 2 + [0] * 18, dtype=np.int64)),
-            (-3, 0, np.zeros(20, dtype=np.int64)),
-            (True, 0, np.zeros(4, dtype=np.int64)),
-            (2, 2.5, np.zeros(10, dtype=np.int64)),
-            (1, 0, np.zeros(3, dtype=np.int64)),
-            (3.0, 0, np.zeros(20, dtype=np.int64)),
-            ("3", 0, np.zeros(20, dtype=np.int64)),
-            (3, -1, np.zeros(20, dtype=np.int64)),
-            (3, True, np.zeros(20, dtype=np.int64)),
-            (3, None, np.zeros(20, dtype=np.int64)),
+            (3, 100, _int64(0, 1), _int64(1, -1)),
+            (3, 100, _int64(0, 1), _int64(1, 0)),
+            (3, 100, _int64(0, 1), _int64(1)),
+            (3, 100, np.array([0], np.int32), _int64(1)),
+            (3, 100, _int64(0), np.array([1], np.int32)),
+            (3, 100, np.zeros(1), _int64(1)),
+            (3, 100, [0], [1]),
+            (3, 100, np.array([True]), _int64(1)),
+            (3, 100, _int64(0), np.array([True])),
+            (3, 100, _int64(0, 1).reshape(1, 2), _int64(1, 1).reshape(1, 2)),
+            (3, 100, _int64(1, 0), _int64(1, 1)),
+            (3, 100, _int64(1, 1), _int64(1, 1)),
+            (3, 100, _int64(-1), _int64(1)),
+            (3, 100, _int64(20), _int64(1)),
+            (3, 5, _int64(0, 1), _int64(3, 3)),
+            (2, 5, _int64(0, 1, 2, 3), np.full(4, 2**62, np.int64)),
+            (2, 2**64, _int64(0, 1, 2, 3), np.full(4, 2**62, np.int64)),
+            (-3, 0, _int64(), _int64()),
+            (True, 0, _int64(), _int64()),
+            (2, 2.5, _int64(), _int64()),
+            (1, 0, _int64(), _int64()),
+            (3.0, 0, _int64(), _int64()),
+            ("3", 0, _int64(), _int64()),
+            (3, -1, _int64(), _int64()),
+            (3, True, _int64(), _int64()),
+            (3, None, _int64(), _int64()),
         ],
         ids=[
-            "negative", "short", "int32", "float", "list", "past-rounds",
+            "negative", "zero", "short", "int32", "int32-counts", "float", "list",
+            "boolean-cells", "boolean-counts", "matrix", "unsorted", "repeated",
+            "below-range", "past-range", "past-rounds", "wrapping-sum", "past-int64-rounds",
             "negative-m", "boolean-m", "fractional-rounds", "one-symbol-m",
             "float-m", "string-m", "negative-rounds", "boolean-rounds", "no-rounds",
         ],
     )
-    def test_ledger_refuses_an_unrepresentable_tally(self, m, rounds, tally):
+    def test_ledger_refuses_an_unrepresentable_tally(self, m, rounds, cells, counts):
         with pytest.raises(ck.ParameterError, match="tally"):
-            ck.RoundLedger(m=m, rounds=rounds, tally=tally)
+            ck.RoundLedger(m=m, rounds=rounds, cells=cells, counts=counts)
+
+    def test_ledger_reads_every_class_off_its_cells(self):
+        # m = 3: codes 0-8 frequency, 9-17 time (diagonals 0, 4, 8 and 9,
+        # 13, 17), 18 mismatch, 19 discarded.
+        ledger = ck.RoundLedger(3, 100, _int64(0, 5, 13, 16, 18, 19), _int64(4, 1, 2, 3, 5, 6))
+        classes = (ledger.no_click, ledger.multi_click_discarded, ledger.basis_mismatch,
+                   ledger.sifted, ledger.correct, ledger.incorrect, ledger.coincidences)
+        assert classes == (79, 6, 5, 10, 6, 4, 15)
+        assert ledger.joint_counts_frequency[1, 2] == 1 and ledger.joint_counts_time[2, 1] == 3
+        empty = ck.RoundLedger(3, 7, _int64(), _int64())
+        assert (empty.no_click, empty.sifted, empty.coincidences) == (7, 0, 0)
+        assert not empty.joint_counts_frequency.any()
+        with pytest.raises(ck.ParameterError, match="unknown basis"):
+            ledger.basis_cells("polarization")
 
 
 class TestAgainstClosedForms:
@@ -438,6 +529,36 @@ class TestSampledSource:
             ck.simulate_rounds(config, _noiseless(4))
 
 
+def _example_ledger(m, frequency_rows, time_rows, seed=0):
+    """A ledger whose frequency and time bases have one receiver row per
+    entry of ``frequency_rows`` and ``time_rows``, with that many cells
+    (at most m) and random counts, plus a few unsifted rounds."""
+    rng = np.random.default_rng(seed)
+    tally = np.zeros(2 * m * m + 2, np.int64)
+    for offset, widths in ((0, frequency_rows), (m * m, time_rows)):
+        rows = rng.choice(m, size=min(len(widths), m), replace=False)
+        for row, width in zip(rows, widths):
+            cols = rng.choice(m, size=min(width, m), replace=False)
+            scale = rng.choice([2, 10**3, 2**40])
+            tally[offset + row * m + cols] = rng.integers(1, scale, cols.size)
+    tally[-2:] = rng.integers(0, 10, 2)
+    return _ledger_of_tally(m, int(tally.sum()) + 5, tally)
+
+
+@st.composite
+def _random_ledgers(draw):
+    """Ledgers of random cells at m from 2 to 300, whose receiver rows hold
+    one, two, three or more cells in both bases."""
+    m = draw(st.integers(2, 300))
+    widths = st.lists(st.sampled_from([1, 2, 3, 4, 7, m]), min_size=1, max_size=6)
+    return _example_ledger(m, draw(widths), draw(widths), draw(st.integers(0, 2**32 - 1)))
+
+
+def _bits(bound):
+    """A key-rate bound's fields, floats by their bits."""
+    return [float(x).hex() if isinstance(x, float) else x for x in dataclasses.astuple(bound)]
+
+
 class TestEstimators:
     def test_empirical_distribution_requires_sifted_rounds(self):
         config = ck.SimulationConfig(rounds=50, seed=3, basis_probability=1.0)
@@ -458,6 +579,30 @@ class TestEstimators:
         )
         with pytest.raises(ck.ParameterError):
             ck.empirical_error_probability(silent)
+
+    @settings(max_examples=60, deadline=None)
+    @given(ledger=_random_ledgers(), efficiency=st.sampled_from([1.0, 0.87]))
+    @example(ledger=_example_ledger(2, [1, 2], [2]), efficiency=1.0)
+    @example(ledger=_example_ledger(300, [1, 2, 3, 300], [300, 1]), efficiency=1.0)
+    def test_estimated_key_rate_is_the_dense_chains_bit_for_bit(self, ledger, efficiency):
+        scheme = ck.BinningScheme(m=ledger.m, delta_omega=1.0)
+        lens = ck.design_time_lens(scheme)
+        dense = ck.distribution_key_rate(
+            ck.empirical_distribution(ledger, "frequency"),
+            ck.empirical_distribution(ledger, "time"),
+            scheme, lens, reconciliation_efficiency=efficiency,
+        )
+        estimate = ck.estimate_key_rate(ledger, scheme, lens, efficiency)
+        assert _bits(estimate) == _bits(dense)
+
+    def test_estimate_refuses_an_empty_basis(self):
+        scheme = ck.BinningScheme(m=4, delta_omega=1.0)
+        lens = ck.design_time_lens(scheme)
+        frequency_only = _example_ledger(4, [1, 3], [])
+        with pytest.raises(ck.ParameterError, match="no sifted rounds in the time basis"):
+            ck.estimate_key_rate(frequency_only, scheme, lens)
+        with pytest.raises(ck.ParameterError, match="no sifted rounds in the time basis"):
+            ck.empirical_distribution(frequency_only, "time")
 
     def test_estimated_key_rate_for_a_clean_channel(self, designed16):
         scheme, _, lens = designed16
@@ -873,7 +1018,7 @@ def _dense_shard_oracle(shard_index, n, config, channel, cdfs):
     np.putmask(code, basis_a != basis_b, 2 * cells)
     if not random_assign:
         np.putmask(code, (clicks_a > 1) | (clicks_b > 1), 2 * cells + 1)
-    return ck.RoundLedger(m, n, np.bincount(code, minlength=2 * cells + 2))
+    return _ledger_of_tally(m, n, np.bincount(code, minlength=2 * cells + 2))
 
 
 # Rare dark counts on a lossless channel, whose 20,000 rounds are all live.
@@ -923,8 +1068,8 @@ class TestSparseBookkeeping:
         )
         codes, cdfs = _model_tables(model, m)
         shard = (3, config.rounds, config, channel)
-        tally = _simulate_shard(*shard, codes, np.zeros(2 * m * m + 2, np.int64))
-        assert np.array_equal(tally, _dense_shard_oracle(*shard, cdfs).tally)
+        ledger = _ledger_of_tally(m, config.rounds, _shard_tally(*shard, codes))
+        assert _ledgers_equal(ledger, _dense_shard_oracle(*shard, cdfs))
 
     @pytest.mark.parametrize("model", ["ideal-delta", "sampled-jsa"])
     @pytest.mark.parametrize("policy", ["discard", "random-assign"])
@@ -942,8 +1087,7 @@ class TestSparseBookkeeping:
         )
         codes, cdfs = _model_tables(model, m)
         shard = (5, config.rounds, config, channel)
-        tally = _simulate_shard(*shard, codes, np.zeros(2 * m * m + 2, np.int64))
-        ledger = ck.RoundLedger(m, config.rounds, tally)
+        ledger = _ledger_of_tally(m, config.rounds, _shard_tally(*shard, codes))
         assert ledger.sifted > 0 and ledger.no_click > 0
         assert _ledgers_equal(ledger, _dense_shard_oracle(*shard, cdfs))
 
@@ -1124,8 +1268,7 @@ class TestBlockedShard:
         codes, _ = _model_tables("sampled-jsa", 8)
         config = ck.SimulationConfig(rounds=10**6, seed=3, correlation_model="sampled-jsa")
         shard = (0, config.rounds, config, _noiseless(8), codes)
-        tally = np.zeros(2 * 8 * 8 + 2, np.int64)
-        tally, peak = _traced_peak(lambda: _simulate_shard(*shard, tally))
+        tally, peak = _traced_peak(lambda: _shard_tally(*shard))
         assert tally.sum() == config.rounds
         assert peak < 4 * 2**20
 
@@ -1148,12 +1291,10 @@ class TestRoundLimits:
 
     def test_shards_are_made_as_they_run(self):
         # 5e4 shards listed up front trace about 4.5 MB.
-        one_round = np.zeros(10, dtype=np.int64)
-        one_round[0] = 1
+        one_round = np.zeros(1, dtype=np.intp)  # code 0: the frequency basis's cell (0, 0)
 
-        def stub(shard_index, n, config, channel, codes, tally):
-            tally += one_round
-            return tally
+        def stub(shard_index, n, config, channel, codes, count):
+            count(one_round)
 
         config = ck.SimulationConfig(rounds=50_000, seed=1, shard_size=1)
         with mock.patch.object(montecarlo, "_simulate_shard", stub):

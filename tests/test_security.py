@@ -5,10 +5,11 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import chronokey as ck
+from chronokey import security
 
 # frozen: 30-digit evaluations of -p*lg(p) - (1-p)*lg(1-p) and of the
 # designed-measurement constants log2(2*pi/product) and -log2(2*pi*3/20)
@@ -71,6 +72,26 @@ class TestSharedInformation:
         )
         with pytest.raises(ck.ParameterError):
             ck.conditional_entropy(p, conditioned_on="eavesdropper")
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        m=st.integers(2, 300),
+        fill=st.sampled_from([0.0, 0.003, 0.05, 0.5, 1.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(m=300, fill=1.0, seed=0)
+    @example(m=2, fill=0.0, seed=0)
+    def test_entropy_report_has_the_bits_of_numpys_dense_sums(self, m, fill, seed):
+        # The report reads the non-zero cells; its receiver marginal must
+        # be numpy's row sums of the dense matrix and its conditional
+        # entropy the dense matrix's, bit for bit, at any sparsity.
+        rng = np.random.default_rng(seed)
+        p = rng.random((m, m)) ** 4 * (rng.random((m, m)) < fill)
+        p[rng.integers(m), rng.integers(m)] = 1.0  # at least one cell
+        p /= p.sum()
+        report = ck.entropy_report(ck.OutcomeDistribution("time", p))
+        assert report.marginal_bits == security._entropy_bits(p.sum(axis=1))
+        assert report.conditional_bits == ck.conditional_entropy(p)
 
     @pytest.mark.parametrize("m", [4, 16])
     @pytest.mark.parametrize("p_err", [0.0, 0.01, 0.1, 0.3, "uniform"])
