@@ -16,9 +16,9 @@ The Gaussian source is one factor of the detuning difference times one of
 the sum; on a uniform grid that is a Toeplitz matrix times a Hankel matrix
 of two 1-D tables, so ``exp`` is taken on ``2n - 1`` entries per factor and
 each cell is one product (:func:`make_gaussian_jsa`).  Its entries are
-within 4 ulp of the record's largest entry of the whole-matrix formula,
-``exp`` of the summed exponent, whose own rounding of that sum is the
-larger error in the tail.  The record stores an exact 0 wherever its value
+within 4 ulp of the record's largest entry of the exact Gaussian: at most
+3.9 ulp over 2,400 random widths and grids, against exponent, ``exp`` and
+norm in 80-bit long double.  The record stores an exact 0 wherever its value
 would be subnormal (below ``numpy.finfo(float).tiny``).  On x86 every
 subnormal operand or result of ``exp`` or an FFT takes a microcode assist;
 the binned distributions, Schmidt number and temporal amplitudes

@@ -30,7 +30,8 @@ from .chronocyclic import (
     make_gaussian_jsa,
     transform_1d,
 )
-from .errors import CoverageWarning, ParameterError, finite_positive, refuse_boolean_floats
+from .errors import CoverageWarning, ParameterError, check_alphabet, finite_positive
+from .errors import refuse_boolean_floats
 
 FREQUENCY_BASIS = "frequency"
 TIME_BASIS = "time"
@@ -70,6 +71,27 @@ _TINY = np.finfo(float).tiny
 _PHASE_STRIDE = 32
 
 
+def check_basis(basis) -> None:
+    """Raise :class:`ParameterError` unless ``basis`` names the frequency or the time basis."""
+    if basis not in (FREQUENCY_BASIS, TIME_BASIS):
+        raise ParameterError(f"unknown basis {basis!r}")
+
+
+def checked_joint(probabilities) -> tuple[np.ndarray, float]:
+    """A joint probability matrix as floats, and its sum, refused unless it is
+    a matrix whose entries are finite and none below ``-_NEGATIVE_ATOL``."""
+    p = np.asarray(probabilities, dtype=float)
+    if p.ndim != 2:
+        raise ParameterError("joint probabilities must be a matrix")
+    total = float(p.sum())
+    # A finite sum has finite terms, so only a non-finite one needs the scan.
+    if not math.isfinite(total) and not np.isfinite(p).all():
+        raise ParameterError("joint probabilities must be finite")
+    if p.size and not float(p.min()) >= -_NEGATIVE_ATOL:
+        raise ParameterError("joint probabilities must be non-negative")
+    return p, total
+
+
 @dataclass(frozen=True)
 class BinningScheme:
     """Partition of a spectral window into ``m`` equal bins.
@@ -86,8 +108,7 @@ class BinningScheme:
 
     def __post_init__(self) -> None:
         refuse_boolean_floats(self)
-        if not isinstance(self.m, int) or self.m < 2:
-            raise ParameterError(f"bin count must be an integer >= 2, got {self.m!r}")
+        check_alphabet(self.m)
         if not finite_positive(self.delta_omega):
             raise ParameterError("bin width must be finite and positive")
         if not 0.0 < self.beta_minus < self.beta_plus <= 1.0:
@@ -226,18 +247,11 @@ class OutcomeDistribution:
     out_of_window: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.basis not in (FREQUENCY_BASIS, TIME_BASIS):
-            raise ParameterError(f"unknown basis {self.basis!r}")
+        check_basis(self.basis)
         refuse_boolean_floats(self)
-        p = np.asarray(self.probabilities, dtype=float)
-        if p.ndim != 2 or p.shape[0] != p.shape[1]:
+        p, total = checked_joint(self.probabilities)
+        if p.shape[0] != p.shape[1]:
             raise ParameterError("probabilities must be a square matrix")
-        total = float(p.sum())
-        # A finite sum has finite terms, so only a non-finite one needs the scan.
-        if not math.isfinite(total) and not np.isfinite(p).all():
-            raise ParameterError("probabilities must be finite")
-        if not float(p.min()) >= -_NEGATIVE_ATOL:
-            raise ParameterError("probabilities must be non-negative")
         if not abs(total - 1.0) <= 1e-9:
             raise ParameterError(f"probabilities sum to {total!r}, expected 1")
         if not 0.0 <= self.out_of_window <= 1.0:
@@ -362,7 +376,8 @@ def _bin_masses(
     """Raw bin masses of a single-photon spectral amplitude (a 1-D array) or
     of a joint one given as its row blocks ``(rows, cols, values)``
     (receiver on axis 0, zero outside the blocks), binned on every axis as
-    described in :func:`joint_outcome_distribution`.
+    described in :func:`joint_outcome_distribution`; any ``basis`` other
+    than the frequency basis is the time basis.
 
     In the time basis the kernel evaluates the temporal amplitude at the
     Gauss-Legendre nodes of each panel of each time bin, each row scaled by
@@ -390,33 +405,30 @@ def _bin_masses(
             intensity = np.abs(values) ** 2 * grid.spacing**2
             raw += weights[:, rows] @ intensity @ weights[:, cols].T
         return raw[::-1, :]
-    elif basis == TIME_BASIS:
-        dt_bin = time_resolution(binning, lens)
-        per_bin = math.ceil(dt_bin * grid.span / _PANEL_SPAN_WIDTH)
-        n_panels = binning.m * per_bin
-        half = 0.5 * dt_bin / per_bin
-        w = grid.points
-        centres = (2.0 * half) * (np.arange(n_panels) - (n_panels - 1) / 2.0)
-        offsets = _phases(w, half * _PANEL_NODES) * (
-            np.sqrt(_PANEL_WEIGHTS * half) * (grid.spacing / math.sqrt(2.0 * math.pi))
-        )
-        if ndim == 1:
-            at_nodes = np.abs((_phases(w, centres) * amplitudes[:, None]).T @ offsets) ** 2
-        else:
-            # kernel_t[k, p * 16 + q] is the kernel at node (p, q) and grid point k.
-            kernel_t = (_phases(w, centres)[:, :, None] * offsets[:, None, :]).reshape(w.size, -1)
-            at_nodes = np.zeros((kernel_t.shape[1],) * 2, np.complex128)
-            for rows, cols, values in amplitudes:
-                if np.isrealobj(values):
-                    block = (values @ kernel_t[cols].view(np.float64)).view(np.complex128)
-                else:
-                    block = values @ kernel_t[cols]
-                at_nodes += kernel_t[rows].T @ block
-            at_nodes = np.abs(at_nodes) ** 2
-        nodes_axes = tuple(range(1, 2 * ndim, 2))
-        return at_nodes.reshape((binning.m, per_bin * _NODES_PER_PANEL) * ndim).sum(axis=nodes_axes)
+    dt_bin = time_resolution(binning, lens)
+    per_bin = math.ceil(dt_bin * grid.span / _PANEL_SPAN_WIDTH)
+    n_panels = binning.m * per_bin
+    half = 0.5 * dt_bin / per_bin
+    w = grid.points
+    centres = (2.0 * half) * (np.arange(n_panels) - (n_panels - 1) / 2.0)
+    offsets = _phases(w, half * _PANEL_NODES) * (
+        np.sqrt(_PANEL_WEIGHTS * half) * (grid.spacing / math.sqrt(2.0 * math.pi))
+    )
+    if ndim == 1:
+        at_nodes = np.abs((_phases(w, centres) * amplitudes[:, None]).T @ offsets) ** 2
     else:
-        raise ParameterError(f"unknown basis {basis!r}")
+        # kernel_t[k, p * 16 + q] is the kernel at node (p, q) and grid point k.
+        kernel_t = (_phases(w, centres)[:, :, None] * offsets[:, None, :]).reshape(w.size, -1)
+        at_nodes = np.zeros((kernel_t.shape[1],) * 2, np.complex128)
+        for rows, cols, values in amplitudes:
+            if np.isrealobj(values):
+                block = (values @ kernel_t[cols].view(np.float64)).view(np.complex128)
+            else:
+                block = values @ kernel_t[cols]
+            at_nodes += kernel_t[rows].T @ block
+        at_nodes = np.abs(at_nodes) ** 2
+    nodes_axes = tuple(range(1, 2 * ndim, 2))
+    return at_nodes.reshape((binning.m, per_bin * _NODES_PER_PANEL) * ndim).sum(axis=nodes_axes)
 
 
 def joint_outcome_distribution(
@@ -441,6 +453,7 @@ def joint_outcome_distribution(
     falls outside the window; the returned distribution is renormalized over
     the window either way.
     """
+    check_basis(basis)
     raw = _bin_masses(jsa._blocks, jsa.grid, binning, lens, basis)
     probabilities, out_mass = _renormalize(raw, basis)
     return OutcomeDistribution(basis=basis, probabilities=probabilities, out_of_window=out_mass)
@@ -466,8 +479,7 @@ def gaussian_outcome_distribution(
     :func:`joint_outcome_distribution`, without its grid's sampling error.
     """
     _refuse_bad_widths(delta_plus, delta_minus)
-    if basis not in (FREQUENCY_BASIS, TIME_BASIS):
-        raise ParameterError(f"unknown basis {basis!r}")
+    check_basis(basis)
     width = binning.delta_omega if basis == FREQUENCY_BASIS else time_resolution(binning, lens)
     low = -0.5 * binning.m * width
     try:

@@ -21,9 +21,26 @@ def is_boolean(value) -> bool:
     return isinstance(value, (bool, np.bool_))
 
 
+def is_int(value) -> bool:
+    """True for a Python integer; ``bool`` subclasses ``int`` but is refused."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def finite_positive(*values) -> bool:
     """True when every value is a finite positive number, not a boolean."""
     return all(not is_boolean(x) and math.isfinite(x) and x > 0.0 for x in values)
+
+
+def check_alphabet(m, name: str = "alphabet size") -> None:
+    """Raise :class:`ParameterError`, naming ``m`` by ``name``, unless the
+    alphabet size ``m`` is a Python integer ``>= 2``, not a boolean, that a
+    float can hold."""
+    if not is_int(m) or m < 2:
+        raise ParameterError(f"{name} must be an integer >= 2, got {m!r}")
+    try:
+        float(m)
+    except OverflowError:
+        raise ParameterError(f"{name} 2**{math.log2(m):g} exceeds the float range") from None
 
 
 def refuse_boolean_floats(instance) -> None:

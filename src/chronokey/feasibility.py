@@ -156,8 +156,6 @@ def check_feasibility(binning: BinningScheme, hardware: HardwareSpec) -> Feasibi
     # raises on overflow and an underflow to zero divides by zero.
     try:
         delta_nu = hardware.resolution_hz()
-        if not finite_positive(delta_nu):
-            raise ParameterError(f"bin frequency {delta_nu!r} Hz is not finite and positive")
         ordinary = _figures("ordinary", binning, delta_nu, hardware.fiber_gvd)
         angular = _figures("angular", binning, 2.0 * math.pi * delta_nu, hardware.fiber_gvd)
     except (OverflowError, ZeroDivisionError) as exc:

@@ -102,7 +102,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .detection import FREQUENCY_BASIS, TIME_BASIS, BinningScheme, OutcomeDistribution, TimeLens
-from .errors import ParameterError, refuse_boolean_floats
+from .detection import check_basis
+from .errors import ParameterError, check_alphabet, is_int, refuse_boolean_floats
 from .noise import ChannelModel, transmission
 from .security import KeyRateBound, _cells_report, _reports_key_rate
 
@@ -119,11 +120,6 @@ _BLOCK_ROUNDS = 2**15
 # Tally entries per live round the run expects, up to which its workers
 # count into dense tallies rather than keep each block's distinct codes.
 _TALLY_PER_LIVE_ROUND = 1.0
-
-
-def _is_int(value) -> bool:
-    """True for a Python integer; ``bool`` subclasses ``int`` but is refused."""
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -147,9 +143,9 @@ class SimulationConfig:
 
     def __post_init__(self) -> None:
         refuse_boolean_floats(self)
-        if not _is_int(self.rounds) or not 1 <= self.rounds <= _MAX_ROUNDS:
+        if not is_int(self.rounds) or not 1 <= self.rounds <= _MAX_ROUNDS:
             raise ParameterError("rounds must be a positive integer up to 2**63 - 1")
-        if not _is_int(self.seed) or self.seed < 0:
+        if not is_int(self.seed) or self.seed < 0:
             raise ParameterError("seed must be a non-negative integer")
         if not 0.0 <= self.basis_probability <= 1.0:
             raise ParameterError("basis probability must lie in [0, 1]")
@@ -157,7 +153,7 @@ class SimulationConfig:
             raise ParameterError(f"unknown multi-click policy {self.multi_click_policy!r}")
         if self.correlation_model not in _MODELS:
             raise ParameterError(f"unknown correlation model {self.correlation_model!r}")
-        if not _is_int(self.shard_size) or not 1 <= self.shard_size <= _MAX_ROUNDS:
+        if not is_int(self.shard_size) or not 1 <= self.shard_size <= _MAX_ROUNDS:
             raise ParameterError("shard size must be a positive integer up to 2**63 - 1")
 
 
@@ -186,9 +182,8 @@ class RoundLedger:
 
     def __post_init__(self) -> None:
         m, rounds, cells, counts = self.m, self.rounds, self.cells, self.counts
-        if not _is_int(m) or m < 2:
-            raise ParameterError(f"tally alphabet size must be an integer >= 2, got {m!r}")
-        if not _is_int(rounds) or not 0 <= rounds <= _MAX_ROUNDS:
+        check_alphabet(m, "tally alphabet size")
+        if not is_int(rounds) or not 0 <= rounds <= _MAX_ROUNDS:
             raise ParameterError(
                 f"tally round total must be an integer in [0, 2**63 - 1], got {rounds!r}"
             )
@@ -229,8 +224,7 @@ class RoundLedger:
     def basis_cells(self, basis: str) -> tuple[np.ndarray, np.ndarray]:
         """The sifted cells of one basis, as flat indices ``receiver * m +
         sender`` of its joint count matrix, and their counts."""
-        if basis not in (FREQUENCY_BASIS, TIME_BASIS):
-            raise ParameterError(f"unknown basis {basis!r}")
+        check_basis(basis)
         offset = 0 if basis == FREQUENCY_BASIS else self.m * self.m
         lo, hi = np.searchsorted(self.cells, (offset, offset + self.m * self.m))
         return self.cells[lo:hi] - offset, self.counts[lo:hi]
@@ -643,7 +637,7 @@ def simulate_rounds(
     distributions for both bases with the channel's alphabet size; the
     ``ideal-delta`` model ignores them.
     """
-    if not _is_int(threads) or threads < 1:
+    if not is_int(threads) or threads < 1:
         raise ParameterError("threads must be a positive integer")
     m = channel.m
     if m > _MAX_ALPHABET:

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, PureNoiseWarning, is_boolean, refuse_boolean_floats
+from .errors import ParameterError, PureNoiseWarning, check_alphabet, is_boolean
+from .errors import refuse_boolean_floats
 
 
 @dataclass(frozen=True)
@@ -33,14 +34,7 @@ class ChannelModel:
 
     def __post_init__(self) -> None:
         refuse_boolean_floats(self)
-        if not isinstance(self.m, int) or self.m < 2:
-            raise ParameterError(f"alphabet size must be an integer >= 2, got {self.m!r}")
-        try:
-            float(self.m)
-        except OverflowError:
-            raise ParameterError(
-                f"alphabet size 2**{math.log2(self.m):g} exceeds the float range"
-            ) from None
+        check_alphabet(self.m)
         if not 0.0 <= self.pair_probability <= 1.0:
             raise ParameterError("pair probability must lie in [0, 1]")
         if not 0.0 <= self.detector_efficiency <= 1.0:
@@ -150,6 +144,18 @@ def reconstructed_error_probability(model: ChannelModel) -> float:
     return incorrect / total
 
 
+def uniform_error_probability(m: int, error_probability: float) -> float:
+    """``error_probability`` as a float clamped to ``[0, (m - 1)/m]``, the
+    uniform error model's range at alphabet ``m``; refused (as is a bad
+    ``m``) unless it lies in that range to 1e-12."""
+    check_alphabet(m)
+    limit = (m - 1) / m
+    if is_boolean(error_probability) or not 0.0 <= error_probability <= limit + 1e-12:
+        raise ParameterError(f"error probability {error_probability!r} outside [0, {limit}]")
+    # A numpy scalar would make a key bound's ``clamped`` a numpy bool, which JSON refuses.
+    return float(min(error_probability, limit))
+
+
 def error_model_distribution(m: int, error_probability: float) -> np.ndarray:
     """Joint distribution of the uniform symmetric error model.
 
@@ -157,14 +163,7 @@ def error_model_distribution(m: int, error_probability: float) -> np.ndarray:
     with total error probability spread evenly over the ``m - 1`` wrong
     symbols.  The off-diagonal mass equals ``error_probability`` exactly.
     """
-    if not isinstance(m, int) or m < 2:
-        raise ParameterError(f"alphabet size must be an integer >= 2, got {m!r}")
-    limit = (m - 1) / m
-    if is_boolean(error_probability) or not 0.0 <= error_probability <= limit + 1e-12:
-        raise ParameterError(
-            f"error probability {error_probability!r} outside [0, {limit}]"
-        )
-    p = min(error_probability, limit)
+    p = uniform_error_probability(m, error_probability)
     spread = m * p / (m - 1)
     joint = np.full((m, m), spread / (m * m))
     np.fill_diagonal(joint, (1.0 - spread + spread / m) / m)

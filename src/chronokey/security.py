@@ -15,9 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .detection import FREQUENCY_BASIS, TIME_BASIS, _NEGATIVE_ATOL, _PANEL_NODES, _PANEL_WEIGHTS
-from .detection import BinningScheme, OutcomeDistribution, TimeLens, time_resolution
+from .detection import FREQUENCY_BASIS, TIME_BASIS, _PANEL_NODES, _PANEL_WEIGHTS, check_basis
+from .detection import BinningScheme, OutcomeDistribution, TimeLens, checked_joint, time_resolution
 from .errors import ParameterError, ResolutionWarning, finite_positive, is_boolean, refuse_boolean_floats
+from .noise import uniform_error_probability
 
 # Resolution product over 2*pi from which the paper's bound parts from the
 # exact one: by 0.004 bits at the threshold, 0.108 bits at the designed m = 2.
@@ -39,23 +40,9 @@ def binary_entropy(x: float) -> float:
     return -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x)
 
 
-def _joint_matrix(probabilities) -> np.ndarray:
-    """A joint outcome matrix as floats, refused unless it is finite and
-    non-negative to :class:`~chronokey.detection.OutcomeDistribution`'s
-    tolerance."""
-    p = np.asarray(probabilities, dtype=float)
-    if p.ndim != 2:
-        raise ParameterError("joint probabilities must be a matrix")
-    if not np.isfinite(p).all():
-        raise ParameterError("joint probabilities must be finite")
-    if p.size and not float(p.min()) >= -_NEGATIVE_ATOL:
-        raise ParameterError("joint probabilities must be non-negative")
-    return p
-
-
 def mutual_information(probabilities: np.ndarray) -> float:
     """Mutual information in bits of a joint outcome matrix."""
-    p = _joint_matrix(probabilities)
+    p, _ = checked_joint(probabilities)
     return (
         _entropy_bits(p.sum(axis=1)) + _entropy_bits(p.sum(axis=0)) - _entropy_bits(p.ravel())
     )
@@ -68,16 +55,11 @@ def conditional_entropy(probabilities: np.ndarray, conditioned_on: str = "sender
     :class:`~chronokey.detection.OutcomeDistribution`.  The default gives the
     receiver's entropy conditioned on the sender's outcome.
     """
-    return _conditional_bits(_joint_matrix(probabilities), conditioned_on)
-
-
-def _conditional_bits(p: np.ndarray, conditioned_on: str) -> float:
-    joint = _entropy_bits(p.ravel())
-    if conditioned_on == "sender":
-        return joint - _entropy_bits(p.sum(axis=0))
-    if conditioned_on == "receiver":
-        return joint - _entropy_bits(p.sum(axis=1))
-    raise ParameterError(f"conditioned_on must be 'sender' or 'receiver', got {conditioned_on!r}")
+    if conditioned_on not in ("sender", "receiver"):
+        raise ParameterError(f"conditioned_on must be 'sender' or 'receiver', got {conditioned_on!r}")
+    p, _ = checked_joint(probabilities)
+    given = p.sum(axis=0 if conditioned_on == "sender" else 1)
+    return _entropy_bits(p.ravel()) - _entropy_bits(given)
 
 
 @dataclass(frozen=True)
@@ -89,8 +71,7 @@ class EntropyReport:
     conditional_bits: float
 
     def __post_init__(self) -> None:
-        if self.basis not in (FREQUENCY_BASIS, TIME_BASIS):
-            raise ParameterError(f"unknown basis {self.basis!r}")
+        check_basis(self.basis)
         refuse_boolean_floats(self)
         if not (math.isfinite(self.marginal_bits) and math.isfinite(self.conditional_bits)):
             raise ParameterError("entropies must be finite")
@@ -306,14 +287,7 @@ def error_model_report(m: int, error_probability: float, basis: str) -> EntropyR
     m x m matrix: the receiver's marginal is uniform, ``log2(m)``, and the
     conditional entropy is ``p*log2(m - 1) + h(p)``.
     """
-    if not isinstance(m, int) or m < 2:
-        raise ParameterError("alphabet size must be an integer >= 2")
-    if is_boolean(error_probability) or not 0.0 <= error_probability <= (m - 1) / m + 1e-12:
-        raise ParameterError(
-            f"error probability {error_probability!r} outside [0, {(m - 1) / m}]"
-        )
-    # A numpy scalar would make ``clamped`` a numpy bool, which JSON refuses.
-    p = float(min(error_probability, (m - 1) / m))
+    p = uniform_error_probability(m, error_probability)
     return EntropyReport(
         basis=basis,
         marginal_bits=math.log2(m),

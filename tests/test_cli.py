@@ -570,6 +570,19 @@ class TestErrorHandling:
         assert "Traceback" not in err
         assert list(tmp_path.glob("*.json")) == [config]
 
+    @pytest.mark.parametrize("command", ["analyze", "feasibility", "sweep", "montecarlo"])
+    def test_alphabet_past_the_float_range_exits_with_error_code(self, tmp_path, capsys, command):
+        # analyze used to die in design_time_lens with an OverflowError, and
+        # feasibility to blame the hardware figures.
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"protocol": {"m": 2**1100}}))
+        out = tmp_path / "out"
+        assert _run(command, "--config", str(config), "--out", str(out)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: alphabet size 2**1100 exceeds the float range\n"
+        assert not out.exists() or list(out.iterdir()) == []
+
     def test_alphabet_scan_past_the_float_range_exits_with_error_code(self, tmp_path, capsys):
         assert _run("alphabet-scan", "--out", str(tmp_path), "--max-bits", "1030") == 2
         err = capsys.readouterr().err

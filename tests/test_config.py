@@ -52,6 +52,11 @@ class TestStrictParsing:
         with pytest.raises(ck.ConfigError):
             ck.RunConfig.from_dict({"channel": 3})
 
+    @pytest.mark.parametrize("document", [[], "protocol", 3])
+    def test_document_must_be_an_object(self, document):
+        with pytest.raises(ck.ConfigError, match="document must be an object"):
+            ck.RunConfig.from_dict(document)
+
     def test_malformed_file_raises_config_error(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
@@ -155,6 +160,19 @@ class TestSweepValues:
     def test_empty_sweep(self):
         sweep = ck.RunConfig.from_dict({"sweep": {"values": []}}).sweep
         assert sweep.resolved_values() == []
+        # No points are spaced, so the spacing is never read.
+        sweep = ck.RunConfig.from_dict({"sweep": {"num": 0, "spacing": "cubic"}}).sweep
+        assert sweep.resolved_values() == []
+
+    @pytest.mark.parametrize(
+        "sweep,message",
+        [({"num": -1}, "cannot be negative"), ({"spacing": "cubic"}, "unknown sweep spacing 'cubic'")],
+        ids=["negative-num", "unknown-spacing"],
+    )
+    def test_refuses_a_bad_spaced_sweep(self, sweep, message):
+        config = ck.RunConfig.from_dict({"sweep": sweep})
+        with pytest.raises(ck.ConfigError, match=message):
+            config.sweep.resolved_values()
 
 
 def _sweep_point(dotted, value):
@@ -205,6 +223,10 @@ class TestWithSection:
         changed = config.with_section("simulation", rounds=5)
         assert changed.simulation == dataclasses.replace(config.simulation, rounds=5)
         assert changed.protocol is config.protocol
+
+    def test_refuses_an_unknown_section(self):
+        with pytest.raises(ck.ConfigError, match="unknown section 'protocl'"):
+            ck.RunConfig().with_section("protocl", m=4)
 
     @pytest.mark.parametrize("changes", [{"rounds": True}, {"rounds": "5"}, {"rounds": 5, "sede": 1}])
     def test_checks_the_changes_as_a_loaded_section(self, changes):
@@ -308,3 +330,34 @@ BOOLEAN_CASES = {
 def test_booleans_are_not_numbers_at_any_entry_point(case):
     with pytest.raises(ck.ParameterError):
         BOOLEAN_CASES[case]()
+
+
+# One call per entry point that takes an alphabet size m.
+ALPHABET_SITES = {
+    "BinningScheme": lambda m: ck.BinningScheme(m=m),
+    "ChannelModel": lambda m: ck.ChannelModel(
+        m=m, pair_probability=0.5, detector_efficiency=0.5, dark_probability=1e-6
+    ),
+    "RoundLedger": lambda m: ck.RoundLedger(m, 0, np.zeros(0, np.int64), np.zeros(0, np.int64)),
+    "error_model_report": lambda m: ck.error_model_report(m, 0.1, "frequency"),
+    "error_model_distribution": lambda m: ck.error_model_distribution(m, 0.1),
+    "simplified_key_rate": lambda m: ck.simplified_key_rate(m, 0.1),
+}
+
+
+@pytest.mark.parametrize(
+    "m,message",
+    [
+        (True, "alphabet size must be an integer >= 2, got True"),
+        (1, "alphabet size must be an integer >= 2, got 1"),
+        (2.0, "alphabet size must be an integer >= 2, got 2.0"),
+        (np.int64(4), "alphabet size must be an integer >= 2, got np.int64"),
+        (2**1100, r"alphabet size 2\*\*1100 exceeds the float range"),
+    ],
+    ids=["boolean", "one", "float", "numpy-int", "past-float-range"],
+)
+@pytest.mark.parametrize("site", sorted(ALPHABET_SITES))
+def test_every_alphabet_site_refuses_what_the_rule_refuses(site, m, message):
+    ALPHABET_SITES[site](4)
+    with pytest.raises(ck.ParameterError, match=message):
+        ALPHABET_SITES[site](m)

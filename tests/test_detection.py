@@ -621,7 +621,9 @@ class TestGaussianClosedForm:
     @pytest.mark.parametrize(
         "widths,basis",
         [((0.0, 0.2), "frequency"), ((6.0, math.nan), "time"), ((math.inf, 0.2), "time"),
-         ((1e200, 0.2), "time"), ((6.0, 0.2), "spectral")],
+         ((1e200, 0.2), "time"), ((6.0, 0.2), "spectral"),
+         # Both variances are normal, but the conditional one underflows.
+         ((1e-100, 1e-100), "frequency")],
     )
     def test_refuses_bad_widths_and_bases(self, widths, basis):
         scheme = ck.BinningScheme(8)

@@ -527,6 +527,14 @@ class TestSampledSource:
         config = ck.SimulationConfig(rounds=10, seed=1, correlation_model="sampled-jsa")
         with pytest.raises(ck.ParameterError):
             ck.simulate_rounds(config, _noiseless(4))
+        for bases, m, message in [
+            (("time", "frequency"), 4, "frequency and time bases"),
+            (("frequency", "time"), 8, "alphabet does not match"),
+        ]:
+            uniform = np.full((m, m), 1.0 / (m * m))
+            distributions = [ck.OutcomeDistribution(basis, uniform) for basis in bases]
+            with pytest.raises(ck.ParameterError, match=message):
+                ck.simulate_rounds(config, _noiseless(4), *distributions)
 
 
 def _example_ledger(m, frequency_rows, time_rows, seed=0):

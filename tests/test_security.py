@@ -73,6 +73,21 @@ class TestSharedInformation:
         with pytest.raises(ck.ParameterError):
             ck.conditional_entropy(p, conditioned_on="eavesdropper")
 
+    @pytest.mark.parametrize(
+        "probabilities,message",
+        [
+            (np.full(4, 0.25), "must be a matrix"),
+            (np.array([[0.5, np.nan], [0.0, 0.5]]), "must be finite"),
+            (np.array([[0.5, np.inf], [0.0, 0.5]]), "must be finite"),
+            (np.array([[0.6, -0.1], [0.0, 0.5]]), "must be non-negative"),
+        ],
+        ids=["vector", "nan", "inf", "negative"],
+    )
+    @pytest.mark.parametrize("measure", [ck.mutual_information, ck.conditional_entropy])
+    def test_refuses_what_an_outcome_distribution_refuses(self, measure, probabilities, message):
+        with pytest.raises(ck.ParameterError, match=message):
+            measure(probabilities)
+
     @settings(max_examples=60, deadline=None)
     @given(
         m=st.integers(2, 300),
@@ -238,6 +253,15 @@ class TestSecretKeyBound:
     )
     def test_non_finite_entropies_rejected(self, marginal, conditional):
         with pytest.raises(ck.ParameterError):
+            ck.EntropyReport("frequency", marginal, conditional)
+
+    @pytest.mark.parametrize(
+        "marginal,conditional,message",
+        [(1.0, -0.5, "cannot be negative"), (1.0, 1.5, "cannot increase entropy")],
+        ids=["negative-conditional", "conditional-above-marginal"],
+    )
+    def test_impossible_entropies_rejected(self, marginal, conditional, message):
+        with pytest.raises(ck.ParameterError, match=message):
             ck.EntropyReport("frequency", marginal, conditional)
 
     def test_basis_mismatch_rejected(self):
