@@ -124,17 +124,17 @@ def _cell(value) -> str:
 
 
 def _open(args) -> tuple[RunConfig, Path]:
-    """The command's configuration and its output directory, made if missing."""
+    """The command's configuration and its output directory."""
     config = load_config(args.config)
-    out = Path(args.out) if args.out else Path(config.output.directory)
-    out.mkdir(parents=True, exist_ok=True)
-    return config, out
+    return config, Path(args.out) if args.out else Path(config.output.directory)
 
 
 def _write(out: Path, artifacts: dict) -> None:
-    """Write each artifact into ``out`` by its name's suffix, in order, then
-    print one ``wrote`` line naming them.  A ``.csv`` artifact is a header
-    and the records whose cells it names; any other is a JSON payload."""
+    """Write each artifact into ``out``, made if missing, by its name's
+    suffix, in order, then print one ``wrote`` line naming them.  A
+    ``.csv`` artifact is a header and the records whose cells it names; any
+    other is a JSON payload."""
+    out.mkdir(parents=True, exist_ok=True)
     paths = [out / name for name in artifacts]
     for path, content in zip(paths, artifacts.values()):
         if path.suffix == ".csv":

@@ -31,7 +31,7 @@ from .chronocyclic import (
     transform_1d,
 )
 from .errors import CoverageWarning, ParameterError, check_alphabet, finite_positive
-from .errors import refuse_boolean_floats
+from .errors import is_boolean, refuse_boolean_floats
 
 FREQUENCY_BASIS = "frequency"
 TIME_BASIS = "time"
@@ -232,7 +232,16 @@ def bin_overlap_weights(points: np.ndarray, spacing: float, edges: np.ndarray) -
     return np.clip((right - left) / spacing, 0.0, 1.0)
 
 
-@dataclass(frozen=True, eq=False)
+def _dense(m: int, cells: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """The read-only m x m matrix holding ``values`` at the flat indices
+    ``cells`` (``receiver * m + sender``), zero elsewhere."""
+    dense = np.zeros(m * m, values.dtype)
+    dense[cells] = values
+    dense.setflags(write=False)
+    return dense.reshape(m, m)
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class OutcomeDistribution:
     """Joint probabilities of the two parties' bin outcomes in one basis.
 
@@ -240,28 +249,50 @@ class OutcomeDistribution:
     while the sender lands in bin ``a``, renormalized over the measured
     window; ``out_of_window`` is the fraction of intensity that fell outside
     it and was discarded by that renormalization.
+
+    It is held as its positive entries, as a ``RoundLedger`` holds its
+    counts: their sorted int64 flat indices ``receiver * m + sender`` in
+    ``cells`` and their values in ``values``, both read-only.
     """
 
     basis: str
-    probabilities: np.ndarray
+    m: int
+    cells: np.ndarray
+    values: np.ndarray
     out_of_window: float = 0.0
 
-    def __post_init__(self) -> None:
-        check_basis(self.basis)
-        refuse_boolean_floats(self)
-        p, total = checked_joint(self.probabilities)
+    def __init__(self, basis: str, probabilities, out_of_window: float = 0.0) -> None:
+        check_basis(basis)
+        if is_boolean(out_of_window):
+            raise ParameterError("out_of_window must be a number, not a boolean")
+        p, total = checked_joint(probabilities)
         if p.shape[0] != p.shape[1]:
             raise ParameterError("probabilities must be a square matrix")
         if not abs(total - 1.0) <= 1e-9:
             raise ParameterError(f"probabilities sum to {total!r}, expected 1")
-        if not 0.0 <= self.out_of_window <= 1.0:
+        if not 0.0 <= out_of_window <= 1.0:
             raise ParameterError("out_of_window must lie in [0, 1]")
-        object.__setattr__(self, "probabilities", np.clip(p, 0.0, None))
-        self.probabilities.setflags(write=False)
+        positive = p > 0.0
+        self._hold(basis, p.shape[0], np.flatnonzero(positive), p[positive], out_of_window)
+
+    @classmethod
+    def _from_cells(cls, basis: str, m: int, cells: np.ndarray, values: np.ndarray):
+        """The distribution of ``values`` at the sorted flat indices
+        ``cells``, taken unchecked: positive, and summing to 1."""
+        distribution = cls.__new__(cls)
+        distribution._hold(basis, m, cells, values, 0.0)
+        return distribution
+
+    def _hold(self, basis, m, cells, values, out_of_window) -> None:
+        cells.setflags(write=False)
+        values.setflags(write=False)
+        vars(self).update(basis=basis, m=m, cells=cells, values=values, out_of_window=out_of_window)
 
     @property
-    def m(self) -> int:
-        return self.probabilities.shape[0]
+    def probabilities(self) -> np.ndarray:
+        """The dense matrix, built read-only from the cells on each read;
+        nothing in the package reads it."""
+        return _dense(self.m, self.cells, self.values)
 
 
 def _renormalize(raw: np.ndarray, basis: str) -> tuple[np.ndarray, float]:

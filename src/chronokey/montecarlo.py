@@ -102,10 +102,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .detection import FREQUENCY_BASIS, TIME_BASIS, BinningScheme, OutcomeDistribution, TimeLens
-from .detection import check_basis
+from .detection import _dense, check_basis
 from .errors import ParameterError, check_alphabet, is_int, refuse_boolean_floats
 from .noise import ChannelModel, transmission
-from .security import KeyRateBound, _cells_report, _reports_key_rate
+from .security import KeyRateBound, distribution_key_rate
 
 _POLICIES = ("discard", "random-assign")
 _MODELS = ("ideal-delta", "sampled-jsa")
@@ -229,19 +229,13 @@ class RoundLedger:
         lo, hi = np.searchsorted(self.cells, (offset, offset + self.m * self.m))
         return self.cells[lo:hi] - offset, self.counts[lo:hi]
 
-    def _joint_counts(self, basis: str) -> np.ndarray:
-        cells, counts = self.basis_cells(basis)
-        joint = np.zeros(self.m * self.m, dtype=np.int64)
-        joint[cells] = counts
-        return joint.reshape(self.m, self.m)
-
     @property
     def joint_counts_frequency(self) -> np.ndarray:
-        return self._joint_counts(FREQUENCY_BASIS)
+        return _dense(self.m, *self.basis_cells(FREQUENCY_BASIS))
 
     @property
     def joint_counts_time(self) -> np.ndarray:
-        return self._joint_counts(TIME_BASIS)
+        return _dense(self.m, *self.basis_cells(TIME_BASIS))
 
     @property
     def incorrect(self) -> int:
@@ -275,26 +269,25 @@ def _word_limit(p: float) -> int:
 
 
 def _joint_cdf(distribution: OutcomeDistribution) -> np.ndarray:
-    cdf = np.cumsum(distribution.probabilities.ravel())
+    """The CDF of a distribution over its cells, in their order, the last
+    value exactly 1.  A zero entry adds an exact 0 to a running sum, so at
+    each cell it is the CDF over the whole m x m matrix."""
+    cdf = np.cumsum(distribution.values)
     return cdf / cdf[-1]
 
 
-def _integer_cdfs(cdfs, cells: int) -> np.ndarray:
+def _integer_cdfs(frequency: np.ndarray, time: np.ndarray) -> np.ndarray:
     """``ceil(cdf * 2**53)`` of the frequency and then the time basis's
-    joint CDF (``cells`` values each, the last exactly 1), in int64, the
-    time basis's ``2**53`` higher.  ``cdfs`` may be a generator, so that
-    one CDF is alive at a time.
+    CDF (each ending at exactly 1), in int64, the time basis's ``2**53``
+    higher.
 
     Scaling by ``2**53`` is exact, so a CDF value is at most the uniform
     ``n * 2**-53`` exactly when its entry is at most ``n``.  Searching
     ``n + 2**53`` passes every frequency entry, which end at ``2**53``, so
-    it returns the time basis's cell plus ``cells``.
+    it returns the time basis's index plus ``frequency.size``.
     """
-    out = np.empty(2 * cells, dtype=np.int64)
-    for part, cdf in zip((out[:cells], out[cells:]), cdfs):
-        for start in range(0, cells, 2**16):  # no CDF-sized temporary
-            part[start : start + 2**16] = np.ceil(cdf[start : start + 2**16] * 2.0**53)
-    out[cells:] += 2**53
+    out = np.concatenate([np.ceil(cdf * 2.0**53).astype(np.int64) for cdf in (frequency, time)])
+    out[frequency.size :] += 2**53
     return out
 
 
@@ -313,12 +306,14 @@ class _CodeTable:
     2**18.
 
     ``cdf`` is the ``sampled-jsa`` frequency and time CDFs from
-    ``_integer_cdfs``, or None for ``ideal-delta``.
+    ``_integer_cdfs`` and ``codes`` the tally code of each of its entries
+    (``_jsa_code_table``), or both None for ``ideal-delta``.
     """
 
-    def __init__(self, m: int, cdf: np.ndarray | None = None):
+    def __init__(self, m: int, cdf: np.ndarray | None = None, codes: np.ndarray | None = None):
         self.m = m
         self.cdf = cdf
+        self.codes = codes
         outcomes = m if cdf is None else m * m
         self.bits = bits = min(18, max(12, math.ceil(math.log2(16 * outcomes))))
         # Every pair word's 53-bit integer ``n = w >> 11`` in bucket ``b``
@@ -337,13 +332,13 @@ class _CodeTable:
         """Codes of rounds whose parties chose the same basis, the time basis
         where ``time``, from their pair words' ``n = w >> 11`` (int64).
         ``ideal-delta`` gives both symbols ``min(floor(u*m), m-1)`` of the
-        pair's uniform ``u``, ``sampled-jsa`` the basis CDF's
+        pair's uniform ``u``, ``sampled-jsa`` the code of the basis CDF's
         ``searchsorted(cdf, u, "right")``."""
         m = self.m
         if self.cdf is None:
             symbol = np.minimum((n * 2.0**-53 * m).astype(np.intp), m - 1)
             return symbol * (m + 1) + time * (m * m)
-        return np.searchsorted(self.cdf, n + time * 2**53, side="right")
+        return self.codes[np.searchsorted(self.cdf, n + time * 2**53, side="right")]
 
     def lookup(
         self,
@@ -369,6 +364,15 @@ class _CodeTable:
             n = (words_pair[split] >> 11).astype(np.int64)
             out[split] = self.matched_codes(n, out[split] == -2)
         return out
+
+
+def _jsa_code_table(frequency: OutcomeDistribution, time: OutcomeDistribution) -> _CodeTable:
+    """``sampled-jsa``'s code table: the CDFs over both distributions'
+    cells, each index the code of its cell (the time basis's ``m*m``
+    further on)."""
+    m = frequency.m
+    cdf = _integer_cdfs(_joint_cdf(frequency), _joint_cdf(time))
+    return _CodeTable(m, cdf, np.concatenate([frequency.cells, time.cells + m * m]))
 
 
 @functools.lru_cache(maxsize=8)
@@ -657,8 +661,7 @@ def simulate_rounds(
             raise ParameterError("distributions must come from the frequency and time bases")
         if frequency_distribution.m != channel.m or time_distribution.m != channel.m:
             raise ParameterError("distribution alphabet does not match the channel")
-        distributions = (frequency_distribution, time_distribution)
-        codes = _CodeTable(m, _integer_cdfs(map(_joint_cdf, distributions), m * m))
+        codes = _jsa_code_table(frequency_distribution, time_distribution)
 
     starts = range(0, config.rounds, config.shard_size)
     # Lazy: a round count of 2**63 - 1 makes too many shards to list.
@@ -713,25 +716,16 @@ def simulate_rounds(
     return RoundLedger(m, config.rounds, *_merge([future.result() for future in futures]))
 
 
-def _basis_frequencies(ledger: RoundLedger, basis: str) -> tuple[np.ndarray, np.ndarray]:
-    """One basis's sifted cells (``RoundLedger.basis_cells``) and their
-    relative frequencies.  Raises when that basis saw no sifted rounds."""
+def empirical_distribution(ledger: RoundLedger, basis: str) -> OutcomeDistribution:
+    """Relative frequencies of one basis's sifted joint counts, at its cells.
+
+    Raises when that basis saw no sifted rounds.
+    """
     cells, counts = ledger.basis_cells(basis)
     n = int(counts.sum())
     if n == 0:
         raise ParameterError(f"no sifted rounds in the {basis} basis")
-    return cells, counts / n
-
-
-def empirical_distribution(ledger: RoundLedger, basis: str) -> OutcomeDistribution:
-    """Relative frequencies of one basis's sifted joint counts.
-
-    Raises when that basis saw no sifted rounds.
-    """
-    cells, frequencies = _basis_frequencies(ledger, basis)
-    probabilities = np.zeros(ledger.m * ledger.m)
-    probabilities[cells] = frequencies
-    return OutcomeDistribution(basis=basis, probabilities=probabilities.reshape(ledger.m, -1))
+    return OutcomeDistribution._from_cells(basis, ledger.m, cells, counts / n)
 
 
 def empirical_error_probability(ledger: RoundLedger) -> float:
@@ -747,15 +741,7 @@ def estimate_key_rate(
     lens: TimeLens,
     reconciliation_efficiency: float = 1.0,
 ) -> KeyRateBound:
-    """Key-rate bound computed from the simulated joint counts.
-
-    Bit for bit ``distribution_key_rate`` of both bases'
-    ``empirical_distribution``, computed from the ledger's cells alone.
-    """
-    frequency_report, time_report = (
-        _cells_report(basis, ledger.m, *_basis_frequencies(ledger, basis))
-        for basis in (FREQUENCY_BASIS, TIME_BASIS)
-    )
-    return _reports_key_rate(
-        frequency_report, time_report, binning, lens, reconciliation_efficiency
-    )
+    """Key-rate bound computed from the simulated joint counts:
+    ``distribution_key_rate`` of both bases' ``empirical_distribution``."""
+    frequency, time = (empirical_distribution(ledger, b) for b in (FREQUENCY_BASIS, TIME_BASIS))
+    return distribution_key_rate(frequency, time, binning, lens, reconciliation_efficiency)

@@ -86,22 +86,16 @@ class EntropyReport:
 
 
 def entropy_report(distribution: OutcomeDistribution) -> EntropyReport:
-    """Marginal and conditional receiver entropies of a joint distribution."""
-    p = distribution.probabilities.ravel()
-    cells = np.flatnonzero(p)
-    return _cells_report(distribution.basis, distribution.m, cells, p[cells])
-
-
-def _cells_report(basis: str, m: int, cells: np.ndarray, p: np.ndarray) -> EntropyReport:
-    """:func:`entropy_report` of the m x m joint distribution whose non-zero
-    entries are ``p`` at the sorted flat indices ``cells`` (``receiver * m +
-    sender``), with the bits numpy's sums over the dense matrix give.
+    """Marginal and conditional receiver entropies of a joint distribution,
+    read from its cells with the bits numpy's sums over its dense matrix
+    give.
 
     The sender's marginal, numpy's axis-0 sum, adds each column's entries
     row by row, as ``bincount`` adds them in flat order.  A receiver row of
     one or two entries sums exactly in any order; a longer one is summed as
     numpy sums the dense matrix's rows, pairwise, from its dense row.
     """
+    m, cells, p = distribution.m, distribution.cells, distribution.values
     rows, cols = np.divmod(cells, m)
     receiver = np.bincount(rows, weights=p, minlength=m)
     per_row = np.bincount(rows, minlength=m)
@@ -113,7 +107,7 @@ def _cells_report(basis: str, m: int, cells: np.ndarray, p: np.ndarray) -> Entro
         receiver[long_rows] = dense.sum(axis=1)
     sender = np.bincount(cols, weights=p, minlength=m)
     return EntropyReport(
-        basis=basis,
+        basis=distribution.basis,
         marginal_bits=_entropy_bits(receiver),
         conditional_bits=_entropy_bits(p) - _entropy_bits(sender),
     )
@@ -257,22 +251,9 @@ def distribution_key_rate(
     bound at the frequency bin width and the lens's time resolution, the
     binning deficit of the design ratios, and :func:`secret_key_bound`.
     """
-    return _reports_key_rate(
-        entropy_report(frequency), entropy_report(time), binning, lens, reconciliation_efficiency
-    )
-
-
-def _reports_key_rate(
-    frequency: EntropyReport,
-    time: EntropyReport,
-    binning: BinningScheme,
-    lens: TimeLens,
-    reconciliation_efficiency: float,
-) -> KeyRateBound:
-    """:func:`distribution_key_rate` from the two bases' entropy reports."""
     return secret_key_bound(
-        frequency,
-        time,
+        entropy_report(frequency),
+        entropy_report(time),
         entropic_bound(binning.delta_omega, time_resolution(binning, lens)),
         deficit=binning_deficit(binning.beta_plus, binning.beta_minus),
         reconciliation_efficiency=reconciliation_efficiency,

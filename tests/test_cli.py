@@ -488,8 +488,9 @@ class TestErrorHandling:
             (["alphabet-scan", "--max-bits", "0"], {}),
             (["sweep"], {"sweep": {"num": 10**14, "spacing": "linear"}}),
             (["sweep"], {"sweep": {"parameter": "channel.length", "values": [1, 10**400]}}),
+            (["montecarlo"], {"channel": {"pair_probability": 2.0}}),
         ],
-        ids=["bad-target", "max-bits-0", "sweep-too-long", "refused-after-a-point"],
+        ids=["bad-target", "max-bits-0", "sweep-too-long", "refused-after-a-point", "bad-channel"],
     )
     def test_refused_command_writes_no_artifact(self, tmp_path, capsys, argv, document):
         config = tmp_path / "cfg.json"
@@ -499,7 +500,15 @@ class TestErrorHandling:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error:") and "Traceback" not in captured.err
-        assert not out.exists() or list(out.iterdir()) == []
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["analyze", "feasibility", "sweep", "montecarlo"])
+    def test_out_that_is_a_file_exits_with_error_code(self, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        out.write_text("kept\n")
+        assert _run(command, "--out", str(out)) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert out.read_text() == "kept\n"
 
     @pytest.mark.parametrize("bits", ["0", "-3"])
     def test_alphabet_scan_refuses_max_bits_below_one(self, tmp_path, capsys, bits):
@@ -581,7 +590,7 @@ class TestErrorHandling:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: alphabet size 2**1100 exceeds the float range\n"
-        assert not out.exists() or list(out.iterdir()) == []
+        assert not out.exists()
 
     def test_alphabet_scan_past_the_float_range_exits_with_error_code(self, tmp_path, capsys):
         assert _run("alphabet-scan", "--out", str(tmp_path), "--max-bits", "1030") == 2

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import chronokey as ck
-from chronokey import chronocyclic
+from chronokey import chronocyclic, security
 from chronokey.detection import _PANEL_NODES, _PANEL_SPAN_WIDTH, _PANEL_WEIGHTS, _bin_masses, _erfc
 
 # frozen: 30-digit quadrature of the binned bivariate-normal intensity for the
@@ -140,6 +140,35 @@ class TestOutcomeDistribution:
     def test_rejects_non_finite_probabilities(self, bad):
         with pytest.raises(ck.ParameterError, match="finite"):
             ck.OutcomeDistribution("frequency", np.full((4, 4), bad), 0.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        m=st.integers(1, 30),
+        fill=st.sampled_from([0.0, 0.1, 0.5, 1.0]),
+        below=st.sampled_from([0.0, 0.2, 1.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(m=1, fill=0.0, below=0.0, seed=0)
+    @example(m=30, fill=0.1, below=1.0, seed=1)
+    def test_cells_round_trip_the_dense_matrix(self, m, fill, below, seed):
+        # Exact zeros, and roundoff in [-1e-12, 0) among them, read back as
+        # the clipped matrix; only the positive entries are held.
+        rng = np.random.default_rng(seed)
+        p = rng.random((m, m)) * (rng.random((m, m)) < fill)
+        p[rng.integers(m), rng.integers(m)] = 1.0  # at least one cell
+        p /= p.sum()
+        negative = (p == 0.0) & (rng.random((m, m)) < below)
+        p[negative] = -1e-12 * (1.0 - rng.random(int(negative.sum())))
+        dist = ck.OutcomeDistribution("time", p)
+        clipped = np.clip(p, 0.0, None)
+        dense = dist.probabilities
+        assert dist.m == m and np.array_equal(dense, clipped) and not dense.flags.writeable
+        assert dist.cells.dtype == np.int64 and np.all(np.diff(dist.cells) > 0)
+        assert np.all(dist.values > 0.0)
+        assert not (dist.cells.flags.writeable or dist.values.flags.writeable)
+        report = ck.entropy_report(dist)
+        assert report.marginal_bits == security._entropy_bits(clipped.sum(axis=1))
+        assert report.conditional_bits == ck.conditional_entropy(clipped)
 
 
 class TestFrequencyBinning:

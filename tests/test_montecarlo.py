@@ -23,6 +23,7 @@ from chronokey.montecarlo import (
     _add_codes,
     _CodeTable,
     _integer_cdfs,
+    _jsa_code_table,
     _pattern_probabilities,
     _positioned_copy,
     _shard_rng,
@@ -595,9 +596,11 @@ class TestEstimators:
     def test_estimated_key_rate_is_the_dense_chains_bit_for_bit(self, ledger, efficiency):
         scheme = ck.BinningScheme(m=ledger.m, delta_omega=1.0)
         lens = ck.design_time_lens(scheme)
+        # The reference goes through the public constructor's dense matrices.
+        frequency, time = ledger.joint_counts_frequency, ledger.joint_counts_time
         dense = ck.distribution_key_rate(
-            ck.empirical_distribution(ledger, "frequency"),
-            ck.empirical_distribution(ledger, "time"),
+            ck.OutcomeDistribution("frequency", frequency / frequency.sum()),
+            ck.OutcomeDistribution("time", time / time.sum()),
             scheme, lens, reconciliation_efficiency=efficiency,
         )
         estimate = ck.estimate_key_rate(ledger, scheme, lens, efficiency)
@@ -949,14 +952,15 @@ def _cdf(distribution):
 
 
 def _model_tables(model, m):
-    """The shard's code table for ``model`` at alphabet ``m`` and the
-    oracle's (frequency, time) CDFs, None for ``ideal-delta``."""
+    """The shard's code table for ``model`` at alphabet ``m``, built from
+    the distributions' cells as ``simulate_rounds`` builds it, and the
+    oracle's dense (frequency, time) CDFs over all m*m cells, None for
+    ``ideal-delta``."""
     if model == "ideal-delta":
         return _CodeTable(m), None
     pair = _banded_pair(m)
     distributions = (pair["frequency_distribution"], pair["time_distribution"])
-    cdfs = tuple(map(_cdf, distributions))
-    return _CodeTable(m, _integer_cdfs(cdfs, m * m)), cdfs
+    return _jsa_code_table(*distributions), tuple(map(_cdf, distributions))
 
 
 def _dense_shard_oracle(shard_index, n, config, channel, cdfs):
@@ -1169,28 +1173,34 @@ class TestGuideTable:
 
     @pytest.mark.parametrize("name", sorted(_adversarial_cdfs()))
     def test_lookup_equals_binary_search(self, name):
-        # The CDF serves as each basis in turn, beside a skewed one; each is
-        # padded with ones to m*m cells, which no uniform reaches.
+        # The CDF serves as each basis in turn, beside a skewed one of
+        # another length; each is normalised as the sampler's are, and its
+        # entries are the CDF at sorted random cells of an alphabet whose
+        # m*m cells hold the longer one.
         skewed = np.random.default_rng(73).random(2**13) ** 8
         adversarial = [_adversarial_cdfs()[name], np.cumsum(skewed) / skewed.sum()]
+        rng = np.random.default_rng(79)
         for pair in (adversarial, adversarial[::-1]):
+            pair = [cdf / cdf[-1] for cdf in pair]
             m = math.isqrt(max(cdf.size for cdf in pair) - 1) + 1
-            pair = [np.concatenate([cdf, np.ones(m * m - cdf.size)]) for cdf in pair]
-            codes = _CodeTable(m, _integer_cdfs(pair, m * m))
+            cells = [np.sort(rng.choice(m * m, cdf.size, replace=False)) for cdf in pair]
+            codes = _CodeTable(m, _integer_cdfs(*pair), np.concatenate([cells[0], cells[1] + m * m]))
             assert codes.table.size == 3 * 2**codes.bits
             n = self._probes(np.concatenate(pair), codes.bits)
             u = n * 2.0**-53
-            expected = [np.searchsorted(cdf, u, side="right") for cdf in pair]
+            expected = [at[np.searchsorted(cdf, u, side="right")] for at, cdf in zip(cells, pair)]
             self._all_pairs(codes, n, expected[0], m * m + expected[1])
 
     def test_integer_cdfs_are_the_scaled_ceilings(self):
-        # More cells than one conversion chunk, the CDFs from a generator.
-        cells = 2**17 + 5
-        weights = np.random.default_rng(89).random((2, cells))
-        cdfs = [np.cumsum(w) / w.sum() for w in weights]
-        got = _integer_cdfs(iter(cdfs), cells)
-        assert np.array_equal(got[:cells], np.ceil(cdfs[0] * 2.0**53).astype(np.int64))
-        assert np.array_equal(got[cells:], np.ceil(cdfs[1] * 2.0**53).astype(np.int64) + 2**53)
+        # Frequency and time CDFs of different lengths, either one longer.
+        rng = np.random.default_rng(89)
+        cdfs = [np.cumsum(w) / w.sum() for w in (rng.random(2**17 + 5), rng.random(3001))]
+        for frequency, time in (cdfs, cdfs[::-1]):
+            got = _integer_cdfs(frequency, time)
+            cut = frequency.size
+            assert got.dtype == np.int64 and got.size == cut + time.size
+            assert np.array_equal(got[:cut], np.ceil(frequency * 2.0**53).astype(np.int64))
+            assert np.array_equal(got[cut:], np.ceil(time * 2.0**53).astype(np.int64) + 2**53)
 
     @pytest.mark.parametrize("m", [3, 7, 257])
     def test_ideal_delta_table_equals_the_product_rule(self, m):
